@@ -18,7 +18,6 @@ from .flops import BLOCKS
 from .layer import LayerConfig, init_layer_params, repgraph_forward
 from .nonlocal_block import init_nonlocal_params, nonlocal_forward
 from .tensor import Rng, Tensor4
-from .variants import GridConfig, GroupConfig, grid_repgraph_forward, group_repgraph_forward
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
 
@@ -55,26 +54,21 @@ def _estimate_bytes(block: str, h: int, w: int, c: int, cp: int, s: int, itemsiz
 
 
 def _make_forward(block: str, h: int, w: int, c: int, cp: int, s: int,
-                  gs: int, groups: int, dtype, seed: int):
+                  gs: int, groups: int, fusion: str, dtype, seed: int):
     rng = Rng(seed)
     x = rng.tensor((1, c, h, w), dtype=dtype)
     if block == "nl":
-        params = init_nonlocal_params(c, cp, rng=rng, dtype=dtype)
+        params = init_nonlocal_params(c, cp, fusion=fusion, rng=rng, dtype=dtype)
         return lambda: nonlocal_forward(x, params)
-    variant = "simple" if block == "srg" else "bottleneck"
-    cfg = LayerConfig(c=c, cp=cp, s=s, variant=variant)
+    cfg = LayerConfig(c=c, cp=cp, s=s, variant="simple" if block == "srg" else "bottleneck",
+                      fusion=fusion, gs=gs if block == "grid" else 1,
+                      groups=groups if block == "group" else 1)
     params = init_layer_params(cfg, rng=rng, dtype=dtype)
-    if block == "grid":
-        grid = GridConfig(gs)
-        return lambda: grid_repgraph_forward(x, params, cfg, grid)
-    if block == "group":
-        grp = GroupConfig(groups)
-        return lambda: group_repgraph_forward(x, params, cfg, grp)
     return lambda: repgraph_forward(x, params, cfg)
 
 
 def run_benchmark(blocks, geometries, s: int = 9, gs: int = 2, groups: int = 2,
-                  repeats: int = 5, warmup: int = 2, dtype: str = "f32",
+                  fusion: str = "sum", repeats: int = 5, warmup: int = 2, dtype: str = "f32",
                   seed: int = 0, mem_budget_bytes: int = 8 << 30,
                   ) -> tuple[list[BenchResult], list[BenchSkip]]:
     """Time forward passes per block and geometry.
@@ -102,7 +96,7 @@ def run_benchmark(blocks, geometries, s: int = 9, gs: int = 2, groups: int = 2,
                 skips.append(BenchSkip(block, h, w, reason))
                 print(f"skip {block} at {h}x{w}: {reason}", file=sys.stderr)
                 continue
-            forward = _make_forward(block, h, w, c, cp, s, gs, groups, np_dtype, seed)
+            forward = _make_forward(block, h, w, c, cp, s, gs, groups, fusion, np_dtype, seed)
             median_ms, iqr_ms = time_callable(forward, repeats, warmup)
             results.append(BenchResult(
                 block=block, h=h, w=w, c=c, cp=cp, s=s, dtype=dtype,

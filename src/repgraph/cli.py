@@ -19,7 +19,7 @@ from . import gradcheck as gradcheck_mod
 from . import stats as stats_mod
 from . import train as train_mod
 from .config import load_config_file
-from .errors import RepGraphError
+from .errors import ContractError, RepGraphError
 from .nonlocal_block import affinity_matrix
 from .oracle import dense_equivalence_diff
 from .tensor import Rng
@@ -41,15 +41,13 @@ def _add_geometry_flags(p: argparse.ArgumentParser) -> None:
 
 def _apply_config(args) -> None:
     if getattr(args, "config", None):
-        cfg, grid, grp = load_config_file(args.config)
+        cfg = load_config_file(args.config)
         args.c = cfg.c
         args.cp = cfg.cp
         args.nodes = cfg.s
         args.fusion = cfg.fusion
-        if grid is not None:
-            args.gs = grid.gs
-        if grp is not None:
-            args.groups = grp.groups
+        args.gs = cfg.gs
+        args.groups = cfg.groups
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,7 +124,7 @@ def cmd_bench(args) -> int:
     blocks = [b.strip() for b in args.block.split(",") if b.strip()]
     results, skips = bench_mod.run_benchmark(
         blocks, [(args.h, args.w, args.c, args.cp)], s=args.nodes,
-        gs=args.gs, groups=args.groups, repeats=args.repeats,
+        gs=args.gs, groups=args.groups, fusion=args.fusion, repeats=args.repeats,
         warmup=args.warmup, dtype=args.dtype, seed=args.seed,
     )
     for r in results:
@@ -173,6 +171,10 @@ def cmd_affinity(args) -> int:
         from .toytask import make_batch
 
         model, tcfg = train_mod.load_checkpoint(args.ckpt)
+        if model.layer is None:
+            raise ContractError(
+                f"checkpoint {args.ckpt} is an ablated run without an attention layer"
+            )
         images, _ = make_batch(Rng(args.seed + 10_000), 4, tcfg.task)
         from .autograd import Tape
 

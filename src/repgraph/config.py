@@ -1,37 +1,24 @@
-"""Flat key=value layer-config files: one `key=value` per line, `#` comments."""
+"""Flat key=value layer-config files: one `key=value` per line, `#` comments.
+
+The keys are the fields of :class:`LayerConfig`.
+"""
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import fields
 
 from .errors import ContractError
 from .layer import LayerConfig
-from .variants import GridConfig, GroupConfig
 
-_INT_KEYS = {"s", "c", "cp", "seed", "gs", "groups"}
-_STR_KEYS = {"variant", "fusion", "init_mode", "offset_source"}
-
-
-def layer_config_to_text(cfg: LayerConfig, grid: Optional[GridConfig] = None,
-                         grp: Optional[GroupConfig] = None) -> str:
-    lines = [
-        f"variant={cfg.variant}",
-        f"s={cfg.s}",
-        f"c={cfg.c}",
-        f"cp={cfg.cp}",
-        f"fusion={cfg.fusion}",
-        f"init_mode={cfg.init_mode}",
-        f"offset_source={cfg.offset_source}",
-        f"seed={cfg.seed}",
-    ]
-    if grid is not None:
-        lines.append(f"gs={grid.gs}")
-    if grp is not None:
-        lines.append(f"groups={grp.groups}")
-    return "\n".join(lines) + "\n"
+_INT_KEYS = {f.name for f in fields(LayerConfig) if f.type in (int, "int")}
+_KEYS = {f.name for f in fields(LayerConfig)}
 
 
-def layer_config_from_text(text: str) -> tuple[LayerConfig, Optional[GridConfig], Optional[GroupConfig]]:
+def layer_config_to_text(cfg: LayerConfig) -> str:
+    return "".join(f"{f.name}={getattr(cfg, f.name)}\n" for f in fields(cfg))
+
+
+def layer_config_from_text(text: str) -> LayerConfig:
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -42,31 +29,27 @@ def layer_config_from_text(text: str) -> tuple[LayerConfig, Optional[GridConfig]
         val = val.strip()
         if not sep or not key:
             raise ContractError(f"line {lineno}: expected key=value, got {raw!r}")
+        if key not in _KEYS:
+            raise ContractError(f"line {lineno}: unknown config key {key!r}")
         if key in _INT_KEYS:
             try:
                 values[key] = int(val)
             except ValueError as exc:
                 raise ContractError(f"line {lineno}: {key} must be an integer") from exc
-        elif key in _STR_KEYS:
-            values[key] = val
         else:
-            raise ContractError(f"line {lineno}: unknown config key {key!r}")
+            values[key] = val
     missing = {"c", "cp"} - values.keys()
     if missing:
         raise ContractError(f"config is missing required keys: {sorted(missing)}")
-    gs = values.pop("gs", None)
-    groups = values.pop("groups", None)
     cfg = LayerConfig(**values)  # type: ignore[arg-type]
     cfg.validate()
-    grid = GridConfig(gs) if gs is not None else None
-    grp = GroupConfig(groups) if groups is not None else None
-    if grid is not None:
-        grid.validate()
-    if grp is not None:
-        grp.validate()
-    return cfg, grid, grp
+    return cfg
 
 
-def load_config_file(path) -> tuple[LayerConfig, Optional[GridConfig], Optional[GroupConfig]]:
-    with open(path) as fh:
-        return layer_config_from_text(fh.read())
+def load_config_file(path) -> LayerConfig:
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ContractError(f"cannot read config file {path}: {exc.strerror}") from exc
+    return layer_config_from_text(text)

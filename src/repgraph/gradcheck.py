@@ -1,4 +1,4 @@
-"""Central-difference verification of every differentiable op and both layers.
+"""Central-difference verification of every differentiable op and every layer configuration.
 
 Each case rebuilds its graph from plain arrays so the checker can probe one
 coordinate at a time; the scalar loss is a fixed random projection of the op
@@ -8,6 +8,7 @@ coordinates, where the bilinear kernel's derivative is discontinuous.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,14 +17,9 @@ from . import autograd as ag
 from . import ops
 from .autograd import GradCheckReport, Tape, finite_diff_check, weighted_sum
 from .errors import ContractError
-from .layer import (
-    BottleneckRepGraphParams,
-    LayerConfig,
-    SimpleRepGraphParams,
-    bottleneck_forward_node,
-    simple_forward_node,
-)
-from .ops import BatchNormParams, Projection1x1
+from .layer import LayerConfig, init_layer_params, layer_forward_node, param_arrays
+from .nonlocal_block import init_nonlocal_params, nonlocal_forward_node
+from .ops import BatchNormParams
 from .tensor import Rng
 from .train import conv3x3_node, softmax_xent_node
 
@@ -50,47 +46,19 @@ def _reports(make_loss, arrays: dict, eps: float, tol: float) -> list:
     return out
 
 
-def _simple_loss_builder(cfg, probe, collect_check=False):
+def _record_loss_builder(forward, params, probe):
+    """make_loss for a block whose parameter record is ``params``.
+
+    Each call runs ``forward(tape, x, record)`` on a copy of ``params`` that
+    holds the probed arrays, so any record :func:`param_arrays` names works.
+    """
     def make_loss(vals, target):
+        record = copy.deepcopy(params)
+        for name, arr in param_arrays(record).items():
+            arr[...] = vals[name]
         tape = Tape()
         x = tape.leaf(vals["x"])
-        params = SimpleRepGraphParams(
-            theta=Projection1x1(vals["theta.w"], vals["theta.b"]),
-            phi=Projection1x1(vals["phi.w"], vals["phi.b"]),
-            g=Projection1x1(vals["g.w"], vals["g.b"]),
-            w_off=Projection1x1(vals["w_off.w"], vals["w_off.b"]),
-            w_out=Projection1x1(vals["w_out.w"], vals["w_out.b"]),
-        )
-        collect = {} if collect_check else None
-        y = simple_forward_node(tape, x, params, cfg, collect=collect)
-        if collect_check:
-            _assert_off_integer(collect["positions"])
-        node = x if target == "x" else tape.params[target]
-        return weighted_sum(y, probe), node
-    return make_loss
-
-
-def _bottleneck_loss_builder(cfg, probe, collect_check=False):
-    def make_loss(vals, target):
-        tape = Tape()
-        x = tape.leaf(vals["x"])
-        bn_r = BatchNormParams.create(cfg.cp)
-        bn_r.gamma = vals["bn_reduce.gamma"]
-        bn_r.beta = vals["bn_reduce.beta"]
-        bn_e = BatchNormParams.create(cfg.c)
-        bn_e.gamma = vals["bn_expand.gamma"]
-        bn_e.beta = vals["bn_expand.beta"]
-        params = BottleneckRepGraphParams(
-            reduce=Projection1x1(vals["reduce.w"], vals["reduce.b"]),
-            bn_reduce=bn_r,
-            w_off=Projection1x1(vals["w_off.w"], vals["w_off.b"]),
-            expand=Projection1x1(vals["expand.w"], vals["expand.b"]),
-            bn_expand=bn_e,
-        )
-        collect = {} if collect_check else None
-        y = bottleneck_forward_node(tape, x, params, cfg, training=True, collect=collect)
-        if collect_check:
-            _assert_off_integer(collect["positions"])
+        y = forward(tape, x, record)
         node = x if target == "x" else tape.params[target]
         return weighted_sum(y, probe), node
     return make_loss
@@ -307,48 +275,51 @@ def _case_softmax_xent(seed, eps, tol):
     return _reports(make_loss, arrays, eps, tol)
 
 
-def _layer_arrays(rng: Rng, cfg: LayerConfig) -> dict:
-    """Simple-layer parameter set with offsets pinned away from integers."""
-    arrays = {"x": rng.uniform(-1, 1, (1, cfg.c, 4, 4))}
-    for name, c_out, c_in in (
-        ("theta", cfg.cp, cfg.c), ("phi", cfg.cp, cfg.c), ("g", cfg.cp, cfg.c)
-    ):
-        arrays[f"{name}.w"] = rng.init_weight((c_out, c_in), c_in)
-        arrays[f"{name}.b"] = rng.uniform(-0.1, 0.1, c_out)
-    arrays["w_off.w"] = rng.uniform(-0.005, 0.005, (2 * cfg.s, cfg.c))
-    arrays["w_off.b"] = _fractional_bias(rng, 2 * cfg.s)
-    arrays["w_out.w"] = rng.init_weight((cfg.c, cfg.cp), cfg.cp)
-    arrays["w_out.b"] = rng.uniform(-0.1, 0.1, cfg.c)
+def _record_arrays(rng: Rng, params, c: int) -> dict:
+    """Random input and parameter values; sampling offsets stay away from integers."""
+    arrays = {"x": rng.uniform(-1, 1, (1, c, 4, 4))}
+    for name, arr in param_arrays(params).items():
+        if name == "w_off.w":
+            arrays[name] = rng.uniform(-0.005, 0.005, arr.shape)
+        elif name == "w_off.b":
+            arrays[name] = _fractional_bias(rng, arr.size)
+        elif name.endswith(".w"):
+            arrays[name] = rng.init_weight(arr.shape, arr.shape[1])
+        elif name.endswith(".gamma"):
+            arrays[name] = rng.uniform(0.8, 1.2, arr.shape)
+        elif name.endswith(".beta"):
+            arrays[name] = rng.uniform(-0.2, 0.2, arr.shape)
+        else:
+            arrays[name] = rng.uniform(-0.1, 0.1, arr.shape)
     return arrays
 
 
-def _case_simple_layer(seed, eps, tol):
-    rng = Rng(seed)
-    cfg = LayerConfig(c=6, cp=4, s=3, variant="simple")
-    arrays = _layer_arrays(rng, cfg)
-    probe = rng.uniform(-1, 1, (1, cfg.c, 4, 4))
-    make_loss = _simple_loss_builder(cfg, probe, collect_check=True)
-    return _reports(make_loss, arrays, eps, tol)
+def _layer_case(**overrides):
+    """The layer at C=6, C'=4, S=3 on a 4x4 map, in training mode, with ``overrides``."""
+    def build(seed, eps, tol):
+        rng = Rng(seed)
+        cfg = LayerConfig(c=6, cp=4, s=3, **overrides)
+        params = init_layer_params(cfg)
+        arrays = _record_arrays(rng, params, cfg.c)
+        probe = rng.uniform(-1, 1, (1, cfg.c, 4, 4))
+
+        def forward(tape, x, record):
+            collect: dict = {}
+            y = layer_forward_node(tape, x, record, cfg, training=True, collect=collect)
+            _assert_off_integer(collect["positions"])
+            return y
+
+        return _reports(_record_loss_builder(forward, params, probe), arrays, eps, tol)
+
+    return build
 
 
-def _case_bottleneck_layer(seed, eps, tol):
+def _case_nonlocal(seed, eps, tol):
     rng = Rng(seed)
-    cfg = LayerConfig(c=6, cp=4, s=3, variant="bottleneck")
-    arrays = {
-        "x": rng.uniform(-1, 1, (1, cfg.c, 4, 4)),
-        "reduce.w": rng.init_weight((cfg.cp, cfg.c), cfg.c),
-        "reduce.b": rng.uniform(-0.1, 0.1, cfg.cp),
-        "bn_reduce.gamma": rng.uniform(0.8, 1.2, cfg.cp),
-        "bn_reduce.beta": rng.uniform(-0.2, 0.2, cfg.cp),
-        "w_off.w": rng.uniform(-0.005, 0.005, (2 * cfg.s, cfg.cp)),
-        "w_off.b": _fractional_bias(rng, 2 * cfg.s),
-        "expand.w": rng.init_weight((cfg.c, cfg.cp), cfg.cp),
-        "expand.b": rng.uniform(-0.1, 0.1, cfg.c),
-        "bn_expand.gamma": rng.uniform(0.8, 1.2, cfg.c),
-        "bn_expand.beta": rng.uniform(-0.2, 0.2, cfg.c),
-    }
-    probe = rng.uniform(-1, 1, (1, cfg.c, 4, 4))
-    make_loss = _bottleneck_loss_builder(cfg, probe, collect_check=True)
+    params = init_nonlocal_params(6, 4)
+    arrays = _record_arrays(rng, params, 6)
+    probe = rng.uniform(-1, 1, (1, 6, 4, 4))
+    make_loss = _record_loss_builder(nonlocal_forward_node, params, probe)
     return _reports(make_loss, arrays, eps, tol)
 
 
@@ -365,8 +336,20 @@ CASES = {
     "batch_norm_eval": _bn_case(training=False),
     "conv3x3": _case_conv3x3,
     "softmax_cross_entropy": _case_softmax_xent,
-    "simple_layer": _case_simple_layer,
-    "bottleneck_layer": _case_bottleneck_layer,
+    "simple_layer": _layer_case(variant="simple"),
+    "bottleneck_layer": _layer_case(variant="bottleneck"),
+    "simple_layer_grid": _layer_case(variant="simple", gs=2),
+    "bottleneck_layer_grid": _layer_case(variant="bottleneck", gs=2),
+    "simple_layer_group": _layer_case(variant="simple", groups=2),
+    "bottleneck_layer_group": _layer_case(variant="bottleneck", groups=2),
+    "simple_layer_concat": _layer_case(variant="simple", fusion="concat"),
+    "bottleneck_layer_concat": _layer_case(variant="bottleneck", fusion="concat"),
+    "simple_layer_theta_offsets": _layer_case(variant="simple", offset_source="theta"),
+    # Insertion mode changes the simple layer's initial values only, which the
+    # case draws afresh; in the bottleneck it also drops the final ReLU.
+    "bottleneck_layer_insert": _layer_case(variant="bottleneck",
+                                           init_mode="pretrained_insert"),
+    "nonlocal_block": _case_nonlocal,
 }
 
 

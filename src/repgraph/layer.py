@@ -10,7 +10,7 @@ whose zero-initialized output branch makes the layer an exact identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -30,7 +30,11 @@ _OFFSET_SOURCES = ("input", "theta")
 
 @dataclass(frozen=True)
 class LayerConfig:
-    """Structural description of one layer instance."""
+    """Structural description of one layer instance.
+
+    ``gs`` > 1 is grid mode: one sampled node set per gs x gs spatial group.
+    ``groups`` > 1 is group mode: the C' channels attend in G independent groups.
+    """
 
     c: int
     cp: int
@@ -40,6 +44,8 @@ class LayerConfig:
     init_mode: str = "fresh"
     offset_source: str = "input"
     seed: int = 0
+    gs: int = 1
+    groups: int = 1
 
     def validate(self) -> None:
         if self.s < 1:
@@ -56,6 +62,14 @@ class LayerConfig:
             raise ContractError(f"unknown offset_source {self.offset_source!r}")
         if self.init_mode == "pretrained_insert" and self.fusion != "sum":
             raise ContractError("pretrained_insert requires sum fusion")
+        if self.gs < 1:
+            raise ContractError(f"grid group size must be >= 1, got {self.gs}")
+        if self.groups < 1:
+            raise ContractError(f"group count must be >= 1, got {self.groups}")
+        if self.cp % self.groups != 0:
+            raise ContractError(
+                f"channel width C'={self.cp} is not divisible by G={self.groups}"
+            )
 
 
 @dataclass
@@ -176,6 +190,38 @@ def init_layer_params(cfg: LayerConfig, rng: Optional[Rng] = None, dtype=np.floa
     if cfg.variant == "simple":
         return init_simple_params(cfg, rng, dtype)
     return init_bottleneck_params(cfg, rng, dtype)
+
+
+def param_arrays(params) -> dict[str, np.ndarray]:
+    """Trainable arrays of a parameter record, keyed by their tape leaf names.
+
+    A projection field ``f`` gives ``f.w`` and ``f.b``, a batch-norm field
+    gives ``f.gamma`` and ``f.beta``.  Batch-norm pairs come first, the order
+    checkpoint manifests list them in.  The arrays are the record's own.
+    """
+    norms: dict[str, np.ndarray] = {}
+    projs: dict[str, np.ndarray] = {}
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, BatchNormParams):
+            norms[f"{f.name}.gamma"] = value.gamma
+            norms[f"{f.name}.beta"] = value.beta
+        elif isinstance(value, Projection1x1):
+            projs[f"{f.name}.w"] = value.weight
+            if value.bias is not None:
+                projs[f"{f.name}.b"] = value.bias
+    return {**norms, **projs}
+
+
+def buffer_arrays(params) -> dict[str, np.ndarray]:
+    """Batch-norm running statistics of a parameter record: checkpointed, not trained."""
+    out: dict[str, np.ndarray] = {}
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, BatchNormParams):
+            out[f"{f.name}.running_mean"] = value.running_mean
+            out[f"{f.name}.running_var"] = value.running_var
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +358,12 @@ def _sample_node(branch: Node, py: Node, px: Node) -> Node:
 
 def _grouped_attention(theta: Node, key_feats: Node, val_feats: Node, groups: int,
                        collect: Optional[dict]) -> Node:
-    cp = theta.value.shape[2]
-    if cp % groups != 0:
-        raise ContractError(f"channel width C'={cp} is not divisible by G={groups}")
     if groups == 1:
         xt, w = _attention_nodes(theta, key_feats, val_feats)
         if collect is not None:
             collect["weights"] = AttentionWeights(w.value)
         return xt
-    width = cp // groups
+    width = theta.value.shape[2] // groups
     parts = []
     weight_parts = []
     for gi in range(groups):
@@ -340,26 +383,24 @@ def _repgraph_core(
     theta_map: Node,
     phi_map: Node,
     g_map: Node,
-    w_off_w: Node,
-    w_off_b: Optional[Node],
-    s: int,
-    gs: int = 1,
-    groups: int = 1,
-    offsets: Optional[OffsetField] = None,
-    collect: Optional[dict] = None,
+    p: dict,
+    cfg: LayerConfig,
+    offsets: Optional[OffsetField],
+    collect: Optional[dict],
 ) -> Node:
     """Offsets -> sampling -> sparse attention; returns x_tilde as an [n, Cb, h, w] map.
 
-    ``gs`` > 1 switches to grid mode: offsets are regressed from the pooled
+    ``cfg.gs`` > 1 switches to grid mode: offsets are regressed from the pooled
     source, one sampled set is anchored at each group's left-top pixel, and
     every position in a group shares that set while keeping its own query row.
     """
     n, _, h, w = theta_map.value.shape
     dtype = theta_map.value.dtype
+    gs = cfg.gs
 
     if offsets is not None:
-        if offsets.s != s:
-            raise ShapeError(f"offset field carries S={offsets.s}, config says S={s}")
+        if offsets.s != cfg.s:
+            raise ShapeError(f"offset field carries S={offsets.s}, config says S={cfg.s}")
         expected = (-(-h // gs), -(-w // gs))
         if offsets.data.shape[2:] != expected:
             raise ShapeError(
@@ -369,7 +410,7 @@ def _repgraph_core(
         off = offset_src.tape.constant(offsets.data.astype(dtype, copy=False))
     else:
         src = ops.avg_pool_node(offset_src, gs) if gs > 1 else offset_src
-        off = ops.project_node(src, w_off_w, w_off_b)
+        off = _project(src, p, "w_off")
 
     hg, wg = off.value.shape[2], off.value.shape[3]
     ay, ax = _anchor_grid(hg, wg, gs, dtype)
@@ -390,123 +431,83 @@ def _repgraph_core(
         collect["positions"] = np.stack([py.value, px.value], axis=2)
 
     theta_flat = _flatten_map(theta_map)
-    x_tilde = _grouped_attention(theta_flat, key_feats, val_feats, groups, collect)
+    x_tilde = _grouped_attention(theta_flat, key_feats, val_feats, cfg.groups, collect)
     return _unflatten_map(x_tilde, h, w)
 
 
-def _bind_proj(tape: Tape, prefix: str, name: str, proj: Projection1x1) -> tuple[Node, Optional[Node]]:
-    wn = tape.leaf(proj.weight, f"{prefix}{name}.w")
-    bn = tape.leaf(proj.bias, f"{prefix}{name}.b") if proj.bias is not None else None
-    return wn, bn
+def _bind_params(tape: Tape, params, prefix: str) -> dict[str, Node]:
+    """One tape leaf per trainable array, named ``prefix`` + its :func:`param_arrays` key."""
+    return {name: tape.leaf(arr, prefix + name) for name, arr in param_arrays(params).items()}
 
 
-def simple_forward_node(
-    tape: Tape,
-    x: Node,
-    params: SimpleRepGraphParams,
-    cfg: LayerConfig,
-    offsets: Optional[OffsetField] = None,
-    collect: Optional[dict] = None,
-    gs: int = 1,
-    groups: int = 1,
-    prefix: str = "",
-) -> Node:
-    cfg.validate()
-    if x.value.shape[1] != cfg.c:
-        raise ShapeError(f"input has {x.value.shape[1]} channels, config says C={cfg.c}")
-    theta = ops.project_node(x, *_bind_proj(tape, prefix, "theta", params.theta))
-    phi = ops.project_node(x, *_bind_proj(tape, prefix, "phi", params.phi))
-    g = ops.project_node(x, *_bind_proj(tape, prefix, "g", params.g))
-    off_w, off_b = _bind_proj(tape, prefix, "w_off", params.w_off)
-    offset_src = x if cfg.offset_source == "input" else theta
-    x_tilde = _repgraph_core(
-        offset_src, theta, phi, g, off_w, off_b, cfg.s,
-        gs=gs, groups=groups, offsets=offsets, collect=collect,
-    )
-    out_w, out_b = _bind_proj(tape, prefix, "w_out", params.w_out)
-    if cfg.fusion == "sum":
-        return ag.add(ops.project_node(x_tilde, out_w, out_b), x)
-    return ops.project_node(ag.concat([x_tilde, x], axis=1), out_w, out_b)
+def _project(x: Node, p: dict[str, Node], name: str) -> Node:
+    return ops.project_node(x, p[f"{name}.w"], p.get(f"{name}.b"))
 
 
-def bottleneck_forward_node(
-    tape: Tape,
-    x: Node,
-    params: BottleneckRepGraphParams,
-    cfg: LayerConfig,
-    training: bool = False,
-    offsets: Optional[OffsetField] = None,
-    collect: Optional[dict] = None,
-    gs: int = 1,
-    groups: int = 1,
-    prefix: str = "",
-) -> Node:
-    """Reduce -> sparse attention on the reduced map -> expand -> residual.
+def layer_forward_node(tape: Tape, x: Node, params, cfg: LayerConfig, *,
+                       training: bool = False, offsets: Optional[OffsetField] = None,
+                       collect: Optional[dict] = None, prefix: str = "") -> Node:
+    """Record one layer forward on ``tape``; every variant, grid size and group count.
 
-    The reduced features serve as query, key, and value directly; adding
-    dedicated projections inside the bottleneck would roughly match the cost
-    of the reduction itself and defeat the design.
+    ``training`` switches the bottleneck's batch norms to batch statistics.
+    ``offsets`` replaces the regressed displacement field; ``collect`` receives
+    the offsets, sampling positions and attention weights.
     """
     cfg.validate()
     if x.value.shape[1] != cfg.c:
         raise ShapeError(f"input has {x.value.shape[1]} channels, config says C={cfg.c}")
-    rw, rb = _bind_proj(tape, prefix, "reduce", params.reduce)
-    gam_r = tape.leaf(params.bn_reduce.gamma, f"{prefix}bn_reduce.gamma")
-    bet_r = tape.leaf(params.bn_reduce.beta, f"{prefix}bn_reduce.beta")
-    reduced = ops.relu_node(
-        ops.batch_norm_node(ops.project_node(x, rw, rb), gam_r, bet_r,
-                            params.bn_reduce, training)
-    )
-    off_w, off_b = _bind_proj(tape, prefix, "w_off", params.w_off)
-    x_tilde = _repgraph_core(
-        reduced, reduced, reduced, reduced, off_w, off_b, cfg.s,
-        gs=gs, groups=groups, offsets=offsets, collect=collect,
-    )
+    p = _bind_params(tape, params, prefix)
+    if cfg.variant == "simple":
+        theta = _project(x, p, "theta")
+        phi = _project(x, p, "phi")
+        g = _project(x, p, "g")
+        offset_src = x if cfg.offset_source == "input" else theta
+        x_tilde = _repgraph_core(offset_src, theta, phi, g, p, cfg, offsets, collect)
+        if cfg.fusion == "sum":
+            return ag.add(_project(x_tilde, p, "w_out"), x)
+        return _project(ag.concat([x_tilde, x], axis=1), p, "w_out")
+
+    # Bottleneck: reduce -> sparse attention on the reduced map -> expand ->
+    # residual.  The reduced features serve as query, key, and value directly;
+    # dedicated projections inside the bottleneck would roughly match the cost
+    # of the reduction itself and defeat the design.
+    reduced = ops.relu_node(ops.batch_norm_node(
+        _project(x, p, "reduce"), p["bn_reduce.gamma"], p["bn_reduce.beta"],
+        params.bn_reduce, training))
+    x_tilde = _repgraph_core(reduced, reduced, reduced, reduced, p, cfg, offsets, collect)
     expand_in = x_tilde if cfg.fusion == "sum" else ag.concat([x_tilde, reduced], axis=1)
-    ew, eb = _bind_proj(tape, prefix, "expand", params.expand)
-    gam_e = tape.leaf(params.bn_expand.gamma, f"{prefix}bn_expand.gamma")
-    bet_e = tape.leaf(params.bn_expand.beta, f"{prefix}bn_expand.beta")
-    branch = ops.batch_norm_node(ops.project_node(expand_in, ew, eb), gam_e, bet_e,
-                                 params.bn_expand, training)
+    branch = ops.batch_norm_node(
+        _project(expand_in, p, "expand"), p["bn_expand.gamma"], p["bn_expand.beta"],
+        params.bn_expand, training)
     out = ag.add(branch, x)
     if cfg.init_mode == "fresh":
         out = ops.relu_node(out)
     return out
 
 
-def layer_forward_node(tape, x, params, cfg, training=False, offsets=None,
-                       collect=None, gs=1, groups=1, prefix=""):
-    if cfg.variant == "simple":
-        return simple_forward_node(tape, x, params, cfg, offsets=offsets,
-                                   collect=collect, gs=gs, groups=groups, prefix=prefix)
-    return bottleneck_forward_node(tape, x, params, cfg, training=training,
-                                   offsets=offsets, collect=collect, gs=gs,
-                                   groups=groups, prefix=prefix)
+def repgraph_forward(x: Tensor4, params, cfg: LayerConfig, *, training: bool = False,
+                     offsets: Optional[OffsetField] = None,
+                     collect: Optional[dict] = None) -> Tensor4:
+    """The layer on a plain feature map; see :func:`layer_forward_node`."""
+    tape = Tape()
+    y = layer_forward_node(tape, tape.leaf(x.data), params, cfg, training=training,
+                           offsets=offsets, collect=collect)
+    return Tensor4(y.value)
+
+
+# Named entry points of the two residual instantiations, kept as functions of
+# their own so that profilers and tests can tell the blocks apart.
 
 
 def simple_repgraph_forward(x: Tensor4, params: SimpleRepGraphParams, cfg: LayerConfig,
                             offsets: Optional[OffsetField] = None,
                             collect: Optional[dict] = None) -> Tensor4:
-    tape = Tape()
-    y = simple_forward_node(tape, tape.leaf(x.data), params, cfg,
-                            offsets=offsets, collect=collect)
-    return Tensor4(y.value)
+    return repgraph_forward(x, params, cfg, offsets=offsets, collect=collect)
 
 
 def bottleneck_repgraph_forward(x: Tensor4, params: BottleneckRepGraphParams,
                                 cfg: LayerConfig, training: bool = False,
                                 offsets: Optional[OffsetField] = None,
                                 collect: Optional[dict] = None) -> Tensor4:
-    tape = Tape()
-    y = bottleneck_forward_node(tape, tape.leaf(x.data), params, cfg, training=training,
-                                offsets=offsets, collect=collect)
-    return Tensor4(y.value)
-
-
-def repgraph_forward(x: Tensor4, params, cfg: LayerConfig, training: bool = False,
-                     offsets: Optional[OffsetField] = None,
-                     collect: Optional[dict] = None) -> Tensor4:
-    if cfg.variant == "simple":
-        return simple_repgraph_forward(x, params, cfg, offsets=offsets, collect=collect)
-    return bottleneck_repgraph_forward(x, params, cfg, training=training,
-                                       offsets=offsets, collect=collect)
+    return repgraph_forward(x, params, cfg, training=training, offsets=offsets,
+                            collect=collect)

@@ -17,7 +17,7 @@ from . import autograd as ag
 from . import ops
 from .autograd import Node, Tape
 from .errors import ContractError, ShapeError
-from .layer import _bind_proj, _flatten_map, _unflatten_map
+from .layer import _bind_params, _flatten_map, _project, _unflatten_map
 from .ops import Projection1x1
 from .tensor import Rng, Tensor4
 
@@ -77,18 +77,18 @@ def nonlocal_forward_node(tape: Tape, x: Node, params: NonLocalParams,
     n, c, h, w = x.value.shape
     if c != params.theta.c_in:
         raise ShapeError(f"input has {c} channels, projections expect {params.theta.c_in}")
-    theta = _flatten_map(ops.project_node(x, *_bind_proj(tape, prefix, "theta", params.theta)))
-    phi = _flatten_map(ops.project_node(x, *_bind_proj(tape, prefix, "phi", params.phi)))
-    g = _flatten_map(ops.project_node(x, *_bind_proj(tape, prefix, "g", params.g)))
+    p = _bind_params(tape, params, prefix)
+    theta = _flatten_map(_project(x, p, "theta"))
+    phi = _flatten_map(_project(x, p, "phi"))
+    g = _flatten_map(_project(x, p, "g"))
     logits = ag.einsum2("bnc,bmc->bnm", theta, phi)
     affinity = ops.softmax_node(logits)
     if collect is not None:
         collect["affinity"] = affinity.value
     x_tilde = _unflatten_map(ag.einsum2("bnm,bmc->bnc", affinity, g), h, w)
-    out_w, out_b = _bind_proj(tape, prefix, "w_out", params.w_out)
     if params.fusion == "sum":
-        return ag.add(ops.project_node(x_tilde, out_w, out_b), x)
-    return ops.project_node(ag.concat([x_tilde, x], axis=1), out_w, out_b)
+        return ag.add(_project(x_tilde, p, "w_out"), x)
+    return _project(ag.concat([x_tilde, x], axis=1), p, "w_out")
 
 
 def nonlocal_forward(x: Tensor4, params: NonLocalParams,

@@ -154,6 +154,35 @@ def relu_node(x: Node) -> Node:
 # ---------------------------------------------------------------------------
 
 
+def _bilinear_taps(data: np.ndarray, b: np.ndarray, py: np.ndarray, px: np.ndarray):
+    """The four taps of the truncated bilinear kernel at every position.
+
+    Yields ``(wy, wx, sy, sx, yy, xx, valid, f)`` per tap: the separable
+    weights and the signs of their derivatives, the integer tap coordinates,
+    the in-map mask and the tapped features [len, c], zero off the map.
+    Positions are clamped to [-2, size + 1] first: beyond that range every tap
+    is off the map either way, and the clamp keeps the int64 cast defined for
+    far-off and infinite positions.
+    """
+    n, c, h, w = data.shape
+    ty = np.clip(py, -2, h + 1)
+    tx = np.clip(px, -2, w + 1)
+    y0 = np.floor(ty)
+    x0 = np.floor(tx)
+    ty -= y0
+    tx -= x0
+    y0 = y0.astype(np.int64)
+    x0 = x0.astype(np.int64)
+    for dy, wy, sy in ((0, 1.0 - ty, -1.0), (1, ty, 1.0)):
+        for dx, wx, sx in ((0, 1.0 - tx, -1.0), (1, tx, 1.0)):
+            yy = y0 + dy
+            xx = x0 + dx
+            valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
+            f = data[b, :, np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1)]
+            np.multiply(f, valid[:, None], out=f)
+            yield wy, wx, sy, sx, yy, xx, valid, f
+
+
 def _bilinear_forward(data: np.ndarray, b: np.ndarray, py: np.ndarray, px: np.ndarray) -> np.ndarray:
     """Sample data[b, :, py, px] with the 4-neighbour triangular kernel.
 
@@ -164,49 +193,25 @@ def _bilinear_forward(data: np.ndarray, b: np.ndarray, py: np.ndarray, px: np.nd
     n, c, h, w = data.shape
     if b.size and (b.min() < 0 or b.max() >= n):
         raise IndexError(f"batch index out of range for batch size {n}")
-    y0 = np.floor(py)
-    x0 = np.floor(px)
-    ty = py - y0
-    tx = px - x0
-    y0i = y0.astype(np.int64)
-    x0i = x0.astype(np.int64)
     out = np.zeros((py.size, c), dtype=np.result_type(data.dtype, py.dtype))
-    for dy, wy in ((0, 1.0 - ty), (1, ty)):
-        for dx, wx in ((0, 1.0 - tx), (1, tx)):
-            yy = y0i + dy
-            xx = x0i + dx
-            valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-            f = data[b, :, np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1)]
-            np.multiply(f, valid[:, None], out=f)
-            out += (wy * wx)[:, None] * f
+    for wy, wx, _, _, _, _, _, f in _bilinear_taps(data, b, py, px):
+        out += (wy * wx)[:, None] * f
     return out
 
 
 def _bilinear_backward(data, b, py, px, g):
     """Gradients of the truncated bilinear kernel w.r.t. the map and positions."""
     n, c, h, w = data.shape
-    y0 = np.floor(py)
-    x0 = np.floor(px)
-    ty = py - y0
-    tx = px - x0
-    y0i = y0.astype(np.int64)
-    x0i = x0.astype(np.int64)
     dmap_flat = np.zeros((n * h * w, c), dtype=data.dtype)
     dpy = np.zeros_like(py)
     dpx = np.zeros_like(px)
-    for dy, wy, sy in ((0, 1.0 - ty, -1.0), (1, ty, 1.0)):
-        for dx, wx, sx in ((0, 1.0 - tx, -1.0), (1, tx, 1.0)):
-            yy = y0i + dy
-            xx = x0i + dx
-            valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-            f = data[b, :, np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1)]
-            np.multiply(f, valid[:, None], out=f)
-            gf = (g * f).sum(axis=1)
-            dpy += sy * wx * gf
-            dpx += sx * wy * gf
-            rows = (b * h + yy) * w + xx
-            contrib = g * (wy * wx)[:, None]
-            np.add.at(dmap_flat, rows[valid], contrib[valid])
+    for wy, wx, sy, sx, yy, xx, valid, f in _bilinear_taps(data, b, py, px):
+        gf = (g * f).sum(axis=1)
+        dpy += sy * wx * gf
+        dpx += sx * wy * gf
+        rows = (b * h + yy) * w + xx
+        contrib = g * (wy * wx)[:, None]
+        np.add.at(dmap_flat, rows[valid], contrib[valid])
     dmap = dmap_flat.reshape(n, h, w, c).transpose(0, 3, 1, 2)
     return dmap, dpy, dpx
 
@@ -255,6 +260,11 @@ def _pool_counts(size: int, g: int) -> np.ndarray:
     return np.minimum(g, size - starts)
 
 
+def _pool_area(h: int, w: int, g: int, dtype) -> np.ndarray:
+    """Element count of every g x g block as a [1, 1, hg, wg] array of ``dtype``."""
+    return np.outer(_pool_counts(h, g), _pool_counts(w, g)).astype(dtype)[None, None]
+
+
 def avg_pool_grid(x: Tensor4, g: int) -> Tensor4:
     """Mean over g x g blocks; edge blocks are partial and count-normalized."""
     return Tensor4(_avg_pool_forward(x.data, g))
@@ -268,8 +278,7 @@ def _avg_pool_forward(data: np.ndarray, g: int) -> np.ndarray:
         return data / 1.0
     t = np.add.reduceat(data, np.arange(0, h, g), axis=2)
     t = np.add.reduceat(t, np.arange(0, w, g), axis=3)
-    counts = np.outer(_pool_counts(h, g), _pool_counts(w, g))
-    return t / counts[None, None, :, :]
+    return t / _pool_area(h, w, g, t.dtype)
 
 
 def avg_pool_node(x: Node, g: int) -> Node:
@@ -277,8 +286,7 @@ def avg_pool_node(x: Node, g: int) -> Node:
     n, c, h, w = x.value.shape
 
     def bwd(grad):
-        counts = np.outer(_pool_counts(h, g), _pool_counts(w, g))
-        spread = grad / counts[None, None, :, :]
+        spread = grad / _pool_area(h, w, g, grad.dtype)
         spread = np.repeat(spread, _pool_counts(h, g), axis=2)
         spread = np.repeat(spread, _pool_counts(w, g), axis=3)
         return (spread,)

@@ -17,7 +17,7 @@ from .layer import (
     LayerConfig,
     SimpleRepGraphParams,
     full_grid_offsets,
-    simple_repgraph_forward,
+    repgraph_forward,
 )
 from .nonlocal_block import init_nonlocal_params, nonlocal_forward
 from .ops import Projection1x1
@@ -43,5 +43,5 @@ def dense_equivalence_diff(n_nodes: int, seed: int, c: int = 8, cp: int = 4,
     x = rng.tensor((batch, c, side, side))
     dense = nonlocal_forward(x, nl)
     offsets = full_grid_offsets(batch, side, side)
-    grid = simple_repgraph_forward(x, sparse, cfg, offsets=offsets)
+    grid = repgraph_forward(x, sparse, cfg, offsets=offsets)
     return float(np.abs(dense.data - grid.data).max())

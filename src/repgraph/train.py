@@ -18,11 +18,11 @@ import numpy as np
 from .autograd import Node, Tape, backward
 from .errors import ContractError, DivergenceError
 from .layer import (
-    BottleneckRepGraphParams,
     LayerConfig,
-    SimpleRepGraphParams,
+    buffer_arrays,
     init_layer_params,
     layer_forward_node,
+    param_arrays,
 )
 from .ops import Projection1x1
 from .tensor import Rng, Tensor4, load_tensor, save_tensor
@@ -119,34 +119,15 @@ class ToyModel:
             "cls.w": self.classifier.weight,
             "cls.b": self.classifier.bias,
         }
-        if isinstance(self.layer, SimpleRepGraphParams):
-            projs = [("theta", self.layer.theta), ("phi", self.layer.phi),
-                     ("g", self.layer.g), ("w_off", self.layer.w_off),
-                     ("w_out", self.layer.w_out)]
-        elif isinstance(self.layer, BottleneckRepGraphParams):
-            projs = [("reduce", self.layer.reduce), ("w_off", self.layer.w_off),
-                     ("expand", self.layer.expand)]
-            for bn_name, bn in (("bn_reduce", self.layer.bn_reduce),
-                                ("bn_expand", self.layer.bn_expand)):
-                params[f"layer.{bn_name}.gamma"] = bn.gamma
-                params[f"layer.{bn_name}.beta"] = bn.beta
-        else:
-            projs = []
-        for name, proj in projs:
-            params[f"layer.{name}.w"] = proj.weight
-            params[f"layer.{name}.b"] = proj.bias
+        if self.layer is not None:
+            params.update({f"layer.{k}": v for k, v in param_arrays(self.layer).items()})
         return params
 
     def buffer_arrays(self) -> dict[str, np.ndarray]:
         """Non-trainable state (batch-norm running stats), checkpointed only."""
-        if not isinstance(self.layer, BottleneckRepGraphParams):
+        if self.layer is None:
             return {}
-        return {
-            "layer.bn_reduce.running_mean": self.layer.bn_reduce.running_mean,
-            "layer.bn_reduce.running_var": self.layer.bn_reduce.running_var,
-            "layer.bn_expand.running_mean": self.layer.bn_expand.running_mean,
-            "layer.bn_expand.running_var": self.layer.bn_expand.running_var,
-        }
+        return {f"layer.{k}": v for k, v in buffer_arrays(self.layer).items()}
 
 
 @dataclass

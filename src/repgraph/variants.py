@@ -3,20 +3,17 @@
 Grid mode shares one sampled node set per g_s x g_s spatial group (anchored
 at the group's left-top pixel, offsets regressed from the pooled map) while
 every position keeps its own query row.  Group mode splits the C' channels
-into G groups and runs the attention independently per group.  Both reduce
-bit-exactly to the base layer at g_s = 1 / G = 1.
+into G groups and runs the attention independently per group.  Both are
+fields of :class:`LayerConfig` and reduce bit-exactly to the base layer at
+g_s = 1 / G = 1; the entry points below set one of them on a base config.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
-import numpy as np
-
-from .autograd import Tape
-from .errors import ContractError
-from .layer import LayerConfig, OffsetField, layer_forward_node
+from .layer import LayerConfig, OffsetField, repgraph_forward
 from .tensor import Tensor4
 
 
@@ -26,10 +23,6 @@ class GridConfig:
 
     gs: int
 
-    def validate(self) -> None:
-        if self.gs < 1:
-            raise ContractError(f"grid group size must be >= 1, got {self.gs}")
-
 
 @dataclass(frozen=True)
 class GroupConfig:
@@ -37,44 +30,16 @@ class GroupConfig:
 
     groups: int
 
-    def validate(self) -> None:
-        if self.groups < 1:
-            raise ContractError(f"group count must be >= 1, got {self.groups}")
-
-
-def grid_forward_node(tape, x, params, cfg: LayerConfig, grid: GridConfig,
-                      training: bool = False, offsets: Optional[OffsetField] = None,
-                      collect: Optional[dict] = None, prefix: str = ""):
-    grid.validate()
-    return layer_forward_node(tape, x, params, cfg, training=training, offsets=offsets,
-                              collect=collect, gs=grid.gs, prefix=prefix)
-
 
 def grid_repgraph_forward(x: Tensor4, params, cfg: LayerConfig, grid: GridConfig,
                           training: bool = False, offsets: Optional[OffsetField] = None,
                           collect: Optional[dict] = None) -> Tensor4:
-    tape = Tape()
-    y = grid_forward_node(tape, tape.leaf(x.data), params, cfg, grid,
-                          training=training, offsets=offsets, collect=collect)
-    return Tensor4(y.value)
-
-
-def group_forward_node(tape, x, params, cfg: LayerConfig, grp: GroupConfig,
-                       training: bool = False, offsets: Optional[OffsetField] = None,
-                       collect: Optional[dict] = None, prefix: str = ""):
-    grp.validate()
-    if cfg.cp % grp.groups != 0:
-        raise ContractError(
-            f"channel width C'={cfg.cp} is not divisible by G={grp.groups}"
-        )
-    return layer_forward_node(tape, x, params, cfg, training=training, offsets=offsets,
-                              collect=collect, groups=grp.groups, prefix=prefix)
+    return repgraph_forward(x, params, replace(cfg, gs=grid.gs), training=training,
+                            offsets=offsets, collect=collect)
 
 
 def group_repgraph_forward(x: Tensor4, params, cfg: LayerConfig, grp: GroupConfig,
                            training: bool = False, offsets: Optional[OffsetField] = None,
                            collect: Optional[dict] = None) -> Tensor4:
-    tape = Tape()
-    y = group_forward_node(tape, tape.leaf(x.data), params, cfg, grp,
-                           training=training, offsets=offsets, collect=collect)
-    return Tensor4(y.value)
+    return repgraph_forward(x, params, replace(cfg, groups=grp.groups), training=training,
+                            offsets=offsets, collect=collect)

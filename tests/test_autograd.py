@@ -144,12 +144,12 @@ class TestZeroInitTrainability:
         # A zero-initialized output projection must still get a nonzero
         # gradient, otherwise insertion-mode layers could never train.
         from repgraph import LayerConfig, init_simple_params, Rng
-        from repgraph.layer import simple_forward_node
+        from repgraph.layer import layer_forward_node
 
         cfg = LayerConfig(c=4, cp=3, s=2, init_mode="pretrained_insert")
         params = init_simple_params(cfg, Rng(0))
         tape = Tape()
         x = tape.leaf(Rng(1).uniform(-1, 1, (1, 4, 3, 3)))
-        y = simple_forward_node(tape, x, params, cfg)
+        y = layer_forward_node(tape, x, params, cfg)
         backward(ag.weighted_sum(y, Rng(2).uniform(-1, 1, y.value.shape)))
         assert np.linalg.norm(tape.params["w_out.w"].grad) > 0

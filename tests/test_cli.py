@@ -108,6 +108,42 @@ class TestBenchCommand:
         assert rows[0][:3] == ["block", "h", "w"]
         assert {r[0] for r in rows[1:]} == {"srg", "brg"}
 
+    def test_concat_fusion_builds_concat_width_params(self, monkeypatch, capsys):
+        from repgraph import bench
+
+        built = []
+        for name in ("init_nonlocal_params", "init_layer_params"):
+            def spy(*args, real=getattr(bench, name), **kwargs):
+                built.append(real(*args, **kwargs))
+                return built[-1]
+            monkeypatch.setattr(bench, name, spy)
+        assert main(["bench", "--block", "nl,srg,brg", "--h", "4", "--w", "4",
+                     "--c", "8", "--cp", "4", "--nodes", "2", "--fusion", "concat"]) == 0
+        nl, srg, brg = built
+        assert nl.w_out.c_in == 8 + 4
+        assert srg.w_out.c_in == 8 + 4
+        assert brg.expand.c_in == 2 * 4
+
+
+class TestFailures:
+    def _one_line_error(self, capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_missing_config_file_is_validation_failure(self, tmp_path, capsys):
+        assert main(["bench", "--config", str(tmp_path / "missing.cfg")]) == 1
+        self._one_line_error(capsys)
+
+    def test_affinity_on_ablated_checkpoint_is_validation_failure(self, tmp_path, capsys):
+        from repgraph.train import TrainConfig, init_toy_model, save_checkpoint
+
+        cfg = TrainConfig(width=8, cp=4, s=2, ablate=True)
+        save_checkpoint(init_toy_model(cfg), cfg, str(tmp_path / "ck"))
+        assert main(["affinity", "--ckpt", str(tmp_path / "ck"),
+                     "--out", str(tmp_path / "a")]) == 1
+        self._one_line_error(capsys)
+
 
 class TestGradcheckCommand:
     def test_single_cases_report(self, tmp_path, capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from repgraph import ContractError, GridConfig, GroupConfig, LayerConfig
+from repgraph import ContractError, LayerConfig
 from repgraph.config import (
     layer_config_from_text,
     layer_config_to_text,
@@ -13,17 +13,17 @@ class TestRoundTrip:
         cfg = LayerConfig(c=64, cp=16, s=9, variant="bottleneck", fusion="concat",
                           init_mode="fresh", offset_source="input", seed=3)
         text = layer_config_to_text(cfg)
-        back, grid, grp = layer_config_from_text(text)
+        back = layer_config_from_text(text)
         assert back == cfg
-        assert grid is None and grp is None
+        assert back.gs == 1 and back.groups == 1
 
     def test_round_trip_with_variant_extensions(self):
-        cfg = LayerConfig(c=32, cp=8, s=5)
-        text = layer_config_to_text(cfg, grid=GridConfig(4), grp=GroupConfig(2))
-        back, grid, grp = layer_config_from_text(text)
+        cfg = LayerConfig(c=32, cp=8, s=5, gs=4, groups=2)
+        text = layer_config_to_text(cfg)
+        back = layer_config_from_text(text)
         assert back == cfg
-        assert grid == GridConfig(4)
-        assert grp == GroupConfig(2)
+        assert back.gs == 4
+        assert back.groups == 2
 
 
 class TestParsing:
@@ -36,7 +36,7 @@ s = 2
 
 variant=simple
 """
-        cfg, _, _ = layer_config_from_text(text)
+        cfg = layer_config_from_text(text)
         assert cfg == LayerConfig(c=16, cp=4, s=2)
 
     def test_unknown_key_rejected(self):
@@ -63,5 +63,5 @@ variant=simple
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "layer.cfg"
         path.write_text("c=8\ncp=4\ngs=2\n")
-        cfg, grid, grp = load_config_file(path)
-        assert cfg.c == 8 and grid.gs == 2 and grp is None
+        cfg = load_config_file(path)
+        assert cfg.c == 8 and cfg.gs == 2 and cfg.groups == 1

@@ -25,7 +25,7 @@ from repgraph import (
     simple_repgraph_forward,
 )
 from repgraph.autograd import Tape, backward, weighted_sum
-from repgraph.layer import RepresentativeSet, simple_forward_node
+from repgraph.layer import RepresentativeSet, layer_forward_node
 
 
 class TestLayerConfig:
@@ -217,7 +217,7 @@ class TestSimpleLayer:
         params = init_simple_params(cfg, rng)
         tape = Tape()
         x = tape.leaf(rng.uniform(-1, 1, (1, 4, 4, 4)))
-        y = simple_forward_node(tape, x, params, cfg)
+        y = layer_forward_node(tape, x, params, cfg)
         backward(weighted_sum(y, rng.uniform(-1, 1, y.value.shape)))
         assert np.linalg.norm(tape.params["w_off.w"].grad) > 0
 

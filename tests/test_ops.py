@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,24 @@ class TestBilinearSample:
     def test_invalid_batch_index(self):
         with pytest.raises(IndexError):
             bilinear_sample(self.grid, [(3, 0.5, 0.5)])
+
+    def test_far_off_positions_give_zero_sample_and_gradients(self):
+        from repgraph.autograd import Tape, backward, weighted_sum
+        from repgraph.ops import bilinear_node
+
+        far = np.array([1e30, -1e30, np.inf, -np.inf])
+        tape = Tape()
+        x = tape.leaf(self.grid.data.copy())
+        py = tape.leaf(np.concatenate([far, np.full(4, 0.5)]))
+        px = tape.leaf(np.concatenate([np.full(4, 0.5), far]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = bilinear_node(x, py, px, np.zeros(8, dtype=np.int64))
+            backward(weighted_sum(out, np.ones(out.value.shape)))
+        assert np.array_equal(out.value, np.zeros((8, 1)))
+        assert np.array_equal(x.grad, np.zeros_like(x.value))
+        assert np.array_equal(py.grad, np.zeros(8))
+        assert np.array_equal(px.grad, np.zeros(8))
 
     def test_rejects_malformed_positions(self):
         with pytest.raises(ShapeError):

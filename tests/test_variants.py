@@ -7,6 +7,7 @@ from repgraph import (
     GroupConfig,
     LayerConfig,
     Rng,
+    Tensor4,
     avg_pool_grid,
     bilinear_sample,
     grid_repgraph_forward,
@@ -98,6 +99,17 @@ class TestGridRepGraph:
         assert np.array_equal(collect["positions"][0, :, 0, 0], off[0, 0::2, 0, 0])
         want = naive_grid_forward(x, params, cfg, 4)
         assert np.abs(got.data - want).max() < 1e-12
+
+    def test_f32_input_gives_f32_output(self):
+        cfg = LayerConfig(c=4, cp=3, s=2)
+        x = Rng(12).tensor((1, 4, 5, 7), dtype=np.float32)
+        got = grid_repgraph_forward(x, init_simple_params(cfg, Rng(13), dtype=np.float32),
+                                    cfg, GridConfig(2))
+        want = grid_repgraph_forward(Tensor4(x.data.astype(np.float64)),
+                                     init_simple_params(cfg, Rng(13)), cfg, GridConfig(2))
+        assert got.data.dtype == np.float32
+        tol = 1e3 * np.finfo(np.float32).eps * max(1.0, np.abs(want.data).max())
+        assert np.abs(got.data - want.data).max() <= tol
 
     def test_invalid_gs_rejected(self):
         cfg = LayerConfig(c=3, cp=2, s=2)
