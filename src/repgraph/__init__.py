@@ -7,6 +7,7 @@ gradient oracles, FLOPs accounting, microbenchmarks, and a toy trainer.
 
 from .autograd import GradCheckReport, Node, Tape, backward, finite_diff_check
 from .errors import (
+    CheckpointError,
     ContractError,
     DivergenceError,
     LengthMismatchError,
@@ -23,17 +24,13 @@ from .layer import (
     BottleneckRepGraphParams,
     LayerConfig,
     OffsetField,
-    RepresentativeSet,
     SimpleRepGraphParams,
     bottleneck_repgraph_forward,
     full_grid_offsets,
     init_bottleneck_params,
     init_layer_params,
     init_simple_params,
-    regress_offsets,
-    repgraph_attention,
     repgraph_forward,
-    sample_representative,
     simple_repgraph_forward,
 )
 from .nonlocal_block import (
@@ -45,11 +42,7 @@ from .nonlocal_block import (
 from .ops import (
     BatchNormParams,
     Projection1x1,
-    avg_pool_grid,
-    batch_norm,
-    bilinear_sample,
     project_1x1,
-    relu,
     softmax_rows,
 )
 from .oracle import dense_equivalence_diff
@@ -58,7 +51,6 @@ from .tensor import (
     Rng,
     Tensor4,
     load_tensor,
-    matmul,
     reshape_nodes,
     save_tensor,
     unflatten_nodes,

@@ -1,13 +1,18 @@
-"""Reverse-mode differentiation over a dynamically recorded operation tape.
+"""Reverse-mode differentiation over a dynamically recorded graph.
 
-Forward ops append nodes to a :class:`Tape` in execution order; ``backward``
-walks that list in reverse, so gradient accumulation order is fixed and runs
-are bit-stable.  One tape per training context; independent tapes may run
-concurrently.
+Every forward op returns a :class:`Node` that holds its value, its parent
+nodes and its backward rule, so the nodes own the graph: a graph nobody
+refers to any more is freed by reference counting, with its closures and
+intermediates.  A :class:`Tape` only numbers the nodes it records and keeps
+its leaves, so that ``backward`` can give untouched leaves zero gradients.
+``backward`` visits the nodes the loss depends on in decreasing id order, so
+gradient accumulation order is fixed and runs are bit-stable.  One tape per
+training context; independent tapes may run concurrently.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -19,11 +24,13 @@ from .errors import ContractError, ShapeError, UnsupportedOpError
 class Node:
     """One recorded value.  ``grad`` is populated by :func:`backward`."""
 
-    __slots__ = ("id", "tape", "value", "parents", "backward_fn", "op", "grad")
+    __slots__ = ("id", "_tape", "value", "parents", "backward_fn", "op", "grad")
 
     def __init__(self, nid, tape, value, parents, backward_fn, op):
         self.id = nid
-        self.tape = tape
+        # The tape owns its leaves, so a leaf refers to it weakly; every other
+        # node keeps its tape alive.  Nothing forms a reference cycle.
+        self._tape = tape if parents else weakref.ref(tape)
         self.value = value
         self.parents = parents
         self.backward_fn = backward_fn
@@ -31,20 +38,30 @@ class Node:
         self.grad = None
 
     @property
+    def tape(self) -> "Tape":
+        tape = self._tape if self.parents else self._tape()
+        if tape is None:
+            raise ContractError("the tape this leaf was recorded on no longer exists")
+        return tape
+
+    @property
     def shape(self):
         return self.value.shape
 
 
 class Tape:
-    """Append-only record of a forward computation."""
+    """Numbers recorded nodes and keeps the leaves and named parameters."""
 
     def __init__(self) -> None:
-        self.nodes: list[Node] = []
+        self.next_id = 0
+        self.leaves: list[Node] = []
         self.params: dict[str, Node] = {}
 
     def record(self, value, parents=(), backward_fn=None, op="op") -> Node:
-        node = Node(len(self.nodes), self, np.asarray(value), tuple(parents), backward_fn, op)
-        self.nodes.append(node)
+        node = Node(self.next_id, self, np.asarray(value), tuple(parents), backward_fn, op)
+        self.next_id += 1
+        if not node.parents:
+            self.leaves.append(node)
         return node
 
     def leaf(self, value, name: Optional[str] = None) -> Node:
@@ -61,18 +78,27 @@ class Tape:
 
 
 def backward(loss: Node) -> dict[int, np.ndarray]:
-    """Accumulate d(loss)/d(node) for every node at or before ``loss``.
+    """Accumulate d(loss)/d(node) for every node ``loss`` depends on.
 
     Returns {node id -> gradient array} and stores the same arrays on
-    ``node.grad``.  Leaves the loss never touched get zero gradients.
+    ``node.grad``.  Leaves of the loss's tape that the loss never touched get
+    zero gradients.
     """
     if loss.value.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.value.shape}")
-    tape = loss.tape
-    grads: list[Optional[np.ndarray]] = [None] * len(tape.nodes)
-    grads[loss.id] = np.ones_like(loss.value)
-    for node in reversed(tape.nodes[: loss.id + 1]):
-        g = grads[node.id]
+    seen = {loss.id: loss}
+    stack = [loss]
+    while stack:
+        for parent in stack.pop().parents:
+            if parent.id not in seen:
+                seen[parent.id] = parent
+                stack.append(parent)
+    # A node's id is larger than its parents', so this order visits every
+    # node before the nodes it depends on.
+    nodes = [seen[i] for i in sorted(seen, reverse=True)]
+    grads: dict[int, np.ndarray] = {loss.id: np.ones_like(loss.value)}
+    for node in nodes:
+        g = grads.get(node.id)
         if g is None or not node.parents:
             continue
         if node.backward_fn is None:
@@ -81,18 +107,16 @@ def backward(loss: Node) -> dict[int, np.ndarray]:
         for parent, pg in zip(node.parents, parent_grads):
             if pg is None:
                 continue
-            if grads[parent.id] is None:
+            if parent.id not in grads:
                 grads[parent.id] = np.zeros_like(parent.value)
             grads[parent.id] += pg
-    out: dict[int, np.ndarray] = {}
-    for node in tape.nodes:
-        g = grads[node.id]
-        if g is None and not node.parents:
-            g = np.zeros_like(node.value)
-        if g is not None:
-            node.grad = g
-            out[node.id] = g
-    return out
+    for node in nodes:
+        if node.id in grads:
+            node.grad = grads[node.id]
+    for leaf in loss.tape.leaves:
+        if leaf.id not in grads:
+            leaf.grad = grads[leaf.id] = np.zeros_like(leaf.value)
+    return grads
 
 
 # ---------------------------------------------------------------------------

@@ -54,14 +54,16 @@ def _estimate_bytes(block: str, h: int, w: int, c: int, cp: int, s: int, itemsiz
 
 
 def _make_forward(block: str, h: int, w: int, c: int, cp: int, s: int,
-                  gs: int, groups: int, fusion: str, dtype, seed: int):
+                  gs: int, groups: int, fusion: str, init_mode: str, offset_source: str,
+                  dtype, seed: int):
     rng = Rng(seed)
     x = rng.tensor((1, c, h, w), dtype=dtype)
     if block == "nl":
         params = init_nonlocal_params(c, cp, fusion=fusion, rng=rng, dtype=dtype)
         return lambda: nonlocal_forward(x, params)
     cfg = LayerConfig(c=c, cp=cp, s=s, variant="simple" if block == "srg" else "bottleneck",
-                      fusion=fusion, gs=gs if block == "grid" else 1,
+                      fusion=fusion, init_mode=init_mode, offset_source=offset_source,
+                      seed=seed, gs=gs if block == "grid" else 1,
                       groups=groups if block == "group" else 1)
     params = init_layer_params(cfg, rng=rng, dtype=dtype)
     return lambda: repgraph_forward(x, params, cfg)
@@ -70,12 +72,16 @@ def _make_forward(block: str, h: int, w: int, c: int, cp: int, s: int,
 def run_benchmark(blocks, geometries, s: int = 9, gs: int = 2, groups: int = 2,
                   fusion: str = "sum", repeats: int = 5, warmup: int = 2, dtype: str = "f32",
                   seed: int = 0, mem_budget_bytes: int = 8 << 30,
+                  init_mode: str = "fresh", offset_source: str = "input",
                   ) -> tuple[list[BenchResult], list[BenchSkip]]:
     """Time forward passes per block and geometry.
 
     ``geometries`` is a list of (h, w, c, cp) tuples; every block at one
-    geometry sees the identical input.  Geometries whose estimated working
-    set exceeds ``mem_budget_bytes`` are skipped with the reason recorded.
+    geometry sees the identical input, drawn from ``seed`` before the block's
+    parameters.  The block name decides the sparse layers' variant; the other
+    :class:`LayerConfig` fields come from the arguments.  Geometries whose
+    estimated working set exceeds ``mem_budget_bytes`` are skipped with the
+    reason recorded.
     """
     if repeats < 5:
         raise ContractError(f"repeats must be >= 5, got {repeats}")
@@ -96,7 +102,8 @@ def run_benchmark(blocks, geometries, s: int = 9, gs: int = 2, groups: int = 2,
                 skips.append(BenchSkip(block, h, w, reason))
                 print(f"skip {block} at {h}x{w}: {reason}", file=sys.stderr)
                 continue
-            forward = _make_forward(block, h, w, c, cp, s, gs, groups, fusion, np_dtype, seed)
+            forward = _make_forward(block, h, w, c, cp, s, gs, groups, fusion, init_mode,
+                                    offset_source, np_dtype, seed)
             median_ms, iqr_ms = time_callable(forward, repeats, warmup)
             results.append(BenchResult(
                 block=block, h=h, w=w, c=c, cp=cp, s=s, dtype=dtype,

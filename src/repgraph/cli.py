@@ -40,6 +40,7 @@ def _add_geometry_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _apply_config(args) -> None:
+    """Let a ``--config`` file override the geometry flags and set the other layer fields."""
     if getattr(args, "config", None):
         cfg = load_config_file(args.config)
         args.c = cfg.c
@@ -48,6 +49,9 @@ def _apply_config(args) -> None:
         args.fusion = cfg.fusion
         args.gs = cfg.gs
         args.groups = cfg.groups
+        args.init_mode = cfg.init_mode
+        args.offset_source = cfg.offset_source
+        args.seed = cfg.seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=int, default=2)
     p.add_argument("--dtype", choices=["f32", "f64"], default="f32")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_bench, init_mode="fresh", offset_source="input")
 
     p = sub.add_parser("oracle", help="dense-equivalence check of the sparse layer")
     p.add_argument("--n", type=int, default=36, help="node count (perfect square)")
@@ -126,6 +130,7 @@ def cmd_bench(args) -> int:
         blocks, [(args.h, args.w, args.c, args.cp)], s=args.nodes,
         gs=args.gs, groups=args.groups, fusion=args.fusion, repeats=args.repeats,
         warmup=args.warmup, dtype=args.dtype, seed=args.seed,
+        init_mode=args.init_mode, offset_source=args.offset_source,
     )
     for r in results:
         print(f"{r.block}: median {r.median_ms:.2f} ms (iqr {r.iqr_ms:.2f}) "

@@ -35,3 +35,7 @@ class LengthMismatchError(TensorIOError):
 
 class DivergenceError(RepGraphError):
     """Training produced a non-finite loss."""
+
+
+class CheckpointError(RepGraphError):
+    """A checkpoint directory is missing a file or does not describe the model it rebuilds."""

@@ -94,14 +94,6 @@ class OffsetField:
 
 
 @dataclass
-class RepresentativeSet:
-    """S sampled node features per query: features [n, S, C_branch, P], positions [n, S, 2, P]."""
-
-    features: np.ndarray
-    positions: np.ndarray
-
-
-@dataclass
 class AttentionWeights:
     """Per-query distribution over S sampled nodes; rows sum to 1."""
 
@@ -225,15 +217,8 @@ def buffer_arrays(params) -> dict[str, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Offset regression and representative sampling
+# Sampling anchors
 # ---------------------------------------------------------------------------
-
-
-def regress_offsets(x: Tensor4, w_off: Projection1x1) -> OffsetField:
-    """1x1 projection of the source map into a 2S-channel displacement field."""
-    if w_off.c_out % 2 != 0:
-        raise ContractError(f"offset projection needs 2S output channels, got {w_off.c_out}")
-    return OffsetField(ops.project_1x1(x, w_off).data)
 
 
 def _anchor_grid(h: int, w: int, stride: int, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -241,26 +226,6 @@ def _anchor_grid(h: int, w: int, stride: int, dtype) -> tuple[np.ndarray, np.nda
     ay = np.repeat(np.arange(h, dtype=dtype) * stride, w)
     ax = np.tile(np.arange(w, dtype=dtype) * stride, h)
     return ay, ax
-
-
-def sample_representative(x_branch: Tensor4, offsets: OffsetField) -> RepresentativeSet:
-    """Sample x_branch at (query position + offset) for every query and sample slot."""
-    n, c, h, w = x_branch.shape
-    if offsets.data.shape[0] != n or offsets.data.shape[2:] != (h, w):
-        raise ShapeError(
-            f"offset field {offsets.data.shape} does not match feature map {x_branch.shape}"
-        )
-    s = offsets.s
-    p = h * w
-    ay, ax = _anchor_grid(h, w, 1, np.float64)
-    off = offsets.data.reshape(n, s, 2, p)
-    py = off[:, :, 0, :] + ay[None, None, :]
-    px = off[:, :, 1, :] + ax[None, None, :]
-    b = np.broadcast_to(np.arange(n)[:, None, None], (n, s, p)).reshape(-1)
-    vals = ops._bilinear_forward(x_branch.data, b, py.reshape(-1), px.reshape(-1))
-    features = vals.reshape(n, s, p, c).transpose(0, 1, 3, 2)
-    positions = np.stack([py, px], axis=2)
-    return RepresentativeSet(features=features, positions=positions)
 
 
 def full_grid_offsets(n: int, h: int, w: int, dtype=np.float64) -> OffsetField:
@@ -301,27 +266,6 @@ def _attention_nodes(theta: Node, key_feats: Node, val_feats: Node) -> tuple[Nod
     weights = ops.softmax_node(logits)
     x_tilde = ag.einsum2("bps,bscp->bpc", weights, val_feats)
     return x_tilde, weights
-
-
-def repgraph_attention(x_theta: np.ndarray, key_set: RepresentativeSet,
-                       value_set: RepresentativeSet) -> tuple[np.ndarray, AttentionWeights]:
-    """Attend each query over its own S sampled nodes.
-
-    ``x_theta`` may be a single [N, C'] matrix or a batched [n, N, C'] stack;
-    the result mirrors the input rank.
-    """
-    theta = np.asarray(x_theta)
-    squeeze = theta.ndim == 2
-    if squeeze:
-        theta = theta[None]
-    tape = Tape()
-    xt, w = _attention_nodes(
-        tape.constant(theta),
-        tape.constant(key_set.features),
-        tape.constant(value_set.features),
-    )
-    x_tilde = xt.value[0] if squeeze else xt.value
-    return x_tilde, AttentionWeights(w.value)
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +355,11 @@ def _repgraph_core(
     else:
         src = ops.avg_pool_node(offset_src, gs) if gs > 1 else offset_src
         off = _project(src, p, "w_off")
+        if off.value.shape[1] != 2 * cfg.s:
+            raise ContractError(
+                f"offset projection gives {off.value.shape[1]} channels, "
+                f"S={cfg.s} needs {2 * cfg.s}"
+            )
 
     hg, wg = off.value.shape[2], off.value.shape[3]
     ay, ax = _anchor_grid(hg, wg, gs, dtype)

@@ -1,18 +1,19 @@
 """Neural primitives: 1x1 projection, softmax, bilinear sampling, pooling, BN, ReLU.
 
-Each primitive exists twice over one shared kernel: a plain array function
-for direct use and oracle tests, and a tape op (``*_node``) that records the
-backward rule for training and gradient checks.
+Each primitive is one tape op (``*_node``) that computes its value and
+records its backward rule; inference and training run the same ops.
+``project_1x1`` and ``softmax_rows`` take plain arrays for the dense
+references that compare against the layers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .autograd import Node
+from .autograd import Node, Tape, einsum2
 from .errors import ContractError, ShapeError
 from .tensor import Tensor4
 
@@ -73,25 +74,14 @@ class BatchNormParams:
 # ---------------------------------------------------------------------------
 
 
-def _check_channels(c_in: int, proj: Projection1x1) -> None:
-    if proj.c_in != c_in:
-        raise ShapeError(
-            f"projection expects {proj.c_in} input channels, feature map has {c_in}"
-        )
-
-
 def project_1x1(x: Tensor4, proj: Projection1x1) -> Tensor4:
-    """y[b, :, i, j] = W @ x[b, :, i, j] + bias."""
-    _check_channels(x.shape[1], proj)
-    out = np.einsum("oc,bchw->bohw", proj.weight, x.data)
-    if proj.bias is not None:
-        out = out + proj.bias[None, :, None, None]
-    return Tensor4(out)
+    """y[b, :, i, j] = W @ x[b, :, i, j] + bias, through :func:`project_node`."""
+    tape = Tape()
+    bias = None if proj.bias is None else tape.constant(proj.bias)
+    return Tensor4(project_node(tape.constant(x.data), tape.constant(proj.weight), bias).value)
 
 
 def project_node(x: Node, weight: Node, bias: Optional[Node]) -> Node:
-    from .autograd import einsum2
-
     if weight.value.shape[1] != x.value.shape[1]:
         raise ShapeError(
             f"projection expects {weight.value.shape[1]} input channels, "
@@ -118,9 +108,11 @@ def add_channel_bias(x: Node, bias: Node) -> Node:
 def softmax_rows(a: np.ndarray) -> np.ndarray:
     """Row-stochastic softmax over the last axis, max-subtracted for stability."""
     a = np.asarray(a)
-    shifted = a - a.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    # One buffer holds the shifted logits, their exponentials and the result.
+    e = np.subtract(a, a.max(axis=-1, keepdims=True), dtype=np.result_type(a, 1.0))
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def softmax_node(a: Node) -> Node:
@@ -136,10 +128,6 @@ def softmax_node(a: Node) -> Node:
 # ---------------------------------------------------------------------------
 # ReLU
 # ---------------------------------------------------------------------------
-
-
-def relu(x: Tensor4) -> Tensor4:
-    return Tensor4(np.maximum(x.data, 0))
 
 
 def relu_node(x: Node) -> Node:
@@ -160,13 +148,13 @@ def _bilinear_taps(data: np.ndarray, b: np.ndarray, py: np.ndarray, px: np.ndarr
     Yields ``(wy, wx, sy, sx, yy, xx, valid, f)`` per tap: the separable
     weights and the signs of their derivatives, the integer tap coordinates,
     the in-map mask and the tapped features [len, c], zero off the map.
-    Positions are clamped to [-2, size + 1] first: beyond that range every tap
-    is off the map either way, and the clamp keeps the int64 cast defined for
-    far-off and infinite positions.
+    Positions are clamped to [-2, size + 1] first and NaN becomes -2: beyond
+    that range every tap is off the map either way, and the clamp keeps the
+    int64 cast defined for far-off, infinite and NaN positions.
     """
     n, c, h, w = data.shape
-    ty = np.clip(py, -2, h + 1)
-    tx = np.clip(px, -2, w + 1)
+    ty = np.nan_to_num(np.clip(py, -2, h + 1), copy=False, nan=-2.0)
+    tx = np.nan_to_num(np.clip(px, -2, w + 1), copy=False, nan=-2.0)
     y0 = np.floor(ty)
     x0 = np.floor(tx)
     ty -= y0
@@ -181,22 +169,6 @@ def _bilinear_taps(data: np.ndarray, b: np.ndarray, py: np.ndarray, px: np.ndarr
             f = data[b, :, np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1)]
             np.multiply(f, valid[:, None], out=f)
             yield wy, wx, sy, sx, yy, xx, valid, f
-
-
-def _bilinear_forward(data: np.ndarray, b: np.ndarray, py: np.ndarray, px: np.ndarray) -> np.ndarray:
-    """Sample data[b, :, py, px] with the 4-neighbour triangular kernel.
-
-    Neighbours outside the map contribute zero (kernel support truncated at
-    the border).  At exactly-integer coordinates the floor-based weights give
-    the one-sided subgradient convention used by the backward pass.
-    """
-    n, c, h, w = data.shape
-    if b.size and (b.min() < 0 or b.max() >= n):
-        raise IndexError(f"batch index out of range for batch size {n}")
-    out = np.zeros((py.size, c), dtype=np.result_type(data.dtype, py.dtype))
-    for wy, wx, _, _, _, _, _, f in _bilinear_taps(data, b, py, px):
-        out += (wy * wx)[:, None] * f
-    return out
 
 
 def _bilinear_backward(data, b, py, px, g):
@@ -216,30 +188,27 @@ def _bilinear_backward(data, b, py, px, g):
     return dmap, dpy, dpx
 
 
-def bilinear_sample(x: Tensor4, positions) -> np.ndarray:
-    """Sample fractional positions [(batch, y, x), ...]; returns [len, c]."""
-    pos = np.asarray(positions, dtype=np.float64)
-    if pos.ndim != 2 or pos.shape[1] != 3:
-        raise ShapeError(f"positions must be a [len, 3] list of (b, y, x), got {pos.shape}")
-    b = pos[:, 0].astype(np.int64)
-    if pos.size and not np.all(pos[:, 0] == b):
-        raise IndexError("batch indices must be integral")
-    return _bilinear_forward(x.data, b, pos[:, 1], pos[:, 2])
-
-
 def bilinear_node(x: Node, py: Node, px: Node, b: np.ndarray) -> Node:
-    """Tape op sampling map ``x`` at (py, px); coordinate nodes get gradients too.
+    """Sample map ``x`` at (py, px) with the 4-neighbour triangular kernel.
 
-    ``py``/``px`` may carry any shape; the output appends the channel axis.
+    ``py``/``px`` may carry any shape; the output appends the channel axis,
+    and the coordinate nodes get gradients too.  Neighbours outside the map
+    contribute zero (kernel support truncated at the border).  At
+    exactly-integer coordinates the floor-based weights give the one-sided
+    subgradient convention used by the backward pass.
     """
     if py.value.shape != px.value.shape:
         raise ShapeError("py and px must share a shape")
     shape = py.value.shape
+    n, c = x.value.shape[:2]
     b = np.broadcast_to(np.asarray(b, dtype=np.int64), shape).reshape(-1)
+    if b.size and (b.min() < 0 or b.max() >= n):
+        raise IndexError(f"batch index out of range for batch size {n}")
     py_flat = py.value.reshape(-1)
     px_flat = px.value.reshape(-1)
-    c = x.value.shape[1]
-    out = _bilinear_forward(x.value, b, py_flat, px_flat).reshape(shape + (c,))
+    out = np.zeros((py_flat.size, c), dtype=np.result_type(x.value.dtype, py_flat.dtype))
+    for wy, wx, _, _, _, _, _, f in _bilinear_taps(x.value, b, py_flat, px_flat):
+        out += (wy * wx)[:, None] * f
 
     def bwd(g):
         dmap, dpy, dpx = _bilinear_backward(
@@ -247,7 +216,7 @@ def bilinear_node(x: Node, py: Node, px: Node, b: np.ndarray) -> Node:
         )
         return dmap, dpy.reshape(shape), dpx.reshape(shape)
 
-    return x.tape.record(out, (x, py, px), bwd, op="bilinear")
+    return x.tape.record(out.reshape(shape + (c,)), (x, py, px), bwd, op="bilinear")
 
 
 # ---------------------------------------------------------------------------
@@ -265,25 +234,17 @@ def _pool_area(h: int, w: int, g: int, dtype) -> np.ndarray:
     return np.outer(_pool_counts(h, g), _pool_counts(w, g)).astype(dtype)[None, None]
 
 
-def avg_pool_grid(x: Tensor4, g: int) -> Tensor4:
+def avg_pool_node(x: Node, g: int) -> Node:
     """Mean over g x g blocks; edge blocks are partial and count-normalized."""
-    return Tensor4(_avg_pool_forward(x.data, g))
-
-
-def _avg_pool_forward(data: np.ndarray, g: int) -> np.ndarray:
     if g < 1:
         raise ContractError(f"pooling group size must be >= 1, got {g}")
-    n, c, h, w = data.shape
-    if g == 1:
-        return data / 1.0
-    t = np.add.reduceat(data, np.arange(0, h, g), axis=2)
-    t = np.add.reduceat(t, np.arange(0, w, g), axis=3)
-    return t / _pool_area(h, w, g, t.dtype)
-
-
-def avg_pool_node(x: Node, g: int) -> Node:
-    out = _avg_pool_forward(x.value, g)
     n, c, h, w = x.value.shape
+    if g == 1:
+        out = x.value / 1.0
+    else:
+        t = np.add.reduceat(x.value, np.arange(0, h, g), axis=2)
+        t = np.add.reduceat(t, np.arange(0, w, g), axis=3)
+        out = t / _pool_area(h, w, g, t.dtype)
 
     def bwd(grad):
         spread = grad / _pool_area(h, w, g, grad.dtype)
@@ -299,19 +260,17 @@ def avg_pool_node(x: Node, g: int) -> Node:
 # ---------------------------------------------------------------------------
 
 
-def batch_norm(x: Tensor4, params: BatchNormParams, training: bool = False) -> Tensor4:
-    """Standard per-channel batch norm; training mode updates running stats."""
-    value, _ = _batch_norm_forward(x.data, params, training)
-    return Tensor4(value)
+def batch_norm_node(x: Node, gamma: Node, beta: Node, params: BatchNormParams,
+                    training: bool = False) -> Node:
+    """Per-channel batch norm with scale ``gamma`` and shift ``beta``.
 
-
-def _batch_norm_forward(data: np.ndarray, params: BatchNormParams, training: bool):
+    Training mode normalizes with batch statistics and updates the running
+    statistics of ``params`` in place; eval mode normalizes with them.
+    """
+    data = x.value
     n, c, h, w = data.shape
-    m = n * h * w
-    if m == 0:
+    if n * h * w == 0:
         raise ContractError("batch norm requires a non-empty batch")
-    gamma = params.gamma[None, :, None, None]
-    beta = params.beta[None, :, None, None]
     if training:
         mu = data.mean(axis=(0, 2, 3))
         var = data.var(axis=(0, 2, 3))
@@ -321,28 +280,16 @@ def _batch_norm_forward(data: np.ndarray, params: BatchNormParams, training: boo
         # In place so records that share these buffers observe the update.
         params.running_mean[...] = (1.0 - mom) * params.running_mean + mom * mu
         params.running_var[...] = (1.0 - mom) * params.running_var + mom * var
-        ctx = ("train", xhat, inv, m)
     else:
         inv = 1.0 / np.sqrt(params.running_var + params.eps)
         xhat = (data - params.running_mean[None, :, None, None]) * inv[None, :, None, None]
-        ctx = ("eval", xhat, inv, m)
-    return gamma * xhat + beta, ctx
-
-
-def batch_norm_node(x: Node, gamma: Node, beta: Node, params: BatchNormParams,
-                    training: bool = False) -> Node:
-    live = BatchNormParams(
-        gamma=gamma.value, beta=beta.value,
-        running_mean=params.running_mean, running_var=params.running_var,
-        eps=params.eps, momentum=params.momentum,
-    )
-    value, (mode, xhat, inv, m) = _batch_norm_forward(x.value, live, training)
+    value = gamma.value[None, :, None, None] * xhat + beta.value[None, :, None, None]
 
     def bwd(g):
         dgamma = (g * xhat).sum(axis=(0, 2, 3))
         dbeta = g.sum(axis=(0, 2, 3))
         dxhat = g * gamma.value[None, :, None, None]
-        if mode == "train":
+        if training:
             mean_dxhat = dxhat.mean(axis=(0, 2, 3), keepdims=True)
             mean_dxhat_xhat = (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
             dx = (dxhat - mean_dxhat - xhat * mean_dxhat_xhat) * inv[None, :, None, None]

@@ -99,19 +99,6 @@ class Rng:
         return Tensor4(self.uniform(lo, hi, shape, dtype=dtype))
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Plain 2-D matrix product with explicit shape checking."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects matrices, got shapes {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"matmul inner dimensions disagree: {a.shape} x {b.shape}"
-        )
-    return a @ b
-
-
 def reshape_nodes(x: Tensor4) -> np.ndarray:
     """Flatten (n, c, h, w) into an (n*h*w, c) node matrix.
 

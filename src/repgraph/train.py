@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .autograd import Node, Tape, backward
-from .errors import ContractError, DivergenceError
+from .errors import CheckpointError, ContractError, DivergenceError
 from .layer import (
     LayerConfig,
     buffer_arrays,
@@ -234,31 +234,65 @@ def save_checkpoint(model: ToyModel, cfg: TrainConfig, out_dir: str) -> None:
         fh.write("\n".join(manifest) + "\n")
 
 
+def _read_entries(path: str) -> dict[str, str]:
+    """The ``key=value`` lines of a checkpoint text file."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read {path}: {exc.strerror}") from exc
+    entries: dict[str, str] = {}
+    for line in filter(None, map(str.strip, lines)):
+        key, _, val = line.partition("=")
+        if key in entries:
+            raise CheckpointError(f"{path}: duplicate entry {key!r}")
+        entries[key] = val
+    return entries
+
+
 def load_checkpoint(ckpt_dir: str) -> tuple[ToyModel, TrainConfig]:
-    kv = {}
-    with open(os.path.join(ckpt_dir, "config.txt")) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                key, _, val = line.partition("=")
-                kv[key] = val
-    cfg = TrainConfig(
-        width=int(kv["width"]), cp=int(kv["cp"]), s=int(kv["s"]),
-        seed=int(kv["seed"]), variant=kv.get("variant", "simple"),
-        ablate=bool(int(kv["ablate"])),
-    )
+    """Rebuild the model saved in ``ckpt_dir`` by :func:`save_checkpoint`.
+
+    The manifest must list every parameter and buffer of the model that
+    ``config.txt`` describes, and nothing else, each with the model's shape;
+    anything else raises :class:`CheckpointError`.
+    """
+    if not os.path.isdir(ckpt_dir):
+        raise CheckpointError(f"checkpoint directory {ckpt_dir} does not exist")
+    config_path = os.path.join(ckpt_dir, "config.txt")
+    kv = _read_entries(config_path)
+    try:
+        cfg = TrainConfig(
+            width=int(kv["width"]), cp=int(kv["cp"]), s=int(kv["s"]),
+            seed=int(kv["seed"]), variant=kv["variant"],
+            ablate=bool(int(kv["ablate"])),
+            task=ToyTaskConfig(num_classes=int(kv["num_classes"])),
+        )
+    except KeyError as exc:
+        raise CheckpointError(f"{config_path}: missing entry {exc}") from exc
+    except ValueError as exc:
+        raise CheckpointError(f"{config_path}: {exc}") from exc
     model = init_toy_model(cfg)
     arrays = {**model.parameter_arrays(), **model.buffer_arrays()}
-    with open(os.path.join(ckpt_dir, "manifest.txt")) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            name, _, rest = line.partition("=")
-            fname, _, shape_s = rest.partition(":")
-            shape = tuple(int(v) for v in shape_s.split(","))
-            loaded = load_tensor(os.path.join(ckpt_dir, fname)).data.reshape(shape)
-            arrays[name][...] = loaded
+    manifest_path = os.path.join(ckpt_dir, "manifest.txt")
+    manifest = _read_entries(manifest_path)
+    if manifest.keys() != arrays.keys():
+        raise CheckpointError(
+            f"{manifest_path} does not match the model: missing "
+            f"{sorted(arrays.keys() - manifest.keys())}, unexpected "
+            f"{sorted(manifest.keys() - arrays.keys())}"
+        )
+    for name, entry in manifest.items():
+        fname, _, shape_s = entry.partition(":")
+        shape = arrays[name].shape
+        if shape_s != ",".join(map(str, shape)):
+            raise CheckpointError(
+                f"{manifest_path}: {name} has shape {shape_s}, the model has {shape}"
+            )
+        loaded = load_tensor(os.path.join(ckpt_dir, fname)).data
+        if loaded.shape != (1,) * (4 - len(shape)) + shape:
+            raise CheckpointError(f"{fname} holds shape {loaded.shape}, {name} has {shape}")
+        arrays[name][...] = loaded.reshape(shape)
     return model, cfg
 
 

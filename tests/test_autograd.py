@@ -1,9 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
 
 from repgraph import ContractError, Rng, UnsupportedOpError, backward, finite_diff_check
 from repgraph import autograd as ag
-from repgraph.autograd import Tape
+from repgraph.autograd import Node, Tape
 
 
 class TestBackward:
@@ -40,6 +42,47 @@ class TestBackward:
         unused = tape.leaf(np.ones(5))
         backward(ag.sum_all(x))
         assert np.array_equal(unused.grad, np.zeros(5))
+
+    def test_dropped_graphs_are_freed_without_the_cycle_collector(self):
+        from repgraph import LayerConfig, init_layer_params, repgraph_forward
+        from repgraph.toytask import make_batch
+        from repgraph.train import (
+            TrainConfig,
+            init_toy_model,
+            softmax_xent_node,
+            toy_model_logits,
+        )
+
+        def forward():
+            cfg = LayerConfig(c=4, cp=2, s=2, variant="bottleneck", gs=2, groups=2)
+            repgraph_forward(Rng(0).tensor((1, 4, 4, 4)), init_layer_params(cfg), cfg,
+                             training=True)
+
+        def train_step():
+            cfg = TrainConfig(width=8, cp=4, s=2)
+            model = init_toy_model(cfg)
+            images, labels = make_batch(Rng(1), 2, cfg.task)
+            tape = Tape()
+            logits = toy_model_logits(tape, model, images, training=True)
+            backward(softmax_xent_node(logits, labels))
+            assert tape.params["layer.w_off.w"].grad is not None
+
+        enabled, flags = gc.isenabled(), gc.get_debug()
+        gc.disable()
+        gc.collect()
+        gc.garbage.clear()
+        gc.set_debug(gc.DEBUG_SAVEALL)  # keep what the collector finds in gc.garbage
+        try:
+            forward()
+            train_step()
+            gc.collect()
+            found = [obj for obj in gc.garbage if isinstance(obj, Node)]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert found == []
 
     def test_gradient_linearity(self):
         # d(sum of two graph outputs) == sum of the individual gradients.

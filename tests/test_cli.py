@@ -124,6 +124,28 @@ class TestBenchCommand:
         assert srg.w_out.c_in == 8 + 4
         assert brg.expand.c_in == 2 * 4
 
+    def test_config_file_sets_every_layer_field_but_variant(self, tmp_path, monkeypatch,
+                                                            capsys):
+        from repgraph import bench
+
+        cfgs = []
+
+        def spy(cfg, *args, real=bench.init_layer_params, **kwargs):
+            cfgs.append(cfg)
+            return real(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "init_layer_params", spy)
+        path = tmp_path / "layer.cfg"
+        path.write_text("c=8\ncp=4\ns=2\nvariant=bottleneck\ninit_mode=pretrained_insert\n"
+                        "offset_source=theta\nseed=5\n")
+        assert main(["bench", "--block", "srg,brg", "--h", "4", "--w", "4",
+                     "--config", str(path)]) == 0
+        srg, brg = cfgs
+        assert (srg.variant, brg.variant) == ("simple", "bottleneck")
+        for cfg in cfgs:
+            assert (cfg.init_mode, cfg.offset_source, cfg.seed) == ("pretrained_insert",
+                                                                    "theta", 5)
+
 
 class TestFailures:
     def _one_line_error(self, capsys):
@@ -141,6 +163,12 @@ class TestFailures:
         cfg = TrainConfig(width=8, cp=4, s=2, ablate=True)
         save_checkpoint(init_toy_model(cfg), cfg, str(tmp_path / "ck"))
         assert main(["affinity", "--ckpt", str(tmp_path / "ck"),
+                     "--out", str(tmp_path / "a")]) == 1
+        self._one_line_error(capsys)
+
+
+    def test_affinity_on_missing_checkpoint_is_validation_failure(self, tmp_path, capsys):
+        assert main(["affinity", "--ckpt", str(tmp_path / "nowhere"),
                      "--out", str(tmp_path / "a")]) == 1
         self._one_line_error(capsys)
 

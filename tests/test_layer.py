@@ -12,20 +12,51 @@ from repgraph import (
     Rng,
     ShapeError,
     Tensor4,
-    bilinear_sample,
     bottleneck_repgraph_forward,
     dense_equivalence_diff,
     full_grid_offsets,
     init_bottleneck_params,
     init_simple_params,
     project_1x1,
-    regress_offsets,
-    repgraph_attention,
-    sample_representative,
+    repgraph_forward,
     simple_repgraph_forward,
 )
 from repgraph.autograd import Tape, backward, weighted_sum
-from repgraph.layer import RepresentativeSet, layer_forward_node
+from repgraph.layer import (
+    _attention_nodes,
+    _positions_node,
+    _sample_node,
+    layer_forward_node,
+)
+from repgraph.ops import bilinear_node
+
+
+def regress_offsets(x, w_off):
+    """The offset field a simple layer regresses from ``x`` with ``w_off``."""
+    cfg = LayerConfig(c=x.shape[1], cp=2, s=max(1, w_off.c_out // 2))
+    params = init_simple_params(cfg, Rng(0))
+    params.w_off = w_off
+    collect = {}
+    repgraph_forward(x, params, cfg, collect=collect)
+    return collect["offsets"]
+
+
+def sample_representative(x, off):
+    """Sample ``x`` at (query position + offset): features [n, S, c, P], positions [n, S, 2, P]."""
+    n, _, h, w = off.data.shape
+    tape = Tape()
+    py, px = _positions_node(tape.constant(off.data), np.repeat(np.arange(h, dtype=float), w),
+                             np.tile(np.arange(w, dtype=float), h))
+    features = _sample_node(tape.constant(x.data), py, px).value
+    return features, np.stack([py.value, px.value], axis=2)
+
+
+def attention(theta, key_features, value_features):
+    """Attend the [N, C'] queries over [1, S, C', N] sampled sets: (x_tilde, weights)."""
+    tape = Tape()
+    xt, w = _attention_nodes(tape.constant(theta[None]), tape.constant(key_features),
+                             tape.constant(value_features))
+    return xt.value[0], AttentionWeights(w.value)
 
 
 class TestLayerConfig:
@@ -55,14 +86,14 @@ class TestRegressOffsets:
         bias[0] = 1.0  # dy of the single sample
         w_off = Projection1x1(np.zeros((2, 3)), bias)
         off = regress_offsets(x, w_off)
-        rep = sample_representative(x, off)
+        features, positions = sample_representative(x, off)
         # Every query's sample sits one row below it; bottom row falls outside.
         want_y = np.repeat(np.arange(4), 4) + 1.0
-        assert np.array_equal(rep.positions[0, 0, 0], want_y)
+        assert np.array_equal(positions[0, 0, 0], want_y)
         for p in range(16):
             i, j = divmod(p, 4)
             want = x.data[0, :, i + 1, j] if i + 1 < 4 else np.zeros(3)
-            assert np.array_equal(rep.features[0, 0, :, p], want)
+            assert np.array_equal(features[0, 0, :, p], want)
 
     def test_equals_projection_oracle(self):
         rng = Rng(2)
@@ -81,36 +112,40 @@ class TestSampleRepresentative:
         rng = Rng(3)
         x = rng.tensor((2, 4, 3, 3))
         off = OffsetField(np.zeros((2, 4, 3, 3)))
-        rep = sample_representative(x, off)
+        features, _ = sample_representative(x, off)
         flat = x.data.reshape(2, 4, 9)
         for s in range(2):
-            assert np.array_equal(rep.features[:, s], flat)
+            assert np.array_equal(features[:, s], flat)
 
     def test_offsets_outside_map_sample_zero(self):
         x = Rng(4).tensor((1, 3, 3, 3))
         off = OffsetField(np.full((1, 2, 3, 3), 50.0))
-        rep = sample_representative(x, off)
-        assert np.array_equal(rep.features, np.zeros_like(rep.features))
+        features, _ = sample_representative(x, off)
+        assert np.array_equal(features, np.zeros_like(features))
 
     def test_matches_bilinear_oracle_per_position(self):
         rng = Rng(5)
         x = rng.tensor((1, 3, 4, 5))
         off = OffsetField(rng.uniform(-2.0, 2.0, (1, 4, 4, 5)))
-        rep = sample_representative(x, off)
+        features, positions = sample_representative(x, off)
+        tape = Tape()
+        x_node = tape.constant(x.data)
         for s in range(2):
             for p in range(20):
                 i, j = divmod(p, 5)
                 py = i + off.data[0, 2 * s, i, j]
                 px = j + off.data[0, 2 * s + 1, i, j]
-                want = bilinear_sample(x, [(0, py, px)])[0]
-                assert np.abs(rep.features[0, s, :, p] - want).max() < 1e-12
-                assert rep.positions[0, s, 0, p] == py
-                assert rep.positions[0, s, 1, p] == px
+                want = bilinear_node(x_node, tape.constant([py]), tape.constant([px]), 0).value[0]
+                assert np.abs(features[0, s, :, p] - want).max() < 1e-12
+                assert positions[0, s, 0, p] == py
+                assert positions[0, s, 1, p] == px
 
     def test_spatial_mismatch_rejected(self):
+        cfg = LayerConfig(c=3, cp=2, s=1)
         with pytest.raises(ShapeError):
-            sample_representative(
-                Rng(0).tensor((1, 3, 4, 4)), OffsetField(np.zeros((1, 2, 3, 3)))
+            repgraph_forward(
+                Rng(0).tensor((1, 3, 4, 4)), init_simple_params(cfg, Rng(0)), cfg,
+                offsets=OffsetField(np.zeros((1, 2, 3, 3))),
             )
 
 
@@ -119,32 +154,24 @@ class TestRepGraphAttention:
         rng = Rng(6)
         theta = rng.uniform(-1, 1, (10, 4))
         feats = rng.uniform(-1, 1, (1, 1, 4, 10))
-        pos = np.zeros((1, 1, 2, 10))
-        key = RepresentativeSet(feats, pos)
-        val = RepresentativeSet(rng.uniform(-1, 1, (1, 1, 4, 10)), pos)
-        x_tilde, weights = repgraph_attention(theta, key, val)
+        val = rng.uniform(-1, 1, (1, 1, 4, 10))
+        x_tilde, weights = attention(theta, feats, val)
         assert np.array_equal(weights.data, np.ones((1, 10, 1)))
-        assert np.abs(x_tilde - val.features[0, 0].T).max() < 1e-15
+        assert np.abs(x_tilde - val[0, 0].T).max() < 1e-15
 
     def test_zero_queries_give_uniform_weights_and_mean(self):
         rng = Rng(7)
         s = 5
         feats = rng.uniform(-1, 1, (1, s, 3, 8))
-        pos = np.zeros((1, s, 2, 8))
-        key = RepresentativeSet(feats, pos)
-        val = RepresentativeSet(rng.uniform(-1, 1, (1, s, 3, 8)), pos)
-        x_tilde, weights = repgraph_attention(np.zeros((8, 3)), key, val)
+        val = rng.uniform(-1, 1, (1, s, 3, 8))
+        x_tilde, weights = attention(np.zeros((8, 3)), feats, val)
         assert np.abs(weights.data - 1.0 / s).max() < 1e-15
-        want = val.features[0].mean(axis=0).T
+        want = val[0].mean(axis=0).T
         assert np.abs(x_tilde - want).max() < 1e-12
 
     def test_s_mismatch_rejected(self):
-        pos2 = np.zeros((1, 2, 2, 4))
-        pos3 = np.zeros((1, 3, 2, 4))
-        key = RepresentativeSet(np.zeros((1, 2, 3, 4)), pos2)
-        val = RepresentativeSet(np.zeros((1, 3, 3, 4)), pos3)
         with pytest.raises(ShapeError):
-            repgraph_attention(np.zeros((4, 3)), key, val)
+            attention(np.zeros((4, 3)), np.zeros((1, 2, 3, 4)), np.zeros((1, 3, 3, 4)))
 
     def test_attention_weights_validation(self):
         with pytest.raises(ContractError):

@@ -13,15 +13,32 @@ from repgraph import (
     Rng,
     ShapeError,
     Tensor4,
-    avg_pool_grid,
-    batch_norm,
-    bilinear_sample,
     project_1x1,
-    relu,
     softmax_rows,
 )
+from repgraph.autograd import Tape, backward, weighted_sum
+from repgraph.ops import avg_pool_node, batch_norm_node, bilinear_node, relu_node
 
 finite_floats = st.floats(-50.0, 50.0, allow_nan=False)
+
+
+def bilinear_sample(x, positions):
+    """Sample fractional positions [(batch, y, x), ...] through ``bilinear_node``; [len, c]."""
+    pos = np.asarray(positions, dtype=np.float64)
+    tape = Tape()
+    return bilinear_node(tape.constant(x.data), tape.constant(pos[:, 1]),
+                         tape.constant(pos[:, 2]), pos[:, 0].astype(np.int64)).value
+
+
+def avg_pool(x, g):
+    tape = Tape()
+    return avg_pool_node(tape.constant(x.data), g).value
+
+
+def batch_norm(x, params, training):
+    tape = Tape()
+    return batch_norm_node(tape.constant(x.data), tape.constant(params.gamma),
+                           tape.constant(params.beta), params, training).value
 
 
 class TestProject1x1:
@@ -148,43 +165,44 @@ class TestBilinearSample:
             bilinear_sample(self.grid, [(3, 0.5, 0.5)])
 
     def test_far_off_positions_give_zero_sample_and_gradients(self):
-        from repgraph.autograd import Tape, backward, weighted_sum
-        from repgraph.ops import bilinear_node
-
-        far = np.array([1e30, -1e30, np.inf, -np.inf])
+        far = np.array([1e30, -1e30, np.inf, -np.inf, np.nan])
+        k = far.size
         tape = Tape()
         x = tape.leaf(self.grid.data.copy())
-        py = tape.leaf(np.concatenate([far, np.full(4, 0.5)]))
-        px = tape.leaf(np.concatenate([np.full(4, 0.5), far]))
+        py = tape.leaf(np.concatenate([far, np.full(k, 0.5)]))
+        px = tape.leaf(np.concatenate([np.full(k, 0.5), far]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = bilinear_node(x, py, px, np.zeros(8, dtype=np.int64))
+            out = bilinear_node(x, py, px, np.zeros(2 * k, dtype=np.int64))
             backward(weighted_sum(out, np.ones(out.value.shape)))
-        assert np.array_equal(out.value, np.zeros((8, 1)))
+        assert np.array_equal(out.value, np.zeros((2 * k, 1)))
         assert np.array_equal(x.grad, np.zeros_like(x.value))
-        assert np.array_equal(py.grad, np.zeros(8))
-        assert np.array_equal(px.grad, np.zeros(8))
+        assert np.array_equal(py.grad, np.zeros(2 * k))
+        assert np.array_equal(px.grad, np.zeros(2 * k))
 
     def test_rejects_malformed_positions(self):
+        pos = np.zeros((4, 2))
+        tape = Tape()
         with pytest.raises(ShapeError):
-            bilinear_sample(self.grid, np.zeros((4, 2)))
+            bilinear_node(tape.constant(self.grid.data), tape.constant(pos[:, 0]),
+                          tape.constant(pos), np.zeros(4, dtype=np.int64))
 
 
 class TestAvgPoolGrid:
     def test_g1_is_identity(self):
         x = Rng(6).tensor((2, 3, 4, 5))
-        assert np.array_equal(avg_pool_grid(x, 1).data, x.data)
+        assert np.array_equal(avg_pool(x, 1), x.data)
 
     def test_constant_tensor(self):
         x = Tensor4.full((1, 2, 5, 7), 2.5)
-        out = avg_pool_grid(x, 3)
+        out = avg_pool(x, 3)
         assert out.shape == (1, 2, 2, 3)
-        assert np.abs(out.data - 2.5).max() < 1e-15
+        assert np.abs(out - 2.5).max() < 1e-15
 
     def test_matches_block_mean_oracle(self):
         rng = Rng(7)
         x = rng.tensor((1, 2, 4, 4))
-        out = avg_pool_grid(x, 2).data
+        out = avg_pool(x, 2)
         for c in range(2):
             for bi in range(2):
                 for bj in range(2):
@@ -193,20 +211,21 @@ class TestAvgPoolGrid:
 
     def test_partial_edge_blocks_are_count_normalized(self):
         x = Rng(8).tensor((1, 1, 5, 3))
-        out = avg_pool_grid(x, 2).data
+        out = avg_pool(x, 2)
         assert out.shape == (1, 1, 3, 2)
         assert abs(out[0, 0, 2, 1] - x.data[0, 0, 4, 2]) < 1e-15  # 1x1 corner block
         assert abs(out[0, 0, 2, 0] - x.data[0, 0, 4, 0:2].mean()) < 1e-15
 
     def test_zero_group_size_rejected(self):
         with pytest.raises(ContractError):
-            avg_pool_grid(Rng(0).tensor((1, 1, 2, 2)), 0)
+            avg_pool(Rng(0).tensor((1, 1, 2, 2)), 0)
 
 
 class TestReluAndBatchNorm:
     def test_relu_values(self):
-        out = relu(Tensor4(np.array([[[[-1.0, 2.0]]]])))
-        assert np.array_equal(out.data, np.array([[[[0.0, 2.0]]]]))
+        tape = Tape()
+        out = relu_node(tape.leaf(np.array([[[[-1.0, 2.0]]]])))
+        assert np.array_equal(out.value, np.array([[[[0.0, 2.0]]]]))
 
     def test_fixed_point_on_normalized_data(self):
         rng = Rng(9)
@@ -214,7 +233,7 @@ class TestReluAndBatchNorm:
         raw = (raw - raw.mean(axis=(0, 2, 3), keepdims=True)) / raw.std(axis=(0, 2, 3), keepdims=True)
         params = BatchNormParams.create(3, eps=1e-12)
         out = batch_norm(Tensor4(raw), params, training=True)
-        assert np.abs(out.data - raw).max() < 1e-6
+        assert np.abs(out - raw).max() < 1e-6
 
     def test_training_moments_match_oracle(self):
         rng = Rng(10)
@@ -222,7 +241,7 @@ class TestReluAndBatchNorm:
         params = BatchNormParams.create(4)
         params.gamma = rng.uniform(0.5, 1.5, 4)
         params.beta = rng.uniform(-1, 1, 4)
-        out = batch_norm(x, params, training=True).data
+        out = batch_norm(x, params, training=True)
         mean = out.mean(axis=(0, 2, 3))
         std = out.std(axis=(0, 2, 3))
         sigma = x.data.std(axis=(0, 2, 3))
@@ -245,7 +264,7 @@ class TestReluAndBatchNorm:
         params.running_mean = np.array([2.0])
         params.running_var = np.array([4.0])
         x = Tensor4(np.full((1, 1, 2, 2), 4.0))
-        out = batch_norm(x, params, training=False).data
+        out = batch_norm(x, params, training=False)
         assert np.abs(out - (4.0 - 2.0) / np.sqrt(4.0 + params.eps)).max() < 1e-12
 
     def test_empty_batch_rejected(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repgraph import DivergenceError, Rng
+from repgraph import CheckpointError, DivergenceError, Rng
 from repgraph.autograd import Tape, backward, weighted_sum
 from repgraph.toytask import ToyTaskConfig, make_batch
 from repgraph.train import (
@@ -147,6 +147,51 @@ class TestCheckpoint:
         assert orig.keys() == back.keys()
         for name in orig:
             assert np.array_equal(orig[name], back[name]), name
+
+    @pytest.fixture
+    def ckpt(self, tmp_path):
+        cfg = TrainConfig(width=8, cp=4, s=2)
+        save_checkpoint(init_toy_model(cfg), cfg, str(tmp_path / "ck"))
+        return tmp_path / "ck"
+
+    def _edit_manifest(self, ckpt, edit):
+        lines = (ckpt / "manifest.txt").read_text().splitlines()
+        (ckpt / "manifest.txt").write_text("\n".join(edit(lines)) + "\n")
+
+    def test_missing_directory_rejected(self, tmp_path):
+        with pytest.raises(CheckpointError, match="does not exist"):
+            load_checkpoint(str(tmp_path / "nowhere"))
+
+    @pytest.mark.parametrize("name", ["config.txt", "manifest.txt"])
+    def test_missing_text_file_rejected(self, ckpt, name):
+        (ckpt / name).unlink()
+        with pytest.raises(CheckpointError, match=name):
+            load_checkpoint(str(ckpt))
+
+    def test_manifest_omitting_an_array_rejected(self, ckpt):
+        self._edit_manifest(ckpt, lambda lines: [line for line in lines
+                                                 if not line.startswith("layer.w_off.b=")])
+        with pytest.raises(CheckpointError, match=r"missing \['layer.w_off.b'\]"):
+            load_checkpoint(str(ckpt))
+
+    def test_manifest_naming_an_unknown_array_rejected(self, ckpt):
+        self._edit_manifest(ckpt, lambda lines: lines + ["layer.extra.w=cls_b.rgt4:4"])
+        with pytest.raises(CheckpointError, match=r"unexpected \['layer.extra.w'\]"):
+            load_checkpoint(str(ckpt))
+
+    def test_shape_mismatch_rejected(self, ckpt):
+        self._edit_manifest(ckpt, lambda lines: [
+            "cls.b=cls_w.rgt4:4,8" if line.startswith("cls.b=") else line for line in lines])
+        with pytest.raises(CheckpointError, match="cls.b"):
+            load_checkpoint(str(ckpt))
+
+    def test_num_classes_comes_from_the_config(self, tmp_path):
+        cfg = TrainConfig(width=8, cp=4, s=2, task=ToyTaskConfig(num_classes=3))
+        model = init_toy_model(cfg)
+        save_checkpoint(model, cfg, str(tmp_path / "ck"))
+        loaded, loaded_cfg = load_checkpoint(str(tmp_path / "ck"))
+        assert loaded_cfg.task.num_classes == 3
+        assert np.array_equal(loaded.classifier.weight, model.classifier.weight)
 
     def test_checkpointed_model_runs_forward(self, tmp_path):
         cfg = TrainConfig(width=8, cp=4, s=2)

@@ -8,17 +8,24 @@ from repgraph import (
     LayerConfig,
     Rng,
     Tensor4,
-    avg_pool_grid,
-    bilinear_sample,
     grid_repgraph_forward,
     group_repgraph_forward,
     init_simple_params,
     project_1x1,
-    repgraph_attention,
     simple_repgraph_forward,
     softmax_rows,
 )
-from repgraph.layer import RepresentativeSet, regress_offsets, sample_representative
+from repgraph.autograd import Tape
+from repgraph.layer import _attention_nodes, _positions_node, _sample_node
+from repgraph.ops import avg_pool_node, bilinear_node
+
+
+def bilinear_sample(x, positions):
+    """Sample fractional positions [(batch, y, x), ...] through ``bilinear_node``; [len, c]."""
+    pos = np.asarray(positions, dtype=np.float64)
+    tape = Tape()
+    return bilinear_node(tape.constant(x.data), tape.constant(pos[:, 1]),
+                         tape.constant(pos[:, 2]), pos[:, 0].astype(np.int64)).value
 
 
 def naive_grid_forward(x, params, cfg, gs):
@@ -31,7 +38,8 @@ def naive_grid_forward(x, params, cfg, gs):
     theta = project_1x1(x, params.theta).data
     phi = project_1x1(x, params.phi)
     g = project_1x1(x, params.g)
-    pooled = avg_pool_grid(x, gs)
+    tape = Tape()
+    pooled = Tensor4(avg_pool_node(tape.constant(x.data), gs).value)
     off = project_1x1(pooled, params.w_off).data
     hg, wg = off.shape[2], off.shape[3]
     s = cfg.s
@@ -129,24 +137,27 @@ class TestGroupRepGraph:
         assert np.array_equal(grouped.data, base.data)
 
     def _slice_dispatch_oracle(self, x, params, cfg, groups):
-        """Slice channels and call the public attention per slice."""
+        """Slice channels and call the attention per slice."""
         theta_map = project_1x1(x, params.theta)
         phi_map = project_1x1(x, params.phi)
         g_map = project_1x1(x, params.g)
-        off = regress_offsets(x, params.w_off)
-        key = sample_representative(phi_map, off)
-        val = sample_representative(g_map, off)
+        off = project_1x1(x, params.w_off).data
         n, c, h, w = x.shape
+        tape = Tape()
+        py, px = _positions_node(tape.constant(off), np.repeat(np.arange(h, dtype=float), w),
+                                 np.tile(np.arange(w, dtype=float), h))
+        key = _sample_node(tape.constant(phi_map.data), py, px).value
+        val = _sample_node(tape.constant(g_map.data), py, px).value
         theta = theta_map.data.reshape(n, cfg.cp, h * w).transpose(0, 2, 1)
         width = cfg.cp // groups
         parts = []
         for gi in range(groups):
             sl = slice(gi * width, (gi + 1) * width)
-            key_g = RepresentativeSet(key.features[:, :, sl], key.positions)
-            val_g = RepresentativeSet(val.features[:, :, sl], val.positions)
-            xt, weights = repgraph_attention(theta[:, :, sl], key_g, val_g)
-            assert np.abs(weights.data.sum(axis=-1) - 1.0).max() < 1e-10
-            parts.append(xt)
+            xt, weights = _attention_nodes(tape.constant(theta[:, :, sl]),
+                                           tape.constant(key[:, :, sl]),
+                                           tape.constant(val[:, :, sl]))
+            assert np.abs(weights.value.sum(axis=-1) - 1.0).max() < 1e-10
+            parts.append(xt.value)
         xt_full = np.concatenate(parts, axis=2)
         xt_map = xt_full.transpose(0, 2, 1).reshape(n, cfg.cp, h, w)
         import repgraph
