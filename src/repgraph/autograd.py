@@ -12,6 +12,7 @@ training context; independent tapes may run concurrently.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -191,14 +192,20 @@ def narrow(a: Node, axis: int, start: int, length: int) -> Node:
 
 
 def gather_last(a: Node, idx: np.ndarray) -> Node:
-    """Gather along the last axis: out[..., j] = a[..., idx[j]]."""
+    """Gather along the last axis: out[..., j] = a[..., idx[j]].
+
+    The backward scatter is one ``np.bincount`` over the flat index of every
+    gathered element; it adds in index order, so the result is the same on
+    every run.
+    """
     idx = np.asarray(idx, dtype=np.int64)
+    shape = a.value.shape
 
     def bwd(g):
-        buf = np.zeros_like(a.value)
-        buf_t = np.moveaxis(buf, -1, 0)
-        np.add.at(buf_t, idx, np.moveaxis(g, -1, 0))
-        return (buf,)
+        rows = np.arange(math.prod(shape[:-1]))[:, None] * shape[-1]
+        flat = (rows + idx).reshape(-1)
+        buf = np.bincount(flat, weights=g.reshape(-1), minlength=math.prod(shape))
+        return (buf.reshape(shape).astype(a.value.dtype, copy=False),)
 
     return a.tape.record(np.take(a.value, idx, axis=-1), (a,), bwd, op="gather_last")
 

@@ -142,50 +142,73 @@ def relu_node(x: Node) -> Node:
 # ---------------------------------------------------------------------------
 
 
-def _bilinear_taps(data: np.ndarray, b: np.ndarray, py: np.ndarray, px: np.ndarray):
+# Width of the zero border around the channel-major map.  Positions are
+# clamped to [-2, size], so every tap lands inside the border or the map.
+_PAD = 2
+
+
+def _bilinear_taps(shape, b: np.ndarray, py: np.ndarray, px: np.ndarray):
     """The four taps of the truncated bilinear kernel at every position.
 
-    Yields ``(wy, wx, sy, sx, yy, xx, valid, f)`` per tap: the separable
-    weights and the signs of their derivatives, the integer tap coordinates,
-    the in-map mask and the tapped features [len, c], zero off the map.
-    Positions are clamped to [-2, size + 1] first and NaN becomes -2: beyond
-    that range every tap is off the map either way, and the clamp keeps the
-    int64 cast defined for far-off, infinite and NaN positions.
+    Yields ``(wy, wx, sy, sx, flat)`` per tap: the separable weights, the
+    signs of their derivatives and the tap's index into the flat (b, y, x)
+    axis of the map with a ``_PAD`` zero border (:func:`_channel_major`).  A
+    tap off the map reads the border, so it samples zero and gets zero
+    gradients.  Positions are clamped to [-2, size] first and NaN becomes -2:
+    beyond that range every tap is off the map either way, and the clamp
+    keeps the int64 cast defined for far-off, infinite and NaN positions.
     """
-    n, c, h, w = data.shape
-    ty = np.nan_to_num(np.clip(py, -2, h + 1), copy=False, nan=-2.0)
-    tx = np.nan_to_num(np.clip(px, -2, w + 1), copy=False, nan=-2.0)
+    h, w = shape[2:]
+    ty = np.nan_to_num(np.clip(py, -2, h), copy=False, nan=-2.0)
+    tx = np.nan_to_num(np.clip(px, -2, w), copy=False, nan=-2.0)
     y0 = np.floor(ty)
     x0 = np.floor(tx)
     ty -= y0
     tx -= x0
-    y0 = y0.astype(np.int64)
-    x0 = x0.astype(np.int64)
-    for dy, wy, sy in ((0, 1.0 - ty, -1.0), (1, ty, 1.0)):
-        for dx, wx, sx in ((0, 1.0 - tx, -1.0), (1, tx, 1.0)):
-            yy = y0 + dy
-            xx = x0 + dx
-            valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-            f = data[b, :, np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1)]
-            np.multiply(f, valid[:, None], out=f)
-            yield wy, wx, sy, sx, yy, xx, valid, f
+    pw = w + 2 * _PAD
+    flat = (b * (h + 2 * _PAD) + y0.astype(np.int64) + _PAD) * pw
+    flat += x0.astype(np.int64) + _PAD
+    uy = 1.0 - ty
+    ux = 1.0 - tx
+    yield uy, ux, -1.0, -1.0, flat
+    yield uy, tx, -1.0, 1.0, flat + 1
+    yield ty, ux, 1.0, -1.0, flat + pw
+    yield ty, tx, 1.0, 1.0, flat + (pw + 1)
+
+
+def _channel_major(data: np.ndarray, dtype) -> np.ndarray:
+    """[n, c, h, w] map as a [c, n*(h+4)*(w+4)] copy with a zero border."""
+    n, c, h, w = data.shape
+    xc = np.zeros((c, n, h + 2 * _PAD, w + 2 * _PAD), dtype=dtype)
+    xc[:, :, _PAD:-_PAD, _PAD:-_PAD] = data.transpose(1, 0, 2, 3)
+    return xc.reshape(c, -1)
 
 
 def _bilinear_backward(data, b, py, px, g):
-    """Gradients of the truncated bilinear kernel w.r.t. the map and positions."""
+    """Map and position gradients of the truncated bilinear kernel.
+
+    ``g`` is the output gradient as a [c, len] array.  Each tap's map
+    gradient is scattered with one ``np.bincount`` per channel, which adds in
+    index order, so the result is the same on every run.
+    """
     n, c, h, w = data.shape
-    dmap_flat = np.zeros((n * h * w, c), dtype=data.dtype)
+    xc = _channel_major(data, g.dtype)
+    size = xc.shape[1]
+    dmap = np.zeros((c, size), dtype=data.dtype)
     dpy = np.zeros_like(py)
     dpx = np.zeros_like(px)
-    for wy, wx, sy, sx, yy, xx, valid, f in _bilinear_taps(data, b, py, px):
-        gf = (g * f).sum(axis=1)
+    buf = np.empty_like(g)
+    for wy, wx, sy, sx, flat in _bilinear_taps(data.shape, b, py, px):
+        np.take(xc, flat, axis=1, out=buf, mode="wrap")
+        buf *= g
+        gf = buf.sum(axis=0)
         dpy += sy * wx * gf
         dpx += sx * wy * gf
-        rows = (b * h + yy) * w + xx
-        contrib = g * (wy * wx)[:, None]
-        np.add.at(dmap_flat, rows[valid], contrib[valid])
-    dmap = dmap_flat.reshape(n, h, w, c).transpose(0, 3, 1, 2)
-    return dmap, dpy, dpx
+        np.multiply(g, wy * wx, out=buf)
+        for ch in range(c):
+            dmap[ch] += np.bincount(flat, weights=buf[ch], minlength=size)
+    dmap = dmap.reshape(c, n, h + 2 * _PAD, w + 2 * _PAD)[:, :, _PAD:-_PAD, _PAD:-_PAD]
+    return dmap.transpose(1, 0, 2, 3), dpy, dpx
 
 
 def bilinear_node(x: Node, py: Node, px: Node, b: np.ndarray) -> Node:
@@ -196,6 +219,10 @@ def bilinear_node(x: Node, py: Node, px: Node, b: np.ndarray) -> Node:
     contribute zero (kernel support truncated at the border).  At
     exactly-integer coordinates the floor-based weights give the one-sided
     subgradient convention used by the backward pass.
+
+    The kernel works channel-major: every tap is one ``np.take`` along the
+    flat (b, y, x) axis of a zero-bordered [c, n*(h+4)*(w+4)] copy of the
+    map, and the taps add up in one [c, len] buffer.
     """
     if py.value.shape != px.value.shape:
         raise ShapeError("py and px must share a shape")
@@ -206,17 +233,28 @@ def bilinear_node(x: Node, py: Node, px: Node, b: np.ndarray) -> Node:
         raise IndexError(f"batch index out of range for batch size {n}")
     py_flat = py.value.reshape(-1)
     px_flat = px.value.reshape(-1)
-    out = np.zeros((py_flat.size, c), dtype=np.result_type(x.value.dtype, py_flat.dtype))
-    for wy, wx, _, _, _, _, _, f in _bilinear_taps(x.value, b, py_flat, px_flat):
-        out += (wy * wx)[:, None] * f
+    dtype = np.result_type(x.value.dtype, py_flat.dtype)
+    xc = _channel_major(x.value, dtype)
+    out = np.zeros((c, py_flat.size), dtype=dtype)
+    buf = np.empty_like(out)
+    for wy, wx, _, _, flat in _bilinear_taps(x.value.shape, b, py_flat, px_flat):
+        # Every index is in range; unlike "raise", "wrap" lets take write
+        # straight into ``buf``.
+        np.take(xc, flat, axis=1, out=buf, mode="wrap")
+        buf *= wy * wx
+        out += buf
+    del buf  # one [c, len] buffer fewer during the copy below
+    # Returned position-major: np.einsum adds in an order that follows its
+    # operands' layout, so a strided view of ``out`` would change the
+    # attention's results in the last bits.
+    value = np.ascontiguousarray(out.T).reshape(shape + (c,))
 
     def bwd(g):
-        dmap, dpy, dpx = _bilinear_backward(
-            x.value, b, py_flat, px_flat, g.reshape(-1, c)
-        )
+        g = np.ascontiguousarray(np.moveaxis(g, -1, 0), dtype=dtype).reshape(c, -1)
+        dmap, dpy, dpx = _bilinear_backward(x.value, b, py_flat, px_flat, g)
         return dmap, dpy.reshape(shape), dpx.reshape(shape)
 
-    return x.tape.record(out.reshape(shape + (c,)), (x, py, px), bwd, op="bilinear")
+    return x.tape.record(value, (x, py, px), bwd, op="bilinear")
 
 
 # ---------------------------------------------------------------------------

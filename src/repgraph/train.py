@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -74,8 +76,11 @@ def softmax_xent_node(logits: Node, labels: np.ndarray) -> Node:
     n, k, h, w = logits.value.shape
     lab = np.asarray(labels, dtype=np.int64).reshape(n, h * w)
     z = logits.value.reshape(n, k, h * w)
-    shifted = z - z.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    # An infinite logit makes inf - inf here (finite ones never do), and the
+    # NaN loss that follows marks the run as diverged.
+    with np.errstate(invalid="ignore"):
+        shifted = z - z.max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     count = n * h * w
     idx_b = np.arange(n)[:, None]
     idx_p = np.arange(h * w)[None, :]
@@ -215,7 +220,39 @@ def pixel_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 def save_checkpoint(model: ToyModel, cfg: TrainConfig, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
+    """Write ``model`` and ``cfg`` to ``out_dir``, replacing the checkpoint there.
+
+    The files go to a sibling temporary directory, which then takes the place
+    of ``out_dir``, so a save that fails partway leaves the previous
+    checkpoint loadable.  A directory that holds anything but checkpoint
+    files is not replaced: that raises :class:`CheckpointError`.
+    """
+    out_dir = os.path.realpath(out_dir)
+    if os.path.lexists(out_dir) and not (os.path.isdir(out_dir) and all(
+        name in ("config.txt", "manifest.txt") or name.endswith(".rgt4")
+        for name in os.listdir(out_dir)
+    )):
+        raise CheckpointError(f"{out_dir} exists and is not a checkpoint directory")
+    parent = os.path.dirname(out_dir)
+    os.makedirs(parent, exist_ok=True)
+    tmp = tempfile.mkdtemp(prefix=os.path.basename(out_dir) + ".", suffix=".tmp", dir=parent)
+    try:
+        _write_checkpoint(model, cfg, tmp)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    if os.path.isdir(out_dir):
+        # A directory cannot be renamed onto a non-empty one, so the old
+        # checkpoint steps aside first.
+        old = tmp + ".old"
+        os.rename(out_dir, old)
+        os.rename(tmp, out_dir)
+        shutil.rmtree(old)
+    else:
+        os.rename(tmp, out_dir)
+
+
+def _write_checkpoint(model: ToyModel, cfg: TrainConfig, out_dir: str) -> None:
     lines = [
         f"width={cfg.width}", f"cp={cfg.cp}", f"s={cfg.s}", f"seed={cfg.seed}",
         f"variant={cfg.variant}", f"ablate={int(cfg.ablate)}",

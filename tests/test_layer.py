@@ -184,6 +184,20 @@ class TestDenseEquivalence:
         diff = dense_equivalence_diff(side * side, seed=side)
         assert diff < 1e-6
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        side=st.integers(2, 5),
+        c=st.integers(1, 8),
+        cp=st.integers(1, 6),
+        batch=st.integers(1, 3),
+        fusion=st.sampled_from(["sum", "concat"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_dense_equivalence_over_geometries(self, side, c, cp, batch, fusion, seed):
+        diff = dense_equivalence_diff(side * side, seed=seed, c=c, cp=cp,
+                                      batch=batch, fusion=fusion)
+        assert diff < 1e-9
+
     def test_full_grid_offsets_enumerate_grid(self):
         off = full_grid_offsets(1, 2, 3)
         rep_y = off.data[0, 0::2]  # dy of every sample at every query

@@ -30,6 +30,74 @@ def bilinear_sample(x, positions):
                          tape.constant(pos[:, 2]), pos[:, 0].astype(np.int64)).value
 
 
+def reference_bilinear(data, b, py, px):
+    """The per-tap sampler that the channel-major kernel replaced.
+
+    Gathers every tap as a [len, c] array from the NCHW map and scatters the
+    map gradient with ``np.add.at``.  Returns the [len, c] output and a
+    function from a [len, c] output gradient to (dmap, dpy, dpx).
+    """
+    n, c, h, w = data.shape
+
+    def taps():
+        ty = np.nan_to_num(np.clip(py, -2, h + 1), nan=-2.0)
+        tx = np.nan_to_num(np.clip(px, -2, w + 1), nan=-2.0)
+        y0 = np.floor(ty)
+        x0 = np.floor(tx)
+        ty -= y0
+        tx -= x0
+        y0 = y0.astype(np.int64)
+        x0 = x0.astype(np.int64)
+        for dy, wy, sy in ((0, 1.0 - ty, -1.0), (1, ty, 1.0)):
+            for dx, wx, sx in ((0, 1.0 - tx, -1.0), (1, tx, 1.0)):
+                yy = y0 + dy
+                xx = x0 + dx
+                valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
+                f = data[b, :, np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1)]
+                np.multiply(f, valid[:, None], out=f)
+                yield wy, wx, sy, sx, yy, xx, valid, f
+
+    out = np.zeros((py.size, c), dtype=np.result_type(data.dtype, py.dtype))
+    for wy, wx, _, _, _, _, _, f in taps():
+        out += (wy * wx)[:, None] * f
+
+    def grads(g):
+        dmap_flat = np.zeros((n * h * w, c), dtype=data.dtype)
+        dpy = np.zeros_like(py)
+        dpx = np.zeros_like(px)
+        for wy, wx, sy, sx, yy, xx, valid, f in taps():
+            gf = (g * f).sum(axis=1)
+            dpy += sy * wx * gf
+            dpx += sx * wy * gf
+            rows = (b * h + yy) * w + xx
+            np.add.at(dmap_flat, rows[valid], (g * (wy * wx)[:, None])[valid])
+        return dmap_flat.reshape(n, h, w, c).transpose(0, 3, 1, 2), dpy, dpx
+
+    return out, grads
+
+
+def sampler_grads(data, b, py, px, g):
+    """``bilinear_node`` output and its (map, py, px) gradients under probe ``g``."""
+    tape = Tape()
+    x, ny, nx = tape.leaf(data), tape.leaf(py), tape.leaf(px)
+    out = bilinear_node(x, ny, nx, b)
+    backward(weighted_sum(out, g))
+    return out.value, x.grad, ny.grad, nx.grad
+
+
+def hard_positions(rng, n, h, w, k):
+    """k random positions around a [n, ?, h, w] map plus off-map, infinite,
+    NaN and exact-integer ones; returns (b, py, px)."""
+    special = np.array([-np.inf, np.inf, np.nan, 1e30, -1e30, -2.5, -1.0, 0.0,
+                        1.0, h - 1.0, float(h), h + 0.5])
+    py = np.concatenate([rng.uniform(-3, h + 2, k), special,
+                         rng.integers(-1, h + 1, k).astype(np.float64)])
+    px = np.concatenate([rng.uniform(-3, w + 2, k), special[::-1],
+                         rng.integers(-1, w + 1, k).astype(np.float64)])
+    b = rng.integers(0, n, py.size)
+    return b, py, px
+
+
 def avg_pool(x, g):
     tape = Tape()
     return avg_pool_node(tape.constant(x.data), g).value
@@ -179,6 +247,47 @@ class TestBilinearSample:
         assert np.array_equal(x.grad, np.zeros_like(x.value))
         assert np.array_equal(py.grad, np.zeros(2 * k))
         assert np.array_equal(px.grad, np.zeros(2 * k))
+
+    def test_f64_output_matches_reference_bit_for_bit(self):
+        rng = Rng(12)
+        for n, c, h, w in ((3, 4, 5, 6), (2, 1, 1, 3), (1, 8, 7, 2)):
+            data = rng.uniform(-2, 2, (n, c, h, w))
+            b, py, px = hard_positions(rng, n, h, w, 40)
+            want, _ = reference_bilinear(data, b, py, px)
+            got, *_ = sampler_grads(data, b, py, px, np.ones_like(want))
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_f64_gradients_match_reference(self):
+        rng = Rng(13)
+        for n, c, h, w in ((3, 4, 5, 6), (2, 3, 2, 2)):
+            data = rng.uniform(-2, 2, (n, c, h, w))
+            b, py, px = hard_positions(rng, n, h, w, 40)
+            g = rng.uniform(-1, 1, (py.size, c))
+            _, grads = reference_bilinear(data, b, py, px)
+            _, *got = sampler_grads(data, b, py, px, g)
+            for have, want in zip(got, grads(g)):
+                assert np.abs(have - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_backward_is_bit_stable(self):
+        rng = Rng(14)
+        data = rng.uniform(-2, 2, (2, 5, 6, 4))
+        b, py, px = hard_positions(rng, 2, 6, 4, 200)
+        g = rng.uniform(-1, 1, (py.size, 5))
+        first = sampler_grads(data, b, py, px, g)
+        second = sampler_grads(data, b, py, px, g)
+        for a, z in zip(first, second):
+            assert a.tobytes() == z.tobytes()
+
+    def test_f32_map_gives_f32_output(self):
+        rng = Rng(15)
+        data = rng.uniform(-2, 2, (2, 3, 4, 5)).astype(np.float32)
+        b, py, px = hard_positions(rng, 2, 4, 5, 10)
+        out, dmap, dpy, _ = sampler_grads(data, b, py.astype(np.float32),
+                                          px.astype(np.float32), np.ones((py.size, 3)))
+        assert out.dtype == dmap.dtype == dpy.dtype == np.float32
+        want, _ = reference_bilinear(data.astype(np.float64), b, py, px)
+        assert np.abs(out - want).max() < 1e-5
 
     def test_rejects_malformed_positions(self):
         pos = np.zeros((4, 2))

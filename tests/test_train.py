@@ -1,3 +1,6 @@
+import os
+import warnings
+
 import numpy as np
 import pytest
 
@@ -63,6 +66,16 @@ class TestTrainerOps:
                 manual -= np.log(p[labels[0, i, j]])
         assert abs(float(loss.value) - manual / 4) < 1e-12
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_softmax_xent_of_a_non_finite_logit_is_non_finite(self, bad):
+        logits = Rng(2).uniform(-2, 2, (1, 3, 2, 2))
+        logits[0, :, 1, 0] = bad
+        tape = Tape()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss = softmax_xent_node(tape.leaf(logits), np.zeros((1, 2, 2), dtype=np.int64))
+        assert not np.isfinite(loss.value)
+
     def test_poly_schedule(self):
         assert poly_lr(0.3, 0, 500, 0.9) == 0.3
         mid = poly_lr(0.3, 250, 500, 0.9)
@@ -106,7 +119,6 @@ class TestTrainingLoop:
         assert len(lines) == 5
         assert lines[1].startswith("0,0.3")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_checkpoint(self, tmp_path):
         ckpt = tmp_path / "ckpt"
         cfg = TrainConfig(iters=50, batch=2, holdout_batch=2, width=8, cp=4,
@@ -192,6 +204,47 @@ class TestCheckpoint:
         loaded, loaded_cfg = load_checkpoint(str(tmp_path / "ck"))
         assert loaded_cfg.task.num_classes == 3
         assert np.array_equal(loaded.classifier.weight, model.classifier.weight)
+
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        from repgraph import train
+
+        cfg = TrainConfig(width=8, cp=4, s=2)
+        model = init_toy_model(cfg)
+        save_checkpoint(model, cfg, str(tmp_path / "ck"))
+        saved = {k: v.copy() for k, v in model.parameter_arrays().items()}
+        for arr in model.parameter_arrays().values():
+            arr += 1.0
+        calls = []
+        real_save = train.save_tensor
+
+        def failing_save(tensor, path):
+            calls.append(path)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            real_save(tensor, path)
+
+        monkeypatch.setattr(train, "save_tensor", failing_save)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(model, cfg, str(tmp_path / "ck"))
+        assert len(calls) == 3
+        assert os.listdir(tmp_path) == ["ck"]
+        loaded, _ = load_checkpoint(str(tmp_path / "ck"))
+        for name, arr in loaded.parameter_arrays().items():
+            assert np.array_equal(arr, saved[name]), name
+
+        monkeypatch.setattr(train, "save_tensor", real_save)
+        save_checkpoint(model, cfg, str(tmp_path / "ck"))
+        assert os.listdir(tmp_path) == ["ck"]
+        loaded, _ = load_checkpoint(str(tmp_path / "ck"))
+        for name, arr in loaded.parameter_arrays().items():
+            assert np.array_equal(arr, model.parameter_arrays()[name]), name
+
+    def test_save_refuses_to_replace_a_directory_with_other_files(self, tmp_path):
+        cfg = TrainConfig(width=8, cp=4, s=2)
+        (tmp_path / "notes.txt").write_text("keep me")
+        with pytest.raises(CheckpointError, match="not a checkpoint directory"):
+            save_checkpoint(init_toy_model(cfg), cfg, str(tmp_path))
+        assert (tmp_path / "notes.txt").read_text() == "keep me"
 
     def test_checkpointed_model_runs_forward(self, tmp_path):
         cfg = TrainConfig(width=8, cp=4, s=2)
