@@ -108,9 +108,13 @@ def backward(loss: Node) -> dict[int, np.ndarray]:
         for parent, pg in zip(node.parents, parent_grads):
             if pg is None:
                 continue
-            if parent.id not in grads:
-                grads[parent.id] = np.zeros_like(parent.value)
-            grads[parent.id] += pg
+            # A backward rule may hand out ``g`` itself or a read-only view
+            # of it, and ``add`` hands the same array to both parents, so a
+            # gradient is kept as it arrives and never added to in place.
+            if parent.id in grads:
+                grads[parent.id] = grads[parent.id] + pg
+            else:
+                grads[parent.id] = pg
     for node in nodes:
         if node.id in grads:
             node.grad = grads[node.id]
@@ -191,8 +195,8 @@ def narrow(a: Node, axis: int, start: int, length: int) -> Node:
     return a.tape.record(np.ascontiguousarray(a.value[index]), (a,), bwd, op="narrow")
 
 
-def gather_last(a: Node, idx: np.ndarray) -> Node:
-    """Gather along the last axis: out[..., j] = a[..., idx[j]].
+def gather_last(a: Node, idx: np.ndarray, axis: int = -1) -> Node:
+    """Gather along one axis, the last by default: out = np.take(a, idx, axis).
 
     The backward scatter is one ``np.bincount`` over the flat index of every
     gathered element; it adds in index order, so the result is the same on
@@ -200,14 +204,16 @@ def gather_last(a: Node, idx: np.ndarray) -> Node:
     """
     idx = np.asarray(idx, dtype=np.int64)
     shape = a.value.shape
+    axis %= len(shape)
+    outer, inner = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
 
     def bwd(g):
-        rows = np.arange(math.prod(shape[:-1]))[:, None] * shape[-1]
-        flat = (rows + idx).reshape(-1)
+        rows = np.arange(outer)[:, None, None] * shape[axis] + idx.reshape(-1)[:, None]
+        flat = (rows * inner + np.arange(inner)).reshape(-1)
         buf = np.bincount(flat, weights=g.reshape(-1), minlength=math.prod(shape))
         return (buf.reshape(shape).astype(a.value.dtype, copy=False),)
 
-    return a.tape.record(np.take(a.value, idx, axis=-1), (a,), bwd, op="gather_last")
+    return a.tape.record(np.take(a.value, idx, axis=axis), (a,), bwd, op="gather_last")
 
 
 def sum_all(a: Node) -> Node:
@@ -225,20 +231,94 @@ def weighted_sum(a: Node, weights: np.ndarray) -> Node:
     )
 
 
-def einsum2(spec: str, a: Node, b: Node) -> Node:
-    """Binary einsum with derived gradient contractions.
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.matmul`` that lets overflow give inf and NaN without a warning.
 
-    Valid whenever every input index can be recovered from the output spec
-    plus the other operand's spec and no index repeats inside one operand,
-    which holds for every contraction in this package.
+    ``np.einsum`` never warned, and a diverging run must reach the trainer's
+    non-finite-loss check rather than stop on a ``RuntimeWarning``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.matmul(a, b)
+
+
+def _blas_ready(x: np.ndarray) -> np.ndarray:
+    """``x``, or a C-contiguous copy when neither of its two matrix axes has
+    unit stride; ``np.matmul`` hands BLAS only operands with one such axis and
+    runs a much slower loop on the rest."""
+    unit = [s == x.itemsize for s, d in zip(x.strides[-2:], x.shape[-2:]) if d > 1]
+    return np.ascontiguousarray(x) if unit and not any(unit) else x
+
+
+def _operand(x: np.ndarray, spec: str, loop: str, free: str, summed: str,
+             sizes: dict, left: bool) -> np.ndarray:
+    """``x`` as a (loop..., free, summed) or (loop..., summed, free) matmul operand.
+
+    A loop index the operand lacks becomes a broadcast axis of length 1.
+    """
+    inner = free + summed if left else summed + free
+    order = [spec.index(i) for i in loop if i in spec] + [spec.index(i) for i in inner]
+    shape = [sizes[i] if i in spec else 1 for i in loop]
+    shape += [math.prod(sizes[i] for i in part) for part in
+              ((free, summed) if left else (summed, free))]
+    return _blas_ready(x.transpose(order).reshape(shape))
+
+
+def _contract(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.einsum(spec, a, b)`` computed as one :func:`matmul`.
+
+    The output spec is read as loop indices, then the row indices of one
+    operand, then the column indices of the other.  The columns are the
+    longest suffix of indices that only one operand carries, the rows the
+    run before it that only the other carries, and the loop indices the rest:
+    matmul's batch axes, broadcast where an operand lacks one.  Indices both
+    operands carry and the output does not are contracted.  The product then
+    comes out in output order, C-contiguous, with no transpose.
+    """
+    lhs, out = spec.split("->")
+    specs = lhs.split(",")
+    if len(specs) != 2 or any(len(set(s)) != len(s) for s in (*specs, out)):
+        raise ContractError(f"einsum2 needs two operands without repeated indices: {spec!r}")
+    a_spec, b_spec = specs
+    if a.ndim != len(a_spec) or b.ndim != len(b_spec):
+        raise ShapeError(f"{spec!r} does not fit operand shapes {a.shape} and {b.shape}")
+    if (set(a_spec) ^ set(b_spec)) - set(out) or set(out) - set(a_spec + b_spec):
+        raise ContractError(f"every index of {spec!r} must be in the output or in both operands")
+    sizes = dict(zip(b_spec, b.shape))
+    for i, d in zip(a_spec, a.shape):
+        if sizes.setdefault(i, d) != d:
+            raise ShapeError(f"index {i!r} of {spec!r} has sizes {d} and {sizes[i]}")
+
+    # Which operand carries each output index alone: "a", "b", or "-" for both.
+    sides = "".join("-" if i in a_spec and i in b_spec else "a" if i in a_spec else "b"
+                    for i in out)
+    col = sides[-1:].strip("-")
+    row = {"a": "b", "b": "a"}.get(col, "")
+    end = len(sides.rstrip(col))
+    mid = len(sides[:end].rstrip(row))
+    loop, rows, cols = out[:mid], out[mid:end], out[end:]
+    summed = "".join(i for i in a_spec if i in b_spec and i not in out)
+    # The operand that carries the columns goes on the right.
+    if col == "a":
+        (a, a_spec), (b, b_spec) = (b, b_spec), (a, a_spec)
+    left = _operand(a, a_spec, loop, rows, summed, sizes, left=True)
+    right = _operand(b, b_spec, loop, cols, summed, sizes, left=False)
+    return matmul(left, right).reshape([sizes[i] for i in out])
+
+
+def einsum2(spec: str, a: Node, b: Node) -> Node:
+    """Binary einsum with derived gradient contractions, each one :func:`_contract`.
+
+    Valid whenever every input index is in the output or in both operands
+    and no index repeats inside one operand, which holds for every
+    contraction in this package; the gradient specs then hold it too.
     """
     lhs, out_spec = spec.split("->")
     a_spec, b_spec = lhs.split(",")
-    value = np.einsum(spec, a.value, b.value)
+    value = _contract(spec, a.value, b.value)
 
     def bwd(g):
-        ga = np.einsum(f"{out_spec},{b_spec}->{a_spec}", g, b.value)
-        gb = np.einsum(f"{out_spec},{a_spec}->{b_spec}", g, a.value)
+        ga = _contract(f"{out_spec},{b_spec}->{a_spec}", g, b.value)
+        gb = _contract(f"{out_spec},{a_spec}->{b_spec}", g, a.value)
         return ga, gb
 
     return a.tape.record(value, (a, b), bwd, op=f"einsum[{spec}]")

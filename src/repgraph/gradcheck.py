@@ -101,14 +101,14 @@ def _case_add_mul(seed, eps, tol):
 
 def _case_einsum(seed, eps, tol):
     rng = Rng(seed)
-    arrays = {"a": rng.uniform(-1, 1, (2, 6, 3)), "b": rng.uniform(-1, 1, (2, 4, 3, 6))}
+    arrays = {"a": rng.uniform(-1, 1, (2, 6, 3)), "b": rng.uniform(-1, 1, (2, 6, 4, 3))}
     probe = rng.uniform(-1, 1, (2, 6, 4))
 
     def make_loss(vals, target):
         tape = Tape()
         a = tape.leaf(vals["a"])
         b = tape.leaf(vals["b"])
-        out = ag.einsum2("bpc,bscp->bps", a, b)
+        out = ag.einsum2("bpc,bpsc->bps", a, b)
         return weighted_sum(out, probe), {"a": a, "b": b}[target]
 
     return _reports(make_loss, arrays, eps, tol)

@@ -251,20 +251,20 @@ def full_grid_offsets(n: int, h: int, w: int, dtype=np.float64) -> OffsetField:
 
 
 def _attention_nodes(theta: Node, key_feats: Node, val_feats: Node) -> tuple[Node, Node]:
-    """theta [n, N, C'], feats [n, S, C', N] -> (x_tilde [n, N, C'], weights [n, N, S])."""
-    if key_feats.value.shape[1] != val_feats.value.shape[1]:
+    """theta [n, N, C'], feats [n, N, S, C'] -> (x_tilde [n, N, C'], weights [n, N, S])."""
+    if key_feats.value.shape[2] != val_feats.value.shape[2]:
         raise ShapeError(
-            f"key and value sets disagree on S: {key_feats.value.shape[1]} "
-            f"vs {val_feats.value.shape[1]}"
+            f"key and value sets disagree on S: {key_feats.value.shape[2]} "
+            f"vs {val_feats.value.shape[2]}"
         )
-    if key_feats.value.shape[2] != theta.value.shape[2]:
+    if key_feats.value.shape[3] != theta.value.shape[2]:
         raise ShapeError(
             f"query width {theta.value.shape[2]} does not match key width "
-            f"{key_feats.value.shape[2]}"
+            f"{key_feats.value.shape[3]}"
         )
-    logits = ag.einsum2("bpc,bscp->bps", theta, key_feats)
+    logits = ag.einsum2("bpc,bpsc->bps", theta, key_feats)
     weights = ops.softmax_node(logits)
-    x_tilde = ag.einsum2("bps,bscp->bpc", weights, val_feats)
+    x_tilde = ag.einsum2("bps,bpsc->bpc", weights, val_feats)
     return x_tilde, weights
 
 
@@ -284,20 +284,21 @@ def _unflatten_map(x: Node, h: int, w: int) -> Node:
 
 
 def _positions_node(off: Node, anchor_y: np.ndarray, anchor_x: np.ndarray) -> tuple[Node, Node]:
+    """Sampling positions (py, px), each C-contiguous [n, P, S]: node-major."""
     n, two_s, hg, wg = off.value.shape
     s = two_s // 2
-    r = ag.reshape(off, (n, s, 2, hg * wg))
-    dy = ag.reshape(ag.narrow(r, 2, 0, 1), (n, s, hg * wg))
-    dx = ag.reshape(ag.narrow(r, 2, 1, 1), (n, s, hg * wg))
-    return ag.add_const(dy, anchor_y[None, None, :]), ag.add_const(dx, anchor_x[None, None, :])
+    # Transposed before the narrow, so each narrow copies its half straight
+    # into the node-major layout.
+    r = ag.transpose(ag.reshape(off, (n, s, 2, hg * wg)), (0, 3, 1, 2))
+    dy = ag.reshape(ag.narrow(r, 3, 0, 1), (n, hg * wg, s))
+    dx = ag.reshape(ag.narrow(r, 3, 1, 1), (n, hg * wg, s))
+    return ag.add_const(dy, anchor_y[None, :, None]), ag.add_const(dx, anchor_x[None, :, None])
 
 
 def _sample_node(branch: Node, py: Node, px: Node) -> Node:
-    """Bilinear-sample a branch map into the [n, S, C, P] representative layout."""
+    """Bilinear-sample a branch map into the [n, P, S, C] representative layout."""
     n = branch.value.shape[0]
-    b = np.arange(n)[:, None, None]
-    feats = ops.bilinear_node(branch, py, px, b)  # [n, S, P, c]
-    return ag.transpose(feats, (0, 1, 3, 2))
+    return ops.bilinear_node(branch, py, px, np.arange(n)[:, None, None])
 
 
 def _grouped_attention(theta: Node, key_feats: Node, val_feats: Node, groups: int,
@@ -312,8 +313,8 @@ def _grouped_attention(theta: Node, key_feats: Node, val_feats: Node, groups: in
     weight_parts = []
     for gi in range(groups):
         th = ag.narrow(theta, 2, gi * width, width)
-        kf = ag.narrow(key_feats, 2, gi * width, width)
-        vf = kf if val_feats is key_feats else ag.narrow(val_feats, 2, gi * width, width)
+        kf = ag.narrow(key_feats, 3, gi * width, width)
+        vf = kf if val_feats is key_feats else ag.narrow(val_feats, 3, gi * width, width)
         xt, w = _attention_nodes(th, kf, vf)
         parts.append(xt)
         weight_parts.append(AttentionWeights(w.value))
@@ -372,12 +373,13 @@ def _repgraph_core(
         row = np.arange(h) // gs
         col = np.arange(w) // gs
         gidx = (row[:, None] * wg + col[None, :]).reshape(-1)
-        key_feats = ag.gather_last(key_feats, gidx)
-        val_feats = key_feats if g_map is phi_map else ag.gather_last(val_feats, gidx)
+        key_feats = ag.gather_last(key_feats, gidx, axis=1)
+        val_feats = key_feats if g_map is phi_map else ag.gather_last(val_feats, gidx, axis=1)
 
     if collect is not None:
         collect["offsets"] = OffsetField(off.value)
-        collect["positions"] = np.stack([py.value, px.value], axis=2)
+        collect["positions"] = np.stack([py.value.transpose(0, 2, 1),
+                                         px.value.transpose(0, 2, 1)], axis=2)
 
     theta_flat = _flatten_map(theta_map)
     x_tilde = _grouped_attention(theta_flat, key_feats, val_feats, cfg.groups, collect)

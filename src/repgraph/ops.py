@@ -244,9 +244,8 @@ def bilinear_node(x: Node, py: Node, px: Node, b: np.ndarray) -> Node:
         buf *= wy * wx
         out += buf
     del buf  # one [c, len] buffer fewer during the copy below
-    # Returned position-major: np.einsum adds in an order that follows its
-    # operands' layout, so a strided view of ``out`` would change the
-    # attention's results in the last bits.
+    # Returned position-major, so that the attention's per-query operands
+    # are contiguous [S, C'] blocks.
     value = np.ascontiguousarray(out.T).reshape(shape + (c,))
 
     def bwd(g):

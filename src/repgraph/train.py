@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autograd import Node, Tape, backward
+from .autograd import Node, Tape, backward, matmul
 from .errors import CheckpointError, ContractError, DivergenceError
 from .layer import (
     LayerConfig,
@@ -44,6 +44,24 @@ def _im2col3x3(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * 9, h * w)
 
 
+def _col2im3x3(cols: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Adjoint of :func:`_im2col3x3`: [n, c, 3, 3, h, w] patch gradients -> [n, c, h, w].
+
+    Pixel (y, x) collects tap (ky, kx) of patch (y + 1 - ky, x + 1 - kx).
+    With the taps flipped and the patches zero-padded by one, that is tap j
+    of padded patch row y + j, so one strided view lines up all nine
+    contributions of every pixel and a single sum adds them.
+    """
+    n, c = cols.shape[:2]
+    pad = np.zeros((n, c, 3, 3, h + 2, w + 2), dtype=cols.dtype)
+    pad[..., 1:-1, 1:-1] = cols
+    flip = pad[:, :, ::-1, ::-1]
+    sn, sc, sj, si, sy, sx = flip.strides
+    taps = np.lib.stride_tricks.as_strided(
+        flip, (n, c, 3, 3, h, w), (sn, sc, sj + sy, si + sx, sy, sx), writeable=False)
+    return taps.sum(axis=(2, 3))
+
+
 def conv3x3_node(x: Node, weight: Node, bias: Node) -> Node:
     """Stride-1, pad-1 3x3 convolution; weight is [c_out, c_in, 3, 3]."""
     n, c, h, w = x.value.shape
@@ -54,19 +72,15 @@ def conv3x3_node(x: Node, weight: Node, bias: Node) -> Node:
         )
     cols = _im2col3x3(x.value)
     w2d = weight.value.reshape(c_out, c * 9)
-    out = np.einsum("ok,bkp->bop", w2d, cols).reshape(n, c_out, h, w)
+    out = matmul(w2d, cols).reshape(n, c_out, h, w)
     out = out + bias.value[None, :, None, None]
 
     def bwd(g):
         g2 = g.reshape(n, c_out, h * w)
-        dw = np.einsum("bop,bkp->ok", g2, cols).reshape(weight.value.shape)
+        dw = matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.value.shape)
         db = g2.sum(axis=(0, 2))
-        dcols = np.einsum("bop,ok->bkp", g2, w2d).reshape(n, c, 3, 3, h, w)
-        dxp = np.zeros((n, c, h + 2, w + 2), dtype=g.dtype)
-        for ky in range(3):
-            for kx in range(3):
-                dxp[:, :, ky : ky + h, kx : kx + w] += dcols[:, :, ky, kx]
-        return dxp[:, :, 1 : h + 1, 1 : w + 1], dw, db
+        dcols = matmul(w2d.T, g2).reshape(n, c, 3, 3, h, w)
+        return _col2im3x3(dcols, h, w), dw, db
 
     return x.tape.record(out, (x, weight, bias), bwd, op="conv3x3")
 

@@ -3,7 +3,14 @@ import gc
 import numpy as np
 import pytest
 
-from repgraph import ContractError, Rng, UnsupportedOpError, backward, finite_diff_check
+from repgraph import (
+    ContractError,
+    Rng,
+    ShapeError,
+    UnsupportedOpError,
+    backward,
+    finite_diff_check,
+)
 from repgraph import autograd as ag
 from repgraph.autograd import Node, Tape
 
@@ -196,3 +203,139 @@ class TestZeroInitTrainability:
         y = layer_forward_node(tape, x, params, cfg)
         backward(ag.weighted_sum(y, Rng(2).uniform(-1, 1, y.value.shape)))
         assert np.linalg.norm(tape.params["w_out.w"].grad) > 0
+
+
+class TestFirstGradientKept:
+    def test_add_of_a_node_with_itself(self):
+        tape = Tape()
+        x = tape.leaf(Rng(20).uniform(-1, 1, (3, 4)))
+        probe = Rng(21).uniform(-1, 1, (3, 4))
+        y = ag.add(x, x)
+        backward(ag.weighted_sum(y, probe))
+        assert np.array_equal(x.grad, 2 * probe)
+        assert np.array_equal(y.grad, probe)
+
+    def test_later_contribution_leaves_shared_gradients_alone(self):
+        # ``add`` hands one array to both parents; u receives it first, from
+        # the add, and a second contribution from the scale after that.
+        def run():
+            tape = Tape()
+            u = tape.leaf(Rng(22).uniform(-1, 1, (4, 5)))
+            v = tape.leaf(Rng(23).uniform(-1, 1, (4, 5)))
+            t = ag.scale(u, 3.0)
+            s = ag.add(u, v)
+            out = ag.add(s, t)
+            backward(ag.weighted_sum(out, probe))
+            return {name: node.grad for name, node in
+                    dict(u=u, v=v, t=t, s=s, out=out).items()}
+
+        probe = Rng(24).uniform(-1, 1, (4, 5))
+        grads = run()
+        assert np.array_equal(grads["u"], probe * 3.0 + probe)
+        for name in ("v", "t", "s", "out"):
+            assert np.array_equal(grads[name], probe), name
+        again = run()
+        assert all(np.array_equal(grads[k], again[k]) for k in grads)
+
+
+# Every contraction spec the package runs, with operand shapes.
+SPECS = [
+    ("bnc,bmc->bnm", (2, 7, 3), (2, 5, 3)),
+    ("bnm,bmc->bnc", (2, 7, 5), (2, 5, 3)),
+    ("oc,bchw->bohw", (4, 3), (2, 3, 5, 6)),
+    ("bpc,bpsc->bps", (2, 7, 3), (2, 7, 4, 3)),
+    ("bps,bpsc->bpc", (2, 7, 4), (2, 7, 4, 3)),
+]
+
+
+def _einsum2_with_grads(spec, a, b, probe):
+    tape = Tape()
+    an, bn = tape.leaf(a), tape.leaf(b)
+    out = ag.einsum2(spec, an, bn)
+    backward(ag.weighted_sum(out, probe))
+    return out.value, an.grad, bn.grad
+
+
+class TestRoutedEinsum:
+    @pytest.mark.parametrize("spec,a_shape,b_shape", SPECS)
+    def test_matches_np_einsum_forward_and_gradients(self, spec, a_shape, b_shape):
+        rng = Rng(30)
+        a, b = rng.uniform(-1, 1, a_shape), rng.uniform(-1, 1, b_shape)
+        lhs, out_spec = spec.split("->")
+        a_spec, b_spec = lhs.split(",")
+        want = np.einsum(spec, a, b)
+        probe = rng.uniform(-1, 1, want.shape)
+        got, ga, gb = _einsum2_with_grads(spec, a, b, probe)
+        for x, ref in ((got, want),
+                       (ga, np.einsum(f"{out_spec},{b_spec}->{a_spec}", probe, b)),
+                       (gb, np.einsum(f"{out_spec},{a_spec}->{b_spec}", probe, a))):
+            assert x.shape == ref.shape
+            assert np.abs(x - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+    @pytest.mark.parametrize("spec,a_shape,b_shape", SPECS)
+    def test_transposed_operands_give_the_same_result(self, spec, a_shape, b_shape):
+        rng = Rng(31)
+        a, b = rng.uniform(-1, 1, a_shape), rng.uniform(-1, 1, b_shape)
+        # Same values, stored with every axis order reversed.
+        a_t = np.ascontiguousarray(a.T).T
+        b_t = np.ascontiguousarray(b.T).T
+        assert not a_t.flags.c_contiguous
+        tape = Tape()
+        want = ag.einsum2(spec, tape.constant(a), tape.constant(b)).value
+        got = ag.einsum2(spec, tape.constant(a_t), tape.constant(b_t)).value
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("spec,a_shape,b_shape", SPECS)
+    def test_f32_in_f32_out(self, spec, a_shape, b_shape):
+        rng = Rng(32)
+        a = rng.uniform(-1, 1, a_shape).astype(np.float32)
+        b = rng.uniform(-1, 1, b_shape).astype(np.float32)
+        probe = np.ones(np.einsum(spec, a, b).shape, dtype=np.float32)
+        got, ga, gb = _einsum2_with_grads(spec, a, b, probe)
+        assert got.dtype == ga.dtype == gb.dtype == np.float32
+
+    def test_overflow_gives_inf_without_a_warning(self):
+        import warnings
+
+        tape = Tape()
+        a = tape.constant(np.full((2, 3), 1e300))
+        b = tape.constant(np.full((3, 2), 1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ag.einsum2("ij,jk->ik", a, b).value
+        assert np.all(np.isinf(out))
+
+    def test_malformed_specs_rejected(self):
+        tape = Tape()
+        a = tape.constant(np.ones((2, 3)))
+        with pytest.raises(ContractError):
+            ag.einsum2("ij,jk->i", a, a)  # k is summed out of one operand only
+        with pytest.raises(ContractError):
+            ag.einsum2("ii,ij->ij", a, a)
+        with pytest.raises(ShapeError):
+            ag.einsum2("ij,jk->ik", a, a)  # j is 3 in one operand, 2 in the other
+        with pytest.raises(ShapeError):
+            ag.einsum2("ijk,jk->i", a, a)
+
+
+class TestGatherLast:
+    @pytest.mark.parametrize("axis", [-1, 1])
+    def test_value_and_scatter_match_a_loop(self, axis):
+        rng = Rng(40)
+        arr = rng.uniform(-1, 1, (2, 4, 3, 5))
+        idx = np.array([3, 0, 3, 1, 3, 2, 0])
+        if axis == -1:
+            idx = idx % 5
+        tape = Tape()
+        a = tape.leaf(arr)
+        out = ag.gather_last(a, idx, axis=axis)
+        assert np.array_equal(out.value, np.take(arr, idx, axis=axis))
+        probe = rng.uniform(-1, 1, out.value.shape)
+        backward(ag.weighted_sum(out, probe))
+        want = np.zeros_like(arr)
+        for j, i in enumerate(idx):
+            src = [slice(None)] * 4
+            dst = [slice(None)] * 4
+            src[axis], dst[axis] = j, i
+            want[tuple(dst)] += probe[tuple(src)]
+        assert np.abs(a.grad - want).max() < 1e-15

@@ -47,15 +47,18 @@ def sample_representative(x, off):
     tape = Tape()
     py, px = _positions_node(tape.constant(off.data), np.repeat(np.arange(h, dtype=float), w),
                              np.tile(np.arange(w, dtype=float), h))
-    features = _sample_node(tape.constant(x.data), py, px).value
-    return features, np.stack([py.value, px.value], axis=2)
+    # The layer samples node-major, [n, P, S, c] and positions [n, P, S].
+    features = _sample_node(tape.constant(x.data), py, px).value.transpose(0, 2, 3, 1)
+    return features, np.stack([py.value, px.value], axis=-1).transpose(0, 2, 3, 1)
 
 
 def attention(theta, key_features, value_features):
     """Attend the [N, C'] queries over [1, S, C', N] sampled sets: (x_tilde, weights)."""
     tape = Tape()
-    xt, w = _attention_nodes(tape.constant(theta[None]), tape.constant(key_features),
-                             tape.constant(value_features))
+    # The layer attends over node-major [n, N, S, C'] sets.
+    xt, w = _attention_nodes(tape.constant(theta[None]),
+                             tape.constant(key_features.transpose(0, 3, 1, 2)),
+                             tape.constant(value_features.transpose(0, 3, 1, 2)))
     return xt.value[0], AttentionWeights(w.value)
 
 

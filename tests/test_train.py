@@ -51,6 +51,23 @@ class TestTrainerOps:
         out = conv3x3_node(tape.leaf(x), tape.leaf(w), tape.leaf(b))
         assert np.abs(out.value - naive_conv3x3(x, w, b)).max() < 1e-12
 
+    def test_conv3x3_input_gradient_matches_naive_loops(self):
+        rng = Rng(3)
+        x = rng.uniform(-1, 1, (2, 3, 5, 4))
+        w = rng.uniform(-1, 1, (4, 3, 3, 3))
+        probe = rng.uniform(-1, 1, (2, 4, 5, 4))
+        tape = Tape()
+        xn = tape.leaf(x)
+        backward(weighted_sum(conv3x3_node(xn, tape.leaf(w), tape.leaf(np.zeros(4))), probe))
+        want = np.zeros_like(x)
+        n, c, h, width = x.shape
+        for bi, o, i, j in np.ndindex(n, 4, h, width):
+            for ky, kx in np.ndindex(3, 3):
+                yy, xx = i + ky - 1, j + kx - 1
+                if 0 <= yy < h and 0 <= xx < width:
+                    want[bi, :, yy, xx] += w[o, :, ky, kx] * probe[bi, o, i, j]
+        assert np.abs(xn.grad - want).max() < 1e-12
+
     def test_softmax_xent_matches_manual(self):
         rng = Rng(1)
         logits = rng.uniform(-2, 2, (1, 3, 2, 2))

@@ -154,8 +154,8 @@ class TestGroupRepGraph:
         for gi in range(groups):
             sl = slice(gi * width, (gi + 1) * width)
             xt, weights = _attention_nodes(tape.constant(theta[:, :, sl]),
-                                           tape.constant(key[:, :, sl]),
-                                           tape.constant(val[:, :, sl]))
+                                           tape.constant(key[..., sl]),
+                                           tape.constant(val[..., sl]))
             assert np.abs(weights.value.sum(axis=-1) - 1.0).max() < 1e-10
             parts.append(xt.value)
         xt_full = np.concatenate(parts, axis=2)
