@@ -105,11 +105,28 @@ def add_channel_bias(x: Node, bias: Node) -> Node:
 # ---------------------------------------------------------------------------
 
 
+# Rows up to this long take their max as a chain of np.maximum over column
+# views: a.max(axis=-1) pays a per-row cost that dominates short contiguous
+# rows (0.9 ms against 0.06 ms on [1, 8192, 9] f32).  From 64 on the chain is
+# the slower one.  Both give the same bits.
+_SHORT_ROW = 32
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """Max over the last axis, kept as a length-1 axis."""
+    if not 0 < a.shape[-1] <= _SHORT_ROW:
+        return a.max(axis=-1, keepdims=True)
+    m = a[..., :1]
+    for j in range(1, a.shape[-1]):
+        m = np.maximum(m, a[..., j:j + 1])
+    return m
+
+
 def softmax_rows(a: np.ndarray) -> np.ndarray:
     """Row-stochastic softmax over the last axis, max-subtracted for stability."""
     a = np.asarray(a)
     # One buffer holds the shifted logits, their exponentials and the result.
-    e = np.subtract(a, a.max(axis=-1, keepdims=True), dtype=np.result_type(a, 1.0))
+    e = np.subtract(a, _row_max(a), dtype=np.result_type(a, 1.0))
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -131,10 +148,13 @@ def softmax_node(a: Node) -> Node:
 
 
 def relu_node(x: Node) -> Node:
-    mask = x.value > 0
-    return x.tape.record(
-        np.where(mask, x.value, 0), (x,), lambda g: (g * mask,), op="relu"
-    )
+    # fmax maps NaN to 0, as where(x > 0, x, 0) does, but may keep the sign
+    # of -0.0; adding +0 makes every zero +0.0, so the bytes match.  The
+    # value is positive exactly where x is, so the backward takes its mask
+    # from the value.
+    value = np.fmax(x.value, 0)
+    value += 0
+    return x.tape.record(value, (x,), lambda g: (g * (value > 0),), op="relu")
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +162,13 @@ def relu_node(x: Node) -> Node:
 # ---------------------------------------------------------------------------
 
 
-# Width of the zero border around the channel-major map.  Positions are
-# clamped to [-2, size], so every tap lands inside the border or the map.
+# Width of the zero border around the map copies the sampler reads.  Positions
+# are clamped to [-2, size], so every tap lands inside the border or the map.
 _PAD = 2
+# Bytes of sampler output per block of positions.  The block, one tap buffer
+# and the block's indices and weights fit in a core's L2 cache; 512 KiB
+# measured fastest at both benchmark geometries (scripts/bench_sampler.py).
+_BLOCK_BYTES = 512 * 1024
 
 
 def _bilinear_taps(shape, b: np.ndarray, py: np.ndarray, px: np.ndarray):
@@ -152,7 +176,7 @@ def _bilinear_taps(shape, b: np.ndarray, py: np.ndarray, px: np.ndarray):
 
     Yields ``(wy, wx, sy, sx, flat)`` per tap: the separable weights, the
     signs of their derivatives and the tap's index into the flat (b, y, x)
-    axis of the map with a ``_PAD`` zero border (:func:`_channel_major`).  A
+    axis of the map with a ``_PAD`` zero border (:func:`_pixel_major`).  A
     tap off the map reads the border, so it samples zero and gets zero
     gradients.  Positions are clamped to [-2, size] first and NaN becomes -2:
     beyond that range every tap is off the map either way, and the clamp
@@ -176,6 +200,25 @@ def _bilinear_taps(shape, b: np.ndarray, py: np.ndarray, px: np.ndarray):
     yield ty, tx, 1.0, 1.0, flat + (pw + 1)
 
 
+def _block_len(c: int, dtype) -> int:
+    """Positions per block: ``_BLOCK_BYTES`` of [len, c] output rows."""
+    return max(1, _BLOCK_BYTES // max(1, c * np.dtype(dtype).itemsize))
+
+
+def _blocks(length: int, c: int, dtype):
+    """Slices of ``range(length)`` of :func:`_block_len` positions each."""
+    step = _block_len(c, dtype)
+    return [slice(lo, min(lo + step, length)) for lo in range(0, length, step)]
+
+
+def _pixel_major(data: np.ndarray, dtype) -> np.ndarray:
+    """[n, c, h, w] map as a [n*(h+4)*(w+4), c] copy with a zero border."""
+    n, c, h, w = data.shape
+    xp = np.zeros((n, h + 2 * _PAD, w + 2 * _PAD, c), dtype=dtype)
+    xp[:, _PAD:-_PAD, _PAD:-_PAD] = data.transpose(0, 2, 3, 1)
+    return xp.reshape(-1, c)
+
+
 def _channel_major(data: np.ndarray, dtype) -> np.ndarray:
     """[n, c, h, w] map as a [c, n*(h+4)*(w+4)] copy with a zero border."""
     n, c, h, w = data.shape
@@ -187,26 +230,34 @@ def _channel_major(data: np.ndarray, dtype) -> np.ndarray:
 def _bilinear_backward(data, b, py, px, g):
     """Map and position gradients of the truncated bilinear kernel.
 
-    ``g`` is the output gradient as a [c, len] array.  Each tap's map
-    gradient is scattered with one ``np.bincount`` per channel, which adds in
-    index order, so the result is the same on every run.
+    ``g`` is the output gradient as a node-major [len, c] array.  Positions
+    run in the forward's blocks, and each block of ``g`` is transposed to
+    channel-major, so the channel sums and the scatter read contiguous rows.
+    Each tap's map gradient is scattered with one ``np.bincount`` per channel
+    over the span of the map the block touches.  Bincount adds in index
+    order and the blocks and taps add in a fixed order, so the result is the
+    same on every run.
     """
     n, c, h, w = data.shape
     xc = _channel_major(data, g.dtype)
-    size = xc.shape[1]
-    dmap = np.zeros((c, size), dtype=data.dtype)
+    dmap = np.zeros(xc.shape, dtype=data.dtype)
     dpy = np.zeros_like(py)
     dpx = np.zeros_like(px)
-    buf = np.empty_like(g)
-    for wy, wx, sy, sx, flat in _bilinear_taps(data.shape, b, py, px):
-        np.take(xc, flat, axis=1, out=buf, mode="wrap")
-        buf *= g
-        gf = buf.sum(axis=0)
-        dpy += sy * wx * gf
-        dpx += sx * wy * gf
-        np.multiply(g, wy * wx, out=buf)
-        for ch in range(c):
-            dmap[ch] += np.bincount(flat, weights=buf[ch], minlength=size)
+    for blk in _blocks(len(py), c, g.dtype):
+        gb = np.ascontiguousarray(g[blk].T)
+        buf = np.empty_like(gb)
+        for wy, wx, sy, sx, flat in _bilinear_taps(data.shape, b[blk], py[blk], px[blk]):
+            np.take(xc, flat, axis=1, out=buf, mode="wrap")
+            buf *= gb
+            gf = buf.sum(axis=0)
+            dpy[blk] += sy * wx * gf
+            dpx[blk] += sx * wy * gf
+            np.multiply(gb, wy * wx, out=buf)
+            lo = flat.min()
+            span = flat.max() + 1 - lo
+            rel = flat - lo
+            for ch in range(c):
+                dmap[ch, lo:lo + span] += np.bincount(rel, weights=buf[ch], minlength=span)
     dmap = dmap.reshape(c, n, h + 2 * _PAD, w + 2 * _PAD)[:, :, _PAD:-_PAD, _PAD:-_PAD]
     return dmap.transpose(1, 0, 2, 3), dpy, dpx
 
@@ -220,9 +271,10 @@ def bilinear_node(x: Node, py: Node, px: Node, b: np.ndarray) -> Node:
     exactly-integer coordinates the floor-based weights give the one-sided
     subgradient convention used by the backward pass.
 
-    The kernel works channel-major: every tap is one ``np.take`` along the
-    flat (b, y, x) axis of a zero-bordered [c, n*(h+4)*(w+4)] copy of the
-    map, and the taps add up in one [c, len] buffer.
+    The kernel works pixel-major: every tap is one ``np.take`` of whole
+    channel rows from a zero-bordered [n*(h+4)*(w+4), c] copy of the map.
+    Positions run in blocks of ``_BLOCK_BYTES`` of output, so a block's taps
+    and weights stay in cache while its four taps add up.
     """
     if py.value.shape != px.value.shape:
         raise ShapeError("py and px must share a shape")
@@ -234,26 +286,28 @@ def bilinear_node(x: Node, py: Node, px: Node, b: np.ndarray) -> Node:
     py_flat = py.value.reshape(-1)
     px_flat = px.value.reshape(-1)
     dtype = np.result_type(x.value.dtype, py_flat.dtype)
-    xc = _channel_major(x.value, dtype)
-    out = np.zeros((c, py_flat.size), dtype=dtype)
-    buf = np.empty_like(out)
-    for wy, wx, _, _, flat in _bilinear_taps(x.value.shape, b, py_flat, px_flat):
-        # Every index is in range; unlike "raise", "wrap" lets take write
-        # straight into ``buf``.
-        np.take(xc, flat, axis=1, out=buf, mode="wrap")
-        buf *= wy * wx
-        out += buf
-    del buf  # one [c, len] buffer fewer during the copy below
-    # Returned position-major, so that the attention's per-query operands
-    # are contiguous [S, C'] blocks.
-    value = np.ascontiguousarray(out.T).reshape(shape + (c,))
+    xp = _pixel_major(x.value, dtype)
+    # Zero-filled so that every tap adds to 0, as a sum of four taps from 0
+    # does: a first tap of -0.0 then reads +0.0.
+    out = np.zeros((py_flat.size, c), dtype=dtype)
+    buf = np.empty((min(_block_len(c, dtype), out.shape[0]), c), dtype=dtype)
+    for blk in _blocks(out.shape[0], c, dtype):
+        o = out[blk]
+        t = buf[:o.shape[0]]
+        for wy, wx, _, _, flat in _bilinear_taps(x.value.shape, b[blk], py_flat[blk],
+                                                 px_flat[blk]):
+            # Every index is in range; unlike "raise", "wrap" lets take write
+            # straight into the block buffer.
+            np.take(xp, flat, axis=0, out=t, mode="wrap")
+            t *= (wy * wx)[:, None]
+            o += t
 
     def bwd(g):
-        g = np.ascontiguousarray(np.moveaxis(g, -1, 0), dtype=dtype).reshape(c, -1)
+        g = np.ascontiguousarray(g, dtype=dtype).reshape(-1, c)
         dmap, dpy, dpx = _bilinear_backward(x.value, b, py_flat, px_flat, g)
         return dmap, dpy.reshape(shape), dpx.reshape(shape)
 
-    return x.tape.record(value, (x, py, px), bwd, op="bilinear")
+    return x.tape.record(out.reshape(shape + (c,)), (x, py, px), bwd, op="bilinear")
 
 
 # ---------------------------------------------------------------------------

@@ -56,3 +56,25 @@ class TestRuns:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "block,h,w,c,cp,s,dtype,median_ms,iqr_ms,repeats"
         assert lines[1].startswith("brg,8,8,8,4,2,f32,")
+
+
+def test_sampler_bench_script_sweeps_and_restores_the_block(monkeypatch, capsys):
+    import importlib.util
+    import pathlib
+
+    from repgraph import ops
+
+    path = pathlib.Path(__file__).parent.parent / "scripts" / "bench_sampler.py"
+    spec = importlib.util.spec_from_file_location("bench_sampler", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "GEOMETRIES", {"tiny": (2, 3, 5, 4, 3, np.float64)})
+    before = ops._BLOCK_BYTES
+    script.main(["--kib", "1", "64", "--repeats", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert ops._BLOCK_BYTES == before
+    assert len(lines) == 2
+    for line, kib in zip(lines, (1, 64)):
+        assert line.split()[0] == "tiny" and f"block {kib:5d} KiB" in line
+        fwd, bwd = (float(part.split()[1]) for part in line.split(": ")[1].split(", "))
+        assert fwd > 0 and bwd > 0

@@ -16,6 +16,7 @@ from repgraph import (
     project_1x1,
     softmax_rows,
 )
+from repgraph import ops
 from repgraph.autograd import Tape, backward, weighted_sum
 from repgraph.ops import avg_pool_node, batch_norm_node, bilinear_node, relu_node
 
@@ -31,7 +32,7 @@ def bilinear_sample(x, positions):
 
 
 def reference_bilinear(data, b, py, px):
-    """The per-tap sampler that the channel-major kernel replaced.
+    """The per-tap sampler that the blocked kernels replaced.
 
     Gathers every tap as a [len, c] array from the NCHW map and scatters the
     map gradient with ``np.add.at``.  Returns the [len, c] output and a
@@ -167,6 +168,19 @@ class TestSoftmaxRows:
     def test_invariant_to_per_row_constant(self, a, c):
         assert np.abs(softmax_rows(a + c) - softmax_rows(a)).max() < 1e-12
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("s", [1, 9, 2048])
+    def test_bytes_match_the_row_max_formula(self, s, dtype):
+        # Short rows take their max as a chain of column maxima; the bytes
+        # must be those of a.max(axis=-1) whatever the row length.
+        a = Rng(16).uniform(-30, 30, (3, 40, s)).astype(dtype)
+        a[0, :4, 0] = [0.0, -0.0, 1e30, -1e30]
+        e = np.subtract(a, a.max(axis=-1, keepdims=True), dtype=np.result_type(a, 1.0))
+        np.exp(e, out=e)
+        e /= e.sum(axis=-1, keepdims=True)
+        out = softmax_rows(a)
+        assert out.dtype == e.dtype and out.tobytes() == e.tobytes()
+
 
 class TestBilinearSample:
     grid = Tensor4(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))  # (1, 1, 2, 2)
@@ -289,6 +303,71 @@ class TestBilinearSample:
         want, _ = reference_bilinear(data.astype(np.float64), b, py, px)
         assert np.abs(out - want).max() < 1e-5
 
+    @staticmethod
+    def _small_blocks(monkeypatch, rows, c, dtype):
+        """Make every sampler block ``rows`` positions long."""
+        monkeypatch.setattr(ops, "_BLOCK_BYTES", rows * c * np.dtype(dtype).itemsize)
+
+    @staticmethod
+    def _batch_sorted_positions(rng, n, h, w, k):
+        """``hard_positions`` sorted by batch, so the batch index changes
+        inside blocks."""
+        b, py, px = hard_positions(rng, n, h, w, k)
+        order = np.argsort(b, kind="stable")
+        return b[order], py[order], px[order]
+
+    def test_blocked_output_matches_reference_bit_for_bit(self, monkeypatch):
+        rng = Rng(17)
+        n, c, h, w = 3, 4, 5, 6
+        data = rng.uniform(-2, 2, (n, c, h, w))
+        b, py, px = self._batch_sorted_positions(rng, n, h, w, 30)
+        rows = 7
+        assert py.size % rows and py.size > 3 * rows
+        assert np.any(b[1:] != b[:-1])
+        self._small_blocks(monkeypatch, rows, c, np.float64)
+        want, _ = reference_bilinear(data, b, py, px)
+        got, *_ = sampler_grads(data, b, py, px, np.ones_like(want))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_node_major_output_is_c_contiguous(self, monkeypatch):
+        rng = Rng(18)
+        data = rng.uniform(-2, 2, (2, 3, 4, 5))
+        py = rng.uniform(-1, 4, (2, 20, 9))
+        px = rng.uniform(-1, 5, (2, 20, 9))
+        self._small_blocks(monkeypatch, 11, 3, np.float64)
+        tape = Tape()
+        out = bilinear_node(tape.constant(data), tape.constant(py), tape.constant(px),
+                            np.arange(2)[:, None, None]).value
+        assert out.shape == (2, 20, 9, 3)
+        assert out.flags.c_contiguous
+
+    def test_blocked_gradients_match_reference_and_are_bit_stable(self, monkeypatch):
+        rng = Rng(19)
+        n, c, h, w = 3, 4, 5, 6
+        data = rng.uniform(-2, 2, (n, c, h, w))
+        b, py, px = self._batch_sorted_positions(rng, n, h, w, 30)
+        g = rng.uniform(-1, 1, (py.size, c))
+        self._small_blocks(monkeypatch, 7, c, np.float64)
+        _, grads = reference_bilinear(data, b, py, px)
+        first = sampler_grads(data, b, py, px, g)
+        second = sampler_grads(data, b, py, px, g)
+        for have, want in zip(first[1:], grads(g)):
+            assert np.abs(have - want).max() <= 1e-12 * np.abs(want).max()
+        for a, z in zip(first, second):
+            assert a.tobytes() == z.tobytes()
+
+    def test_blocked_f32_map_gives_f32_output(self, monkeypatch):
+        rng = Rng(20)
+        data = rng.uniform(-2, 2, (2, 3, 4, 5)).astype(np.float32)
+        b, py, px = self._batch_sorted_positions(rng, 2, 4, 5, 20)
+        self._small_blocks(monkeypatch, 5, 3, np.float32)
+        out, dmap, dpy, dpx = sampler_grads(data, b, py.astype(np.float32),
+                                            px.astype(np.float32), np.ones((py.size, 3)))
+        assert out.dtype == dmap.dtype == dpy.dtype == dpx.dtype == np.float32
+        want, _ = reference_bilinear(data.astype(np.float64), b, py, px)
+        assert np.abs(out - want).max() < 1e-5
+
     def test_rejects_malformed_positions(self):
         pos = np.zeros((4, 2))
         tape = Tape()
@@ -335,6 +414,24 @@ class TestReluAndBatchNorm:
         tape = Tape()
         out = relu_node(tape.leaf(np.array([[[[-1.0, 2.0]]]])))
         assert np.array_equal(out.value, np.array([[[[0.0, 2.0]]]]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_special_values_match_where_bit_for_bit(self, dtype):
+        # NaN, -0.0 and -inf give +0.0 and +inf stays, as in where(x > 0, x, 0),
+        # at every array length (vector loops and their scalar tails).
+        tiny = np.finfo(dtype).smallest_subnormal
+        special = np.array([np.nan, -np.nan, -0.0, 0.0, np.inf, -np.inf, -1.0, 2.0,
+                            tiny, -tiny], dtype=dtype)
+        for size in (1, 7, 10, 33, 70):
+            data = np.resize(special, size).reshape(1, 1, 1, size)
+            tape = Tape()
+            x = tape.leaf(data)
+            out = relu_node(x)
+            want = np.where(data > 0, data, 0)
+            assert out.value.dtype == want.dtype == dtype
+            assert out.value.tobytes() == want.tobytes()
+            backward(weighted_sum(out, np.full(data.shape, 3.0)))
+            assert x.grad.tobytes() == (np.full(data.shape, 3.0) * (data > 0)).tobytes()
 
     def test_fixed_point_on_normalized_data(self):
         rng = Rng(9)
