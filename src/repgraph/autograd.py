@@ -216,12 +216,6 @@ def gather_last(a: Node, idx: np.ndarray, axis: int = -1) -> Node:
     return a.tape.record(np.take(a.value, idx, axis=axis), (a,), bwd, op="gather_last")
 
 
-def sum_all(a: Node) -> Node:
-    return a.tape.record(
-        np.asarray(a.value.sum()), (a,), lambda g: (np.broadcast_to(g, a.value.shape) * np.ones_like(a.value),), op="sum"
-    )
-
-
 def weighted_sum(a: Node, weights: np.ndarray) -> Node:
     """Scalar probe sum(a * weights) with constant weights."""
     if weights.shape != a.value.shape:

@@ -18,11 +18,13 @@ from . import flops as flops_mod
 from . import gradcheck as gradcheck_mod
 from . import stats as stats_mod
 from . import train as train_mod
+from .autograd import Tape
 from .config import load_config_file
 from .errors import ContractError, RepGraphError
 from .nonlocal_block import affinity_matrix
 from .oracle import dense_equivalence_diff
 from .tensor import Rng
+from .toytask import make_batch
 
 ORACLE_TOL = 1e-6
 
@@ -173,16 +175,12 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_affinity(args) -> int:
     if args.ckpt:
-        from .toytask import make_batch
-
         model, tcfg = train_mod.load_checkpoint(args.ckpt)
         if model.layer is None:
             raise ContractError(
                 f"checkpoint {args.ckpt} is an ablated run without an attention layer"
             )
         images, _ = make_batch(Rng(args.seed + 10_000), 4, tcfg.task)
-        from .autograd import Tape
-
         collect: dict = {}
         train_mod.toy_model_logits(Tape(), model, images, collect=collect)
         weights = collect["weights"].data

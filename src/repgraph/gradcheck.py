@@ -342,6 +342,8 @@ CASES = {
     "bottleneck_layer_grid": _layer_case(variant="bottleneck", gs=2),
     "simple_layer_group": _layer_case(variant="simple", groups=2),
     "bottleneck_layer_group": _layer_case(variant="bottleneck", groups=2),
+    "simple_layer_grid_group": _layer_case(variant="simple", gs=2, groups=2),
+    "bottleneck_layer_grid_group": _layer_case(variant="bottleneck", gs=2, groups=2),
     "simple_layer_concat": _layer_case(variant="simple", fusion="concat"),
     "bottleneck_layer_concat": _layer_case(variant="bottleneck", fusion="concat"),
     "simple_layer_theta_offsets": _layer_case(variant="simple", offset_source="theta"),

@@ -95,14 +95,14 @@ class OffsetField:
 
 @dataclass
 class AttentionWeights:
-    """Per-query distribution over S sampled nodes; rows sum to 1."""
+    """Per-query, per-group distribution over S sampled nodes, [n, N, G, S]; rows sum to 1."""
 
     data: np.ndarray
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.data)
-        if arr.ndim != 3:
-            raise ShapeError(f"attention weights must be [n, N, S], got {arr.shape}")
+        if arr.ndim != 4:
+            raise ShapeError(f"attention weights must be [n, N, G, S], got {arr.shape}")
         tol = 1e-10 if arr.dtype == np.float64 else 1e-5
         sums = arr.sum(axis=-1)
         if arr.size and (np.any(arr < 0) or np.any(np.abs(sums - 1.0) > tol)):
@@ -250,22 +250,27 @@ def full_grid_offsets(n: int, h: int, w: int, dtype=np.float64) -> OffsetField:
 # ---------------------------------------------------------------------------
 
 
-def _attention_nodes(theta: Node, key_feats: Node, val_feats: Node) -> tuple[Node, Node]:
-    """theta [n, N, C'], feats [n, N, S, C'] -> (x_tilde [n, N, C'], weights [n, N, S])."""
-    if key_feats.value.shape[2] != val_feats.value.shape[2]:
-        raise ShapeError(
-            f"key and value sets disagree on S: {key_feats.value.shape[2]} "
-            f"vs {val_feats.value.shape[2]}"
-        )
-    if key_feats.value.shape[3] != theta.value.shape[2]:
-        raise ShapeError(
-            f"query width {theta.value.shape[2]} does not match key width "
-            f"{key_feats.value.shape[3]}"
-        )
-    logits = ag.einsum2("bpc,bpsc->bps", theta, key_feats)
+def _attention(theta: Node, key_feats: Node, val_feats: Node,
+               groups: int) -> tuple[Node, Node]:
+    """theta [n, N, C'], sets [n, N, S, C'] -> (x_tilde [n, N, C'], weights [n, N, G, S]).
+
+    The C' channels split into G groups of C'/G, and each group attends over
+    the same S nodes.  The group axis is a contraction axis that sits before
+    the sample axis, so the key gradient ``bpgs,bpgc->bpgsc`` runs n*N*G
+    matmuls of S x 1 x C'/G rather than n*N*S*G of 1 x 1 x C'/G.
+    """
+    n, p, cp = theta.value.shape
+
+    def split(feats: Node) -> Node:
+        s, c = feats.value.shape[2:]
+        return ag.transpose(ag.reshape(feats, (n, p, s, groups, c // groups)), (0, 1, 3, 2, 4))
+
+    keys = split(key_feats)
+    vals = keys if val_feats is key_feats else split(val_feats)
+    logits = ag.einsum2("bpgc,bpgsc->bpgs", ag.reshape(theta, (n, p, groups, cp // groups)), keys)
     weights = ops.softmax_node(logits)
-    x_tilde = ag.einsum2("bps,bpsc->bpc", weights, val_feats)
-    return x_tilde, weights
+    x_tilde = ag.einsum2("bpgs,bpgsc->bpgc", weights, vals)
+    return ag.reshape(x_tilde, (n, p, cp)), weights
 
 
 # ---------------------------------------------------------------------------
@@ -299,28 +304,6 @@ def _sample_node(branch: Node, py: Node, px: Node) -> Node:
     """Bilinear-sample a branch map into the [n, P, S, C] representative layout."""
     n = branch.value.shape[0]
     return ops.bilinear_node(branch, py, px, np.arange(n)[:, None, None])
-
-
-def _grouped_attention(theta: Node, key_feats: Node, val_feats: Node, groups: int,
-                       collect: Optional[dict]) -> Node:
-    if groups == 1:
-        xt, w = _attention_nodes(theta, key_feats, val_feats)
-        if collect is not None:
-            collect["weights"] = AttentionWeights(w.value)
-        return xt
-    width = theta.value.shape[2] // groups
-    parts = []
-    weight_parts = []
-    for gi in range(groups):
-        th = ag.narrow(theta, 2, gi * width, width)
-        kf = ag.narrow(key_feats, 3, gi * width, width)
-        vf = kf if val_feats is key_feats else ag.narrow(val_feats, 3, gi * width, width)
-        xt, w = _attention_nodes(th, kf, vf)
-        parts.append(xt)
-        weight_parts.append(AttentionWeights(w.value))
-    if collect is not None:
-        collect["weights"] = weight_parts
-    return ag.concat(parts, axis=2)
 
 
 def _repgraph_core(
@@ -376,13 +359,12 @@ def _repgraph_core(
         key_feats = ag.gather_last(key_feats, gidx, axis=1)
         val_feats = key_feats if g_map is phi_map else ag.gather_last(val_feats, gidx, axis=1)
 
+    x_tilde, weights = _attention(_flatten_map(theta_map), key_feats, val_feats, cfg.groups)
     if collect is not None:
         collect["offsets"] = OffsetField(off.value)
         collect["positions"] = np.stack([py.value.transpose(0, 2, 1),
                                          px.value.transpose(0, 2, 1)], axis=2)
-
-    theta_flat = _flatten_map(theta_map)
-    x_tilde = _grouped_attention(theta_flat, key_feats, val_feats, cfg.groups, collect)
+        collect["weights"] = AttentionWeights(weights.value)
     return _unflatten_map(x_tilde, h, w)
 
 

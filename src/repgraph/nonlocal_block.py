@@ -17,7 +17,7 @@ from . import autograd as ag
 from . import ops
 from .autograd import Node, Tape
 from .errors import ContractError, ShapeError
-from .layer import _bind_params, _flatten_map, _project, _unflatten_map
+from .layer import _bind_params, _flatten_map, _proj, _project, _unflatten_map
 from .ops import Projection1x1
 from .tensor import Rng, Tensor4
 
@@ -44,8 +44,6 @@ class NonLocalParams:
 def init_nonlocal_params(c: int, cp: int, fusion: str = "sum",
                          rng: Optional[Rng] = None, dtype=np.float64,
                          zero_out: bool = False) -> NonLocalParams:
-    from .layer import _proj
-
     rng = rng if rng is not None else Rng(0)
     c_fuse_in = cp if fusion == "sum" else c + cp
     return NonLocalParams(

@@ -35,13 +35,14 @@ class AffinityStats:
 
 
 def affinity_stats(a: np.ndarray, bins: int = 24, source: str = "") -> AffinityStats:
-    """Analyze rows of attention weights ([N, N] affinity or [N, S] / [n, N, S]).
+    """Analyze rows of attention weights: an [N, N] affinity, or [..., S] sampled weights.
 
-    Every row must be a probability distribution; rows off by more than 1e-6
-    are rejected.
+    Every axis but the last indexes rows, so the layer's [n, N, G, S] weights
+    give n * N * G rows.  Every row must be a probability distribution; rows
+    off by more than 1e-6 are rejected.
     """
     rows = np.asarray(a, dtype=np.float64)
-    if rows.ndim == 3:
+    if rows.ndim > 2:
         rows = rows.reshape(-1, rows.shape[-1])
     if rows.ndim != 2 or rows.size == 0:
         raise ValidationError(f"expected a non-empty matrix of weight rows, got shape {a.shape}")

@@ -55,11 +55,6 @@ class Tensor4:
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
-    @property
-    def num_nodes(self) -> int:
-        """N = h * w, the node count of the flattened spatial grid."""
-        return self.data.shape[2] * self.data.shape[3]
-
     @classmethod
     def zeros(cls, shape, dtype=np.float64) -> "Tensor4":
         return cls(np.zeros(shape, dtype=dtype))

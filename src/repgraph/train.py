@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import ops
 from .autograd import Node, Tape, backward, matmul
 from .errors import CheckpointError, ContractError, DivergenceError
 from .layer import (
@@ -209,8 +210,6 @@ def init_toy_model(cfg: TrainConfig, dtype=np.float64) -> ToyModel:
 
 def toy_model_logits(tape: Tape, model: ToyModel, images: np.ndarray,
                      training: bool = False, collect: Optional[dict] = None) -> Node:
-    from . import ops
-
     x = tape.leaf(images)
     h = ops.relu_node(conv3x3_node(x, tape.leaf(model.conv1_w, "conv1.w"),
                                    tape.leaf(model.conv1_b, "conv1.b")))

@@ -83,6 +83,16 @@ class TestAffinityCommand:
                      "--out", str(tmp_path / "r")]) == 0
         assert "random dense affinity" in capsys.readouterr().out
 
+    def test_checkpoint_gives_one_row_per_query_and_group(self, tmp_path, capsys):
+        from repgraph.train import TrainConfig, init_toy_model, save_checkpoint
+
+        cfg = TrainConfig(width=8, cp=4, s=2)
+        save_checkpoint(init_toy_model(cfg), cfg, str(tmp_path / "ck"))
+        assert main(["affinity", "--ckpt", str(tmp_path / "ck"),
+                     "--out", str(tmp_path / "a")]) == 0
+        # A batch of four 32x32 images through the layer's single group.
+        assert "4096 rows of 2" in capsys.readouterr().out
+
 
 class TestTrainCommand:
     def test_smoke_run_writes_log_and_checkpoint(self, tmp_path, capsys):

@@ -23,7 +23,7 @@ from repgraph import (
 )
 from repgraph.autograd import Tape, backward, weighted_sum
 from repgraph.layer import (
-    _attention_nodes,
+    _attention,
     _positions_node,
     _sample_node,
     layer_forward_node,
@@ -53,12 +53,15 @@ def sample_representative(x, off):
 
 
 def attention(theta, key_features, value_features):
-    """Attend the [N, C'] queries over [1, S, C', N] sampled sets: (x_tilde, weights)."""
+    """Attend the [N, C'] queries over [1, S, C', N] sampled sets in one group.
+
+    Returns x_tilde [N, C'] and the [1, N, 1, S] weights.
+    """
     tape = Tape()
     # The layer attends over node-major [n, N, S, C'] sets.
-    xt, w = _attention_nodes(tape.constant(theta[None]),
-                             tape.constant(key_features.transpose(0, 3, 1, 2)),
-                             tape.constant(value_features.transpose(0, 3, 1, 2)))
+    xt, w = _attention(tape.constant(theta[None]),
+                       tape.constant(key_features.transpose(0, 3, 1, 2)),
+                       tape.constant(value_features.transpose(0, 3, 1, 2)), groups=1)
     return xt.value[0], AttentionWeights(w.value)
 
 
@@ -159,7 +162,7 @@ class TestRepGraphAttention:
         feats = rng.uniform(-1, 1, (1, 1, 4, 10))
         val = rng.uniform(-1, 1, (1, 1, 4, 10))
         x_tilde, weights = attention(theta, feats, val)
-        assert np.array_equal(weights.data, np.ones((1, 10, 1)))
+        assert np.array_equal(weights.data, np.ones((1, 10, 1, 1)))
         assert np.abs(x_tilde - val[0, 0].T).max() < 1e-15
 
     def test_zero_queries_give_uniform_weights_and_mean(self):
@@ -178,7 +181,11 @@ class TestRepGraphAttention:
 
     def test_attention_weights_validation(self):
         with pytest.raises(ContractError):
-            AttentionWeights(np.full((1, 2, 2), 0.9))
+            AttentionWeights(np.full((1, 2, 1, 2), 0.9))
+
+    def test_attention_weights_need_a_group_axis(self):
+        with pytest.raises(ShapeError, match=r"\[n, N, G, S\]"):
+            AttentionWeights(np.full((1, 2, 2), 0.5))
 
 
 class TestDenseEquivalence:
@@ -343,5 +350,5 @@ class TestAttentionRowSums:
         collect = {}
         forward(rng.tensor((1, 4, 3, 3)), params, cfg, collect=collect)
         w = collect["weights"].data
-        assert w.shape == (1, 9, s)
+        assert w.shape == (1, 9, 1, s)
         assert np.abs(w.sum(axis=-1) - 1.0).max() < 1e-10

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from repgraph import Rng, ValidationError, affinity_stats, softmax_rows
+from repgraph import (
+    LayerConfig,
+    Rng,
+    ValidationError,
+    affinity_stats,
+    init_simple_params,
+    repgraph_forward,
+    softmax_rows,
+)
 from repgraph.stats import write_affinity_csv
 
 
@@ -45,6 +53,15 @@ class TestTopKCurves:
         stats = affinity_stats(w)
         assert stats.n_rows == 10
         assert stats.row_len == 3
+
+    def test_grouped_layer_weights_give_one_row_per_query_and_group(self):
+        cfg = LayerConfig(c=4, cp=6, s=5, groups=2)
+        collect = {}
+        repgraph_forward(Rng(3).tensor((2, 4, 3, 4)), init_simple_params(cfg, Rng(4)), cfg,
+                         collect=collect)
+        stats = affinity_stats(collect["weights"].data)
+        assert stats.n_rows == 2 * 12 * 2
+        assert stats.row_len == 5
 
 
 class TestValidation:

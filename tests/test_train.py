@@ -272,4 +272,4 @@ class TestCheckpoint:
         collect = {}
         logits = toy_model_logits(Tape(), loaded, images, collect=collect)
         assert logits.value.shape == (1, 4, 32, 32)
-        assert collect["weights"].data.shape == (1, 1024, 2)
+        assert collect["weights"].data.shape == (1, 1024, 1, 2)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,14 @@ from repgraph import (
     Tensor4,
     grid_repgraph_forward,
     group_repgraph_forward,
+    init_layer_params,
     init_simple_params,
     project_1x1,
     simple_repgraph_forward,
     softmax_rows,
 )
 from repgraph.autograd import Tape
-from repgraph.layer import _attention_nodes, _positions_node, _sample_node
+from repgraph.layer import _attention, _positions_node, _sample_node, layer_forward_node
 from repgraph.ops import avg_pool_node, bilinear_node
 
 
@@ -137,7 +140,10 @@ class TestGroupRepGraph:
         assert np.array_equal(grouped.data, base.data)
 
     def _slice_dispatch_oracle(self, x, params, cfg, groups):
-        """Slice channels and call the attention per slice."""
+        """Slice channels and call the attention per slice.
+
+        Returns the layer output and each slice's [n, N, 1, S] weights.
+        """
         theta_map = project_1x1(x, params.theta)
         phi_map = project_1x1(x, params.phi)
         g_map = project_1x1(x, params.g)
@@ -151,27 +157,30 @@ class TestGroupRepGraph:
         theta = theta_map.data.reshape(n, cfg.cp, h * w).transpose(0, 2, 1)
         width = cfg.cp // groups
         parts = []
+        slice_weights = []
         for gi in range(groups):
             sl = slice(gi * width, (gi + 1) * width)
-            xt, weights = _attention_nodes(tape.constant(theta[:, :, sl]),
-                                           tape.constant(key[..., sl]),
-                                           tape.constant(val[..., sl]))
+            xt, weights = _attention(tape.constant(theta[:, :, sl]), tape.constant(key[..., sl]),
+                                     tape.constant(val[..., sl]), groups=1)
             assert np.abs(weights.value.sum(axis=-1) - 1.0).max() < 1e-10
             parts.append(xt.value)
+            slice_weights.append(weights.value)
         xt_full = np.concatenate(parts, axis=2)
         xt_map = xt_full.transpose(0, 2, 1).reshape(n, cfg.cp, h, w)
-        import repgraph
-
-        return project_1x1(repgraph.Tensor4(xt_map), params.w_out).data + x.data
+        out = project_1x1(Tensor4(xt_map), params.w_out).data + x.data
+        return out, slice_weights
 
     def test_matches_slice_dispatch_oracle(self):
         rng = Rng(5)
         cfg = LayerConfig(c=6, cp=8, s=3)
         params = init_simple_params(cfg, rng)
         x = rng.tensor((2, 6, 3, 3))
-        got = group_repgraph_forward(x, params, cfg, GroupConfig(4))
-        want = self._slice_dispatch_oracle(x, params, cfg, 4)
+        collect = {}
+        got = group_repgraph_forward(x, params, cfg, GroupConfig(4), collect=collect)
+        want, slice_weights = self._slice_dispatch_oracle(x, params, cfg, 4)
         assert np.abs(got.data - want).max() < 1e-12
+        for g, weights in enumerate(slice_weights):
+            assert np.abs(collect["weights"].data[:, :, g] - weights[:, :, 0]).max() < 1e-12
 
     def test_one_channel_per_group(self):
         rng = Rng(6)
@@ -179,7 +188,7 @@ class TestGroupRepGraph:
         params = init_simple_params(cfg, rng)
         x = rng.tensor((1, 4, 3, 3))
         got = group_repgraph_forward(x, params, cfg, GroupConfig(4))
-        want = self._slice_dispatch_oracle(x, params, cfg, 4)
+        want, _ = self._slice_dispatch_oracle(x, params, cfg, 4)
         assert np.abs(got.data - want).max() < 1e-12
 
     def test_per_group_rows_sum_to_one(self):
@@ -189,9 +198,22 @@ class TestGroupRepGraph:
         collect = {}
         group_repgraph_forward(rng.tensor((1, 4, 3, 3)), params, cfg,
                                GroupConfig(3), collect=collect)
-        assert len(collect["weights"]) == 3
-        for w in collect["weights"]:
-            assert np.abs(w.data.sum(axis=-1) - 1.0).max() < 1e-10
+        w = collect["weights"].data
+        assert w.shape == (1, 9, 3, 4)
+        assert np.abs(w.sum(axis=-1) - 1.0).max() < 1e-10
+
+    @pytest.mark.parametrize("variant", ["simple", "bottleneck"])
+    def test_group_count_adds_no_tape_nodes(self, variant):
+        rng = Rng(8)
+        cfg = LayerConfig(c=4, cp=8, s=3, variant=variant)
+        params = init_layer_params(cfg, rng)
+        x = rng.tensor((1, 4, 3, 3))
+        recorded = []
+        for groups in (1, 4):
+            tape = Tape()
+            layer_forward_node(tape, tape.leaf(x.data), params, replace(cfg, groups=groups))
+            recorded.append(tape.next_id)
+        assert recorded[0] == recorded[1]
 
     def test_non_divisible_width_names_both(self):
         cfg = LayerConfig(c=4, cp=6, s=2)
