@@ -27,9 +27,7 @@ from .layer import (
     SimpleRepGraphParams,
     bottleneck_repgraph_forward,
     full_grid_offsets,
-    init_bottleneck_params,
     init_layer_params,
-    init_simple_params,
     repgraph_forward,
     simple_repgraph_forward,
 )

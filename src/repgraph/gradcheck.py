@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autograd as ag
 from . import ops
-from .autograd import GradCheckReport, Tape, finite_diff_check, weighted_sum
+from .autograd import Tape, finite_diff_check, weighted_sum
 from .errors import ContractError
 from .layer import LayerConfig, init_layer_params, layer_forward_node, param_arrays
 from .nonlocal_block import init_nonlocal_params, nonlocal_forward_node
@@ -35,33 +35,57 @@ class CaseResult:
         return all(r.passed for r in self.reports)
 
 
-def _reports(make_loss, arrays: dict, eps: float, tol: float) -> list:
-    out = []
-    for target in arrays:
-        def f(arr, target=target):
-            vals = dict(arrays)
-            vals[target] = arr
-            return make_loss(vals, target)
-        out.append(finite_diff_check(f, arrays[target], eps, tol, target=target))
-    return out
+def _case(draw, forward):
+    """A case: ``run(seed, eps, tol)`` returns one report per probed array.
 
-
-def _record_loss_builder(forward, params, probe):
-    """make_loss for a block whose parameter record is ``params``.
-
-    Each call runs ``forward(tape, x, record)`` on a copy of ``params`` that
-    holds the probed arrays, so any record :func:`param_arrays` names works.
+    ``draw(rng)`` returns the probed arrays by name, then any constants.
+    ``forward(arrays, *constants)`` records the graph on a new tape and
+    returns its output and the tape node of each probed array.  The loss is
+    the output when that is a scalar, and otherwise its sum against a probe
+    drawn after the constants, in the output's shape.
     """
-    def make_loss(vals, target):
-        record = copy.deepcopy(params)
-        for name, arr in param_arrays(record).items():
-            arr[...] = vals[name]
+    def run(seed, eps, tol):
+        rng = Rng(seed)
+        arrays, *consts = draw(rng)
+        out = forward(arrays, *consts)[0].value
+        probe = rng.uniform(-1, 1, out.shape) if out.ndim else None
+
+        def loss(target):
+            def f(arr):
+                y, nodes = forward({**arrays, target: arr}, *consts)
+                return (y if probe is None else weighted_sum(y, probe)), nodes[target]
+            return f
+
+        return [finite_diff_check(loss(t), arrays[t], eps, tol, target=t) for t in arrays]
+    return run
+
+
+def _op_case(draw, op):
+    """A case of ``op(*leaves, *constants)``, one tape leaf per probed array."""
+    def forward(arrays, *consts):
         tape = Tape()
-        x = tape.leaf(vals["x"])
-        y = forward(tape, x, record)
-        node = x if target == "x" else tape.params[target]
-        return weighted_sum(y, probe), node
-    return make_loss
+        nodes = {name: tape.leaf(arr) for name, arr in arrays.items()}
+        return op(*nodes.values(), *consts), nodes
+    return _case(draw, forward)
+
+
+def _record_case(params, block, c: int):
+    """A case of ``block(tape, x, record)`` for an input of ``c`` channels on a 4x4 map.
+
+    Each run probes one copy of the parameter record ``params``; every
+    evaluation writes the probed arrays into it, so any record
+    :func:`param_arrays` names works.
+    """
+    def draw(rng):
+        return _record_arrays(rng, params, c), copy.deepcopy(params)
+
+    def forward(arrays, record):
+        for name, arr in param_arrays(record).items():
+            arr[...] = arrays[name]
+        tape = Tape()
+        x = tape.leaf(arrays["x"])
+        return block(tape, x, record), {"x": x, **tape.params}
+    return _case(draw, forward)
 
 
 def _assert_off_integer(positions: np.ndarray, margin: float = 0.1) -> None:
@@ -77,202 +101,6 @@ def _assert_off_integer(positions: np.ndarray, margin: float = 0.1) -> None:
 def _fractional_bias(rng: Rng, count: int) -> np.ndarray:
     """Biases whose fractional part stays in [0.25, 0.75]."""
     return rng.uniform(0.25, 0.75, count) * np.where(rng.uniform(0, 1, count) < 0.5, -1, 1)
-
-
-# ---------------------------------------------------------------------------
-# Case definitions
-# ---------------------------------------------------------------------------
-
-
-def _case_add_mul(seed, eps, tol):
-    rng = Rng(seed)
-    arrays = {"a": rng.uniform(-1, 1, (3, 4)), "b": rng.uniform(-1, 1, (3, 4))}
-    probe = rng.uniform(-1, 1, (3, 4))
-
-    def make_loss(vals, target):
-        tape = Tape()
-        a = tape.leaf(vals["a"])
-        b = tape.leaf(vals["b"])
-        out = ag.add(ag.mul(a, b), ag.scale(a, 0.5))
-        return weighted_sum(out, probe), {"a": a, "b": b}[target]
-
-    return _reports(make_loss, arrays, eps, tol)
-
-
-def _case_einsum(seed, eps, tol):
-    rng = Rng(seed)
-    arrays = {"a": rng.uniform(-1, 1, (2, 6, 3)), "b": rng.uniform(-1, 1, (2, 6, 4, 3))}
-    probe = rng.uniform(-1, 1, (2, 6, 4))
-
-    def make_loss(vals, target):
-        tape = Tape()
-        a = tape.leaf(vals["a"])
-        b = tape.leaf(vals["b"])
-        out = ag.einsum2("bpc,bpsc->bps", a, b)
-        return weighted_sum(out, probe), {"a": a, "b": b}[target]
-
-    return _reports(make_loss, arrays, eps, tol)
-
-
-def _case_structural(seed, eps, tol):
-    rng = Rng(seed)
-    arrays = {"a": rng.uniform(-1, 1, (2, 4, 6)), "b": rng.uniform(-1, 1, (2, 4, 6))}
-    idx = np.asarray(rng.integers(0, 6, 9))
-    probe = rng.uniform(-1, 1, (2, 2, 6, 9))
-
-    def make_loss(vals, target):
-        tape = Tape()
-        a = tape.leaf(vals["a"])
-        b = tape.leaf(vals["b"])
-        ar = ag.reshape(a, (2, 2, 2, 6))
-        at = ag.transpose(ar, (0, 2, 1, 3))
-        an = ag.narrow(ag.concat([at, at], axis=2), 2, 0, 4)
-        br = ag.transpose(ag.reshape(b, (2, 2, 2, 6)), (0, 2, 1, 3))
-        cat = ag.concat([an, br], axis=2)
-        out = ag.gather_last(cat, idx)
-        return weighted_sum(out, probe), {"a": a, "b": b}[target]
-
-    return _reports(make_loss, arrays, eps, tol)
-
-
-def _case_project(seed, eps, tol):
-    rng = Rng(seed)
-    arrays = {
-        "x": rng.uniform(-1, 1, (2, 3, 4, 5)),
-        "w": rng.uniform(-1, 1, (4, 3)),
-        "b": rng.uniform(-1, 1, 4),
-    }
-    probe = rng.uniform(-1, 1, (2, 4, 4, 5))
-
-    def make_loss(vals, target):
-        tape = Tape()
-        nodes = {k: tape.leaf(v) for k, v in vals.items()}
-        out = ops.project_node(nodes["x"], nodes["w"], nodes["b"])
-        return weighted_sum(out, probe), nodes[target]
-
-    return _reports(make_loss, arrays, eps, tol)
-
-
-def _case_softmax(seed, eps, tol):
-    rng = Rng(seed)
-    arrays = {"x": rng.uniform(-2, 2, (5, 7))}
-    probe = rng.uniform(-1, 1, (5, 7))
-
-    def make_loss(vals, target):
-        tape = Tape()
-        x = tape.leaf(vals["x"])
-        return weighted_sum(ops.softmax_node(x), probe), x
-
-    return _reports(make_loss, arrays, eps, tol)
-
-
-def _case_relu(seed, eps, tol):
-    rng = Rng(seed)
-    # Magnitudes >= 0.2 keep every coordinate away from the kink at zero.
-    mags = rng.uniform(0.2, 1.5, (3, 4, 2, 2))
-    signs = np.where(rng.uniform(0, 1, mags.shape) < 0.5, -1.0, 1.0)
-    arrays = {"x": mags * signs}
-    probe = rng.uniform(-1, 1, mags.shape)
-
-    def make_loss(vals, target):
-        tape = Tape()
-        x = tape.leaf(vals["x"])
-        return weighted_sum(ops.relu_node(x), probe), x
-
-    return _reports(make_loss, arrays, eps, tol)
-
-
-def _case_bilinear(seed, eps, tol):
-    rng = Rng(seed)
-    n, c, h, w = 2, 3, 5, 6
-    count = 24
-    base_y = rng.integers(-1, h + 1, count).astype(np.float64)
-    base_x = rng.integers(-1, w + 1, count).astype(np.float64)
-    frac = rng.uniform(0.15, 0.85, (2, count))
-    arrays = {
-        "map": rng.uniform(-1, 1, (n, c, h, w)),
-        "py": base_y + frac[0],
-        "px": base_x + frac[1],
-    }
-    b_idx = rng.integers(0, n, count)
-    probe = rng.uniform(-1, 1, (count, c))
-
-    def make_loss(vals, target):
-        tape = Tape()
-        nodes = {k: tape.leaf(v) for k, v in vals.items()}
-        out = ops.bilinear_node(nodes["map"], nodes["py"], nodes["px"], b_idx)
-        return weighted_sum(out, probe), nodes[target]
-
-    return _reports(make_loss, arrays, eps, tol)
-
-
-def _case_avg_pool(seed, eps, tol):
-    rng = Rng(seed)
-    arrays = {"x": rng.uniform(-1, 1, (2, 3, 5, 7))}
-    probe = rng.uniform(-1, 1, (2, 3, 3, 4))
-
-    def make_loss(vals, target):
-        tape = Tape()
-        x = tape.leaf(vals["x"])
-        return weighted_sum(ops.avg_pool_node(x, 2), probe), x
-
-    return _reports(make_loss, arrays, eps, tol)
-
-
-def _bn_case(training):
-    def build(seed, eps, tol):
-        rng = Rng(seed)
-        arrays = {
-            "x": rng.uniform(-1, 1, (2, 3, 4, 4)),
-            "gamma": rng.uniform(0.5, 1.5, 3),
-            "beta": rng.uniform(-0.5, 0.5, 3),
-        }
-        record = BatchNormParams.create(3)
-        record.running_mean = rng.uniform(-0.3, 0.3, 3)
-        record.running_var = rng.uniform(0.5, 1.5, 3)
-        probe = rng.uniform(-1, 1, (2, 3, 4, 4))
-
-        def make_loss(vals, target):
-            tape = Tape()
-            nodes = {k: tape.leaf(v) for k, v in vals.items()}
-            out = ops.batch_norm_node(nodes["x"], nodes["gamma"], nodes["beta"],
-                                      record, training=training)
-            return weighted_sum(out, probe), nodes[target]
-
-        return _reports(make_loss, arrays, eps, tol)
-
-    return build
-
-
-def _case_conv3x3(seed, eps, tol):
-    rng = Rng(seed)
-    arrays = {
-        "x": rng.uniform(-1, 1, (2, 2, 5, 5)),
-        "w": rng.uniform(-0.5, 0.5, (3, 2, 3, 3)),
-        "b": rng.uniform(-0.5, 0.5, 3),
-    }
-    probe = rng.uniform(-1, 1, (2, 3, 5, 5))
-
-    def make_loss(vals, target):
-        tape = Tape()
-        nodes = {k: tape.leaf(v) for k, v in vals.items()}
-        out = conv3x3_node(nodes["x"], nodes["w"], nodes["b"])
-        return weighted_sum(out, probe), nodes[target]
-
-    return _reports(make_loss, arrays, eps, tol)
-
-
-def _case_softmax_xent(seed, eps, tol):
-    rng = Rng(seed)
-    arrays = {"logits": rng.uniform(-2, 2, (2, 4, 3, 3))}
-    labels = rng.integers(0, 4, (2, 3, 3))
-
-    def make_loss(vals, target):
-        tape = Tape()
-        logits = tape.leaf(vals["logits"])
-        return softmax_xent_node(logits, labels), logits
-
-    return _reports(make_loss, arrays, eps, tol)
 
 
 def _record_arrays(rng: Rng, params, c: int) -> dict:
@@ -294,48 +122,96 @@ def _record_arrays(rng: Rng, params, c: int) -> dict:
     return arrays
 
 
+# ---------------------------------------------------------------------------
+# Case definitions
+# ---------------------------------------------------------------------------
+
+
+def _uniform(rng: Rng, lo: float, hi: float, **shapes) -> dict:
+    return {name: rng.uniform(lo, hi, shape) for name, shape in shapes.items()}
+
+
+def _structural(a, b, idx):
+    at = ag.transpose(ag.reshape(a, (2, 2, 2, 6)), (0, 2, 1, 3))
+    an = ag.narrow(ag.concat([at, at], axis=2), 2, 0, 4)
+    bt = ag.transpose(ag.reshape(b, (2, 2, 2, 6)), (0, 2, 1, 3))
+    return ag.gather_last(ag.concat([an, bt], axis=2), idx)
+
+
+def _draw_relu(rng: Rng):
+    # Magnitudes >= 0.2 keep every coordinate away from the kink at zero.
+    mags = rng.uniform(0.2, 1.5, (3, 4, 2, 2))
+    return {"x": mags * np.where(rng.uniform(0, 1, mags.shape) < 0.5, -1.0, 1.0)},
+
+
+def _draw_bilinear(rng: Rng):
+    n, c, h, w, count = 2, 3, 5, 6, 24
+    base_y = rng.integers(-1, h + 1, count).astype(np.float64)
+    base_x = rng.integers(-1, w + 1, count).astype(np.float64)
+    frac = rng.uniform(0.15, 0.85, (2, count))
+    arrays = {"map": rng.uniform(-1, 1, (n, c, h, w)),
+              "py": base_y + frac[0], "px": base_x + frac[1]}
+    return arrays, rng.integers(0, n, count)
+
+
+def _draw_batch_norm(rng: Rng):
+    arrays = {"x": rng.uniform(-1, 1, (2, 3, 4, 4)),
+              "gamma": rng.uniform(0.5, 1.5, 3),
+              "beta": rng.uniform(-0.5, 0.5, 3)}
+    record = BatchNormParams.create(3)
+    record.running_mean = rng.uniform(-0.3, 0.3, 3)
+    record.running_var = rng.uniform(0.5, 1.5, 3)
+    return arrays, record
+
+
 def _layer_case(**overrides):
     """The layer at C=6, C'=4, S=3 on a 4x4 map, in training mode, with ``overrides``."""
-    def build(seed, eps, tol):
-        rng = Rng(seed)
-        cfg = LayerConfig(c=6, cp=4, s=3, **overrides)
-        params = init_layer_params(cfg)
-        arrays = _record_arrays(rng, params, cfg.c)
-        probe = rng.uniform(-1, 1, (1, cfg.c, 4, 4))
+    cfg = LayerConfig(c=6, cp=4, s=3, **overrides)
 
-        def forward(tape, x, record):
-            collect: dict = {}
-            y = layer_forward_node(tape, x, record, cfg, training=True, collect=collect)
-            _assert_off_integer(collect["positions"])
-            return y
+    def block(tape, x, record):
+        collect: dict = {}
+        y = layer_forward_node(tape, x, record, cfg, training=True, collect=collect)
+        _assert_off_integer(collect["positions"])
+        return y
 
-        return _reports(_record_loss_builder(forward, params, probe), arrays, eps, tol)
-
-    return build
-
-
-def _case_nonlocal(seed, eps, tol):
-    rng = Rng(seed)
-    params = init_nonlocal_params(6, 4)
-    arrays = _record_arrays(rng, params, 6)
-    probe = rng.uniform(-1, 1, (1, 6, 4, 4))
-    make_loss = _record_loss_builder(nonlocal_forward_node, params, probe)
-    return _reports(make_loss, arrays, eps, tol)
+    return _record_case(init_layer_params(cfg), block, cfg.c)
 
 
 CASES = {
-    "add_mul_scale": _case_add_mul,
-    "einsum_contraction": _case_einsum,
-    "structural_ops": _case_structural,
-    "project_1x1": _case_project,
-    "softmax": _case_softmax,
-    "relu": _case_relu,
-    "bilinear_sample": _case_bilinear,
-    "avg_pool_grid": _case_avg_pool,
-    "batch_norm_train": _bn_case(training=True),
-    "batch_norm_eval": _bn_case(training=False),
-    "conv3x3": _case_conv3x3,
-    "softmax_cross_entropy": _case_softmax_xent,
+    "add_mul_scale": _op_case(
+        lambda rng: (_uniform(rng, -1, 1, a=(3, 4), b=(3, 4)),),
+        lambda a, b: ag.add(ag.mul(a, b), ag.scale(a, 0.5))),
+    # A per-row constant broadcast over the other axes, as the sampling
+    # anchors are added to the regressed offsets.
+    "add_const": _op_case(
+        lambda rng: (_uniform(rng, -1, 1, a=(2, 5, 3)), rng.uniform(-4, 4, (1, 5, 1))),
+        ag.add_const),
+    "einsum_contraction": _op_case(
+        lambda rng: (_uniform(rng, -1, 1, a=(2, 6, 3), b=(2, 6, 4, 3)),),
+        lambda a, b: ag.einsum2("bpc,bpsc->bps", a, b)),
+    "structural_ops": _op_case(
+        lambda rng: (_uniform(rng, -1, 1, a=(2, 4, 6), b=(2, 4, 6)),
+                     np.asarray(rng.integers(0, 6, 9))),
+        _structural),
+    "project_1x1": _op_case(
+        lambda rng: (_uniform(rng, -1, 1, x=(2, 3, 4, 5), w=(4, 3), b=4),),
+        ops.project_node),
+    "softmax": _op_case(lambda rng: (_uniform(rng, -2, 2, x=(5, 7)),), ops.softmax_node),
+    "relu": _op_case(_draw_relu, ops.relu_node),
+    "bilinear_sample": _op_case(_draw_bilinear, ops.bilinear_node),
+    "avg_pool_grid": _op_case(lambda rng: (_uniform(rng, -1, 1, x=(2, 3, 5, 7)),),
+                              lambda x: ops.avg_pool_node(x, 2)),
+    "batch_norm_train": _op_case(
+        _draw_batch_norm, lambda x, g, b, rec: ops.batch_norm_node(x, g, b, rec, training=True)),
+    "batch_norm_eval": _op_case(
+        _draw_batch_norm, lambda x, g, b, rec: ops.batch_norm_node(x, g, b, rec, training=False)),
+    "conv3x3": _op_case(
+        lambda rng: ({"x": rng.uniform(-1, 1, (2, 2, 5, 5)),
+                      **_uniform(rng, -0.5, 0.5, w=(3, 2, 3, 3), b=3)},),
+        conv3x3_node),
+    "softmax_cross_entropy": _op_case(
+        lambda rng: (_uniform(rng, -2, 2, logits=(2, 4, 3, 3)), rng.integers(0, 4, (2, 3, 3))),
+        softmax_xent_node),
     "simple_layer": _layer_case(variant="simple"),
     "bottleneck_layer": _layer_case(variant="bottleneck"),
     "simple_layer_grid": _layer_case(variant="simple", gs=2),
@@ -351,7 +227,7 @@ CASES = {
     # case draws afresh; in the bottleneck it also drops the final ReLU.
     "bottleneck_layer_insert": _layer_case(variant="bottleneck",
                                            init_mode="pretrained_insert"),
-    "nonlocal_block": _case_nonlocal,
+    "nonlocal_block": _record_case(init_nonlocal_params(6, 4), nonlocal_forward_node, 6),
 }
 
 

@@ -139,32 +139,22 @@ def _proj(rng: Rng, c_out: int, c_in: int, dtype, zero: bool = False) -> Project
     )
 
 
-def init_simple_params(cfg: LayerConfig, rng: Optional[Rng] = None,
-                       dtype=np.float64) -> SimpleRepGraphParams:
+def init_layer_params(cfg: LayerConfig, rng: Optional[Rng] = None, dtype=np.float64):
+    """A new parameter record for ``cfg``'s variant, drawn from ``rng`` or ``Rng(cfg.seed)``."""
     cfg.validate()
-    if cfg.variant != "simple":
-        raise ContractError(f"config variant is {cfg.variant!r}, expected 'simple'")
     rng = rng if rng is not None else Rng(cfg.seed)
-    c_src = cfg.c if cfg.offset_source == "input" else cfg.cp
-    c_fuse_in = cfg.cp if cfg.fusion == "sum" else cfg.c + cfg.cp
     zero_out = cfg.init_mode == "pretrained_insert"
-    return SimpleRepGraphParams(
-        theta=_proj(rng, cfg.cp, cfg.c, dtype),
-        phi=_proj(rng, cfg.cp, cfg.c, dtype),
-        g=_proj(rng, cfg.cp, cfg.c, dtype),
-        w_off=_proj(rng, 2 * cfg.s, c_src, dtype),
-        w_out=_proj(rng, cfg.c, c_fuse_in, dtype, zero=zero_out),
-    )
-
-
-def init_bottleneck_params(cfg: LayerConfig, rng: Optional[Rng] = None,
-                           dtype=np.float64) -> BottleneckRepGraphParams:
-    cfg.validate()
-    if cfg.variant != "bottleneck":
-        raise ContractError(f"config variant is {cfg.variant!r}, expected 'bottleneck'")
-    rng = rng if rng is not None else Rng(cfg.seed)
+    if cfg.variant == "simple":
+        c_src = cfg.c if cfg.offset_source == "input" else cfg.cp
+        c_fuse_in = cfg.cp if cfg.fusion == "sum" else cfg.c + cfg.cp
+        return SimpleRepGraphParams(
+            theta=_proj(rng, cfg.cp, cfg.c, dtype),
+            phi=_proj(rng, cfg.cp, cfg.c, dtype),
+            g=_proj(rng, cfg.cp, cfg.c, dtype),
+            w_off=_proj(rng, 2 * cfg.s, c_src, dtype),
+            w_out=_proj(rng, cfg.c, c_fuse_in, dtype, zero=zero_out),
+        )
     c_expand_in = cfg.cp if cfg.fusion == "sum" else 2 * cfg.cp
-    zero_out = cfg.init_mode == "pretrained_insert"
     bn_expand = BatchNormParams.create(cfg.c, dtype=dtype)
     if zero_out:
         bn_expand.gamma = np.zeros(cfg.c, dtype=dtype)
@@ -176,12 +166,6 @@ def init_bottleneck_params(cfg: LayerConfig, rng: Optional[Rng] = None,
         expand=_proj(rng, cfg.c, c_expand_in, dtype, zero=zero_out),
         bn_expand=bn_expand,
     )
-
-
-def init_layer_params(cfg: LayerConfig, rng: Optional[Rng] = None, dtype=np.float64):
-    if cfg.variant == "simple":
-        return init_simple_params(cfg, rng, dtype)
-    return init_bottleneck_params(cfg, rng, dtype)
 
 
 def param_arrays(params) -> dict[str, np.ndarray]:

@@ -22,8 +22,7 @@ from repgraph import (
     fit_scaling_exponent,
     grid_repgraph_forward,
     group_repgraph_forward,
-    init_bottleneck_params,
-    init_simple_params,
+    init_layer_params,
     simple_repgraph_forward,
 )
 from repgraph.bench import run_benchmark
@@ -116,8 +115,8 @@ def test_criterion_6_identity_at_init():
                             init_mode="pretrained_insert")
         cfg_b = LayerConfig(c=c, cp=cp, s=3, variant="bottleneck",
                             init_mode="pretrained_insert")
-        y_s = simple_repgraph_forward(x, init_simple_params(cfg_s, rng), cfg_s)
-        y_b = bottleneck_repgraph_forward(x, init_bottleneck_params(cfg_b, rng), cfg_b)
+        y_s = simple_repgraph_forward(x, init_layer_params(cfg_s, rng), cfg_s)
+        y_b = bottleneck_repgraph_forward(x, init_layer_params(cfg_b, rng), cfg_b)
         total += 2
         exact += int(np.array_equal(y_s.data, x.data))
         exact += int(np.array_equal(y_b.data, x.data))
@@ -137,9 +136,8 @@ def test_criterion_7_variant_reductions():
         variant = "simple" if seed % 2 == 0 else "bottleneck"
         fusion = "sum" if seed % 3 else "concat"
         cfg = LayerConfig(c=c, cp=cp, s=s, variant=variant, fusion=fusion, seed=seed)
-        init = init_simple_params if variant == "simple" else init_bottleneck_params
         forward = simple_repgraph_forward if variant == "simple" else bottleneck_repgraph_forward
-        params = init(cfg, rng)
+        params = init_layer_params(cfg, rng)
         x = rng.tensor((1, c, h, w))
         base = forward(x, params, cfg)
         grid = grid_repgraph_forward(x, params, cfg, GridConfig(1))
@@ -161,10 +159,10 @@ def test_criterion_8_attention_normalization():
             cp = int(rng.integers(2, 5))
             variant = "simple" if seed % 2 == 0 else "bottleneck"
             cfg = LayerConfig(c=c, cp=cp, s=s, variant=variant)
-            init = init_simple_params if variant == "simple" else init_bottleneck_params
             forward = simple_repgraph_forward if variant == "simple" else bottleneck_repgraph_forward
             collect = {}
-            forward(rng.tensor((2, c, 4, 5)), init(cfg, rng), cfg, collect=collect)
+            forward(rng.tensor((2, c, 4, 5)), init_layer_params(cfg, rng), cfg,
+                    collect=collect)
             w = collect["weights"].data
             worst = max(worst, float(np.abs(w.sum(axis=-1) - 1.0).max()))
             checked += 1

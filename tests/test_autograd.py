@@ -198,11 +198,11 @@ class TestZeroInitTrainability:
     def test_zero_branch_still_receives_gradient(self):
         # A zero-initialized output projection must still get a nonzero
         # gradient, otherwise insertion-mode layers could never train.
-        from repgraph import LayerConfig, init_simple_params, Rng
+        from repgraph import LayerConfig, init_layer_params, Rng
         from repgraph.layer import layer_forward_node
 
         cfg = LayerConfig(c=4, cp=3, s=2, init_mode="pretrained_insert")
-        params = init_simple_params(cfg, Rng(0))
+        params = init_layer_params(cfg, Rng(0))
         tape = Tape()
         x = tape.leaf(Rng(1).uniform(-1, 1, (1, 4, 3, 3)))
         y = layer_forward_node(tape, x, params, cfg)

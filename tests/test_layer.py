@@ -15,8 +15,7 @@ from repgraph import (
     bottleneck_repgraph_forward,
     dense_equivalence_diff,
     full_grid_offsets,
-    init_bottleneck_params,
-    init_simple_params,
+    init_layer_params,
     project_1x1,
     repgraph_forward,
     simple_repgraph_forward,
@@ -34,7 +33,7 @@ from repgraph.ops import bilinear_node
 def regress_offsets(x, w_off):
     """The offset field a simple layer regresses from ``x`` with ``w_off``."""
     cfg = LayerConfig(c=x.shape[1], cp=2, s=max(1, w_off.c_out // 2))
-    params = init_simple_params(cfg, Rng(0))
+    params = init_layer_params(cfg, Rng(0))
     params.w_off = w_off
     collect = {}
     repgraph_forward(x, params, cfg, collect=collect)
@@ -150,7 +149,7 @@ class TestSampleRepresentative:
         cfg = LayerConfig(c=3, cp=2, s=1)
         with pytest.raises(ShapeError):
             repgraph_forward(
-                Rng(0).tensor((1, 3, 4, 4)), init_simple_params(cfg, Rng(0)), cfg,
+                Rng(0).tensor((1, 3, 4, 4)), init_layer_params(cfg, Rng(0)), cfg,
                 offsets=OffsetField(np.zeros((1, 2, 3, 3))),
             )
 
@@ -221,7 +220,7 @@ class TestSimpleLayer:
     def test_pretrained_insert_is_exact_identity(self):
         rng = Rng(8)
         cfg = LayerConfig(c=5, cp=3, s=4, init_mode="pretrained_insert")
-        params = init_simple_params(cfg, rng)
+        params = init_layer_params(cfg, rng)
         for seed in range(3):
             x = Rng(seed).tensor((2, 5, 4, 3))
             y = simple_repgraph_forward(x, params, cfg)
@@ -233,7 +232,7 @@ class TestSimpleLayer:
         cfg = LayerConfig(c=1, cp=1, s=1)
         xv, wt, wp, wg, wy = 2.0, 1.3, 0.7, -0.9, 0.5
         dy, dx = 0.2, -0.15  # per-unit-input offset regression weights
-        params = init_simple_params(cfg, Rng(0))
+        params = init_layer_params(cfg, Rng(0))
         params.theta.weight[:] = wt
         params.phi.weight[:] = wp
         params.g.weight[:] = wg
@@ -254,7 +253,7 @@ class TestSimpleLayer:
 
     def test_single_node_with_out_of_range_offset(self):
         cfg = LayerConfig(c=1, cp=1, s=1)
-        params = init_simple_params(cfg, Rng(0))
+        params = init_layer_params(cfg, Rng(0))
         params.w_off.weight[:] = 0.0
         params.w_off.bias[:] = np.array([7.0, -3.0])  # sample far off the map
         x = Tensor4(np.full((1, 1, 1, 1), 2.0))
@@ -265,7 +264,7 @@ class TestSimpleLayer:
     def test_offset_weights_receive_gradient(self):
         rng = Rng(9)
         cfg = LayerConfig(c=4, cp=3, s=2)
-        params = init_simple_params(cfg, rng)
+        params = init_layer_params(cfg, rng)
         tape = Tape()
         x = tape.leaf(rng.uniform(-1, 1, (1, 4, 4, 4)))
         y = layer_forward_node(tape, x, params, cfg)
@@ -275,7 +274,7 @@ class TestSimpleLayer:
     def test_concat_fusion_restores_width(self):
         rng = Rng(10)
         cfg = LayerConfig(c=5, cp=3, s=2, fusion="concat")
-        params = init_simple_params(cfg, rng)
+        params = init_layer_params(cfg, rng)
         x = rng.tensor((1, 5, 3, 3))
         y = simple_repgraph_forward(x, params, cfg)
         assert y.shape == x.shape
@@ -284,7 +283,7 @@ class TestSimpleLayer:
     def test_offsets_from_theta_source(self):
         rng = Rng(11)
         cfg = LayerConfig(c=5, cp=3, s=2, offset_source="theta")
-        params = init_simple_params(cfg, rng)
+        params = init_layer_params(cfg, rng)
         assert params.w_off.c_in == 3
         x = rng.tensor((1, 5, 3, 3))
         assert simple_repgraph_forward(x, params, cfg).shape == x.shape
@@ -294,7 +293,7 @@ class TestBottleneckLayer:
     def test_pretrained_insert_is_exact_identity(self):
         cfg = LayerConfig(c=6, cp=3, s=2, variant="bottleneck",
                           init_mode="pretrained_insert")
-        params = init_bottleneck_params(cfg, Rng(12))
+        params = init_layer_params(cfg, Rng(12))
         for seed in range(3):
             x = Rng(seed).tensor((1, 6, 3, 4))
             y = bottleneck_repgraph_forward(x, params, cfg)
@@ -304,7 +303,7 @@ class TestBottleneckLayer:
         # 1x1 spatial map in eval mode: every stage is a closed-form affine
         # map, so the full output (including the final ReLU) is hand-computable.
         cfg = LayerConfig(c=2, cp=1, s=1, variant="bottleneck")
-        params = init_bottleneck_params(cfg, Rng(13))
+        params = init_layer_params(cfg, Rng(13))
         x = Tensor4(np.array([[[[1.5]], [[-0.5]]]]))
         y = bottleneck_repgraph_forward(x, params, cfg, training=False)
 
@@ -325,7 +324,7 @@ class TestBottleneckLayer:
     def test_no_final_relu_in_pretrained_mode(self):
         cfg = LayerConfig(c=3, cp=2, s=1, variant="bottleneck",
                           init_mode="pretrained_insert")
-        params = init_bottleneck_params(cfg, Rng(14))
+        params = init_layer_params(cfg, Rng(14))
         x = Tensor4(-np.abs(Rng(15).uniform(0.1, 1.0, (1, 3, 2, 2))))
         y = bottleneck_repgraph_forward(x, params, cfg)
         assert np.array_equal(y.data, x.data)  # negatives survive
@@ -341,12 +340,8 @@ class TestAttentionRowSums:
     def test_rows_sum_to_one_across_fuzzed_configs(self, s, seed, variant):
         rng = Rng(seed)
         cfg = LayerConfig(c=4, cp=2, s=s, variant=variant)
-        if variant == "simple":
-            params = init_simple_params(cfg, rng)
-            forward = simple_repgraph_forward
-        else:
-            params = init_bottleneck_params(cfg, rng)
-            forward = bottleneck_repgraph_forward
+        params = init_layer_params(cfg, rng)
+        forward = simple_repgraph_forward if variant == "simple" else bottleneck_repgraph_forward
         collect = {}
         forward(rng.tensor((1, 4, 3, 3)), params, cfg, collect=collect)
         w = collect["weights"].data

@@ -6,7 +6,7 @@ from repgraph import (
     Rng,
     ValidationError,
     affinity_stats,
-    init_simple_params,
+    init_layer_params,
     repgraph_forward,
     softmax_rows,
 )
@@ -57,7 +57,7 @@ class TestTopKCurves:
     def test_grouped_layer_weights_give_one_row_per_query_and_group(self):
         cfg = LayerConfig(c=4, cp=6, s=5, groups=2)
         collect = {}
-        repgraph_forward(Rng(3).tensor((2, 4, 3, 4)), init_simple_params(cfg, Rng(4)), cfg,
+        repgraph_forward(Rng(3).tensor((2, 4, 3, 4)), init_layer_params(cfg, Rng(4)), cfg,
                          collect=collect)
         stats = affinity_stats(collect["weights"].data)
         assert stats.n_rows == 2 * 12 * 2

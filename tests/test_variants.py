@@ -13,7 +13,6 @@ from repgraph import (
     grid_repgraph_forward,
     group_repgraph_forward,
     init_layer_params,
-    init_simple_params,
     project_1x1,
     simple_repgraph_forward,
     softmax_rows,
@@ -72,7 +71,7 @@ class TestGridRepGraph:
     def test_gs1_is_bit_exact_to_base(self):
         rng = Rng(0)
         cfg = LayerConfig(c=4, cp=3, s=2)
-        params = init_simple_params(cfg, rng)
+        params = init_layer_params(cfg, rng)
         x = rng.tensor((2, 4, 5, 4))
         base = simple_repgraph_forward(x, params, cfg)
         grid = grid_repgraph_forward(x, params, cfg, GridConfig(1))
@@ -81,7 +80,7 @@ class TestGridRepGraph:
     def test_matches_naive_per_group_oracle(self):
         rng = Rng(1)
         cfg = LayerConfig(c=4, cp=3, s=2)
-        params = init_simple_params(cfg, rng)
+        params = init_layer_params(cfg, rng)
         x = rng.tensor((1, 4, 6, 6))
         got = grid_repgraph_forward(x, params, cfg, GridConfig(3))
         want = naive_grid_forward(x, params, cfg, 3)
@@ -90,7 +89,7 @@ class TestGridRepGraph:
     def test_oracle_also_covers_uneven_grids(self):
         rng = Rng(2)
         cfg = LayerConfig(c=3, cp=2, s=3)
-        params = init_simple_params(cfg, rng)
+        params = init_layer_params(cfg, rng)
         x = rng.tensor((2, 3, 5, 7))
         got = grid_repgraph_forward(x, params, cfg, GridConfig(2))
         want = naive_grid_forward(x, params, cfg, 2)
@@ -99,7 +98,7 @@ class TestGridRepGraph:
     def test_single_group_when_gs_covers_map(self):
         rng = Rng(3)
         cfg = LayerConfig(c=3, cp=2, s=2)
-        params = init_simple_params(cfg, rng)
+        params = init_layer_params(cfg, rng)
         x = rng.tensor((1, 3, 4, 4))
         collect = {}
         got = grid_repgraph_forward(x, params, cfg, GridConfig(4), collect=collect)
@@ -114,17 +113,17 @@ class TestGridRepGraph:
     def test_f32_input_gives_f32_output(self):
         cfg = LayerConfig(c=4, cp=3, s=2)
         x = Rng(12).tensor((1, 4, 5, 7), dtype=np.float32)
-        got = grid_repgraph_forward(x, init_simple_params(cfg, Rng(13), dtype=np.float32),
+        got = grid_repgraph_forward(x, init_layer_params(cfg, Rng(13), dtype=np.float32),
                                     cfg, GridConfig(2))
         want = grid_repgraph_forward(Tensor4(x.data.astype(np.float64)),
-                                     init_simple_params(cfg, Rng(13)), cfg, GridConfig(2))
+                                     init_layer_params(cfg, Rng(13)), cfg, GridConfig(2))
         assert got.data.dtype == np.float32
         tol = 1e3 * np.finfo(np.float32).eps * max(1.0, np.abs(want.data).max())
         assert np.abs(got.data - want.data).max() <= tol
 
     def test_invalid_gs_rejected(self):
         cfg = LayerConfig(c=3, cp=2, s=2)
-        params = init_simple_params(cfg, Rng(0))
+        params = init_layer_params(cfg, Rng(0))
         with pytest.raises(ContractError):
             grid_repgraph_forward(Rng(0).tensor((1, 3, 4, 4)), params, cfg, GridConfig(0))
 
@@ -133,7 +132,7 @@ class TestGroupRepGraph:
     def test_g1_is_bit_exact_to_base(self):
         rng = Rng(4)
         cfg = LayerConfig(c=5, cp=4, s=3)
-        params = init_simple_params(cfg, rng)
+        params = init_layer_params(cfg, rng)
         x = rng.tensor((1, 5, 3, 4))
         base = simple_repgraph_forward(x, params, cfg)
         grouped = group_repgraph_forward(x, params, cfg, GroupConfig(1))
@@ -173,7 +172,7 @@ class TestGroupRepGraph:
     def test_matches_slice_dispatch_oracle(self):
         rng = Rng(5)
         cfg = LayerConfig(c=6, cp=8, s=3)
-        params = init_simple_params(cfg, rng)
+        params = init_layer_params(cfg, rng)
         x = rng.tensor((2, 6, 3, 3))
         collect = {}
         got = group_repgraph_forward(x, params, cfg, GroupConfig(4), collect=collect)
@@ -185,7 +184,7 @@ class TestGroupRepGraph:
     def test_one_channel_per_group(self):
         rng = Rng(6)
         cfg = LayerConfig(c=4, cp=4, s=2)
-        params = init_simple_params(cfg, rng)
+        params = init_layer_params(cfg, rng)
         x = rng.tensor((1, 4, 3, 3))
         got = group_repgraph_forward(x, params, cfg, GroupConfig(4))
         want, _ = self._slice_dispatch_oracle(x, params, cfg, 4)
@@ -194,7 +193,7 @@ class TestGroupRepGraph:
     def test_per_group_rows_sum_to_one(self):
         rng = Rng(7)
         cfg = LayerConfig(c=4, cp=6, s=4)
-        params = init_simple_params(cfg, rng)
+        params = init_layer_params(cfg, rng)
         collect = {}
         group_repgraph_forward(rng.tensor((1, 4, 3, 3)), params, cfg,
                                GroupConfig(3), collect=collect)
@@ -217,7 +216,7 @@ class TestGroupRepGraph:
 
     def test_non_divisible_width_names_both(self):
         cfg = LayerConfig(c=4, cp=6, s=2)
-        params = init_simple_params(cfg, Rng(0))
+        params = init_layer_params(cfg, Rng(0))
         with pytest.raises(ContractError, match=r"C'=6.*G=4"):
             group_repgraph_forward(Rng(0).tensor((1, 4, 3, 3)), params, cfg, GroupConfig(4))
 
