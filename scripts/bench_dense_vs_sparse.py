@@ -9,14 +9,16 @@ the block-to-block ratios rather than the absolute milliseconds.
 
 import pathlib
 
+from repgraph import LayerConfig
 from repgraph.bench import run_benchmark, write_bench_csv
 
 BLOCKS = ["nl", "srg", "brg", "grid", "group"]
-GEOMETRIES = [(64, 32, 256, 64), (128, 64, 256, 64)]
+SIZES = [(64, 32), (128, 64)]
+LAYER = LayerConfig(c=256, cp=64, s=9, gs=2, groups=2)
 
 
 def main() -> None:
-    results, skips = run_benchmark(BLOCKS, GEOMETRIES, s=9, repeats=5, warmup=2, dtype="f32")
+    results, skips = run_benchmark(BLOCKS, SIZES, LAYER, repeats=5, warmup=2, dtype="f32")
     out = pathlib.Path(__file__).parent / "bench_results.csv"
     write_bench_csv(results, out)
     dense = {(r.h, r.w): r.median_ms for r in results if r.block == "nl"}

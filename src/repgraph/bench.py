@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,44 +44,39 @@ class BenchSkip:
     reason: str
 
 
-def _estimate_bytes(block: str, h: int, w: int, c: int, cp: int, s: int, itemsize: int) -> int:
+def _estimate_bytes(block: str, h: int, w: int, layer: LayerConfig, itemsize: int) -> int:
     n_nodes = h * w
     if block == "nl":
         work = 3 * n_nodes * n_nodes  # logits + softmax + backprop-free slack
     else:
-        work = 12 * n_nodes * s * cp
-    return (work + 8 * n_nodes * max(c, cp)) * itemsize
+        work = 12 * n_nodes * layer.s * layer.cp
+    return (work + 8 * n_nodes * max(layer.c, layer.cp)) * itemsize
 
 
-def _make_forward(block: str, h: int, w: int, c: int, cp: int, s: int,
-                  gs: int, groups: int, fusion: str, init_mode: str, offset_source: str,
-                  dtype, seed: int):
-    rng = Rng(seed)
-    x = rng.tensor((1, c, h, w), dtype=dtype)
+def _make_forward(block: str, h: int, w: int, layer: LayerConfig, dtype):
+    rng = Rng(layer.seed)
+    x = rng.tensor((1, layer.c, h, w), dtype=dtype)
     if block == "nl":
-        params = init_nonlocal_params(c, cp, fusion=fusion, rng=rng, dtype=dtype)
+        params = init_nonlocal_params(layer.c, layer.cp, fusion=layer.fusion, rng=rng,
+                                      dtype=dtype)
         return lambda: nonlocal_forward(x, params)
-    cfg = LayerConfig(c=c, cp=cp, s=s, variant="simple" if block == "srg" else "bottleneck",
-                      fusion=fusion, init_mode=init_mode, offset_source=offset_source,
-                      seed=seed, gs=gs if block == "grid" else 1,
-                      groups=groups if block == "group" else 1)
+    cfg = replace(layer, variant="simple" if block == "srg" else "bottleneck",
+                  gs=layer.gs if block == "grid" else 1,
+                  groups=layer.groups if block == "group" else 1)
     params = init_layer_params(cfg, rng=rng, dtype=dtype)
     return lambda: repgraph_forward(x, params, cfg)
 
 
-def run_benchmark(blocks, geometries, s: int = 9, gs: int = 2, groups: int = 2,
-                  fusion: str = "sum", repeats: int = 5, warmup: int = 2, dtype: str = "f32",
-                  seed: int = 0, mem_budget_bytes: int = 8 << 30,
-                  init_mode: str = "fresh", offset_source: str = "input",
+def run_benchmark(blocks, sizes, layer: LayerConfig, repeats: int = 5, warmup: int = 2,
+                  dtype: str = "f32", mem_budget_bytes: int = 8 << 30,
                   ) -> tuple[list[BenchResult], list[BenchSkip]]:
-    """Time forward passes per block and geometry.
+    """Time forward passes of ``layer`` per block and (h, w) size.
 
-    ``geometries`` is a list of (h, w, c, cp) tuples; every block at one
-    geometry sees the identical input, drawn from ``seed`` before the block's
-    parameters.  The block name decides the sparse layers' variant; the other
-    :class:`LayerConfig` fields come from the arguments.  Geometries whose
-    estimated working set exceeds ``mem_budget_bytes`` are skipped with the
-    reason recorded.
+    Every block at one size sees the identical input, drawn from
+    ``layer.seed`` before the block's parameters.  The block name decides the
+    sparse layers' variant; ``layer.gs`` reaches only ``grid`` and
+    ``layer.groups`` only ``group``.  Sizes whose estimated working set exceeds
+    ``mem_budget_bytes`` are skipped with the reason recorded.
     """
     if repeats < 5:
         raise ContractError(f"repeats must be >= 5, got {repeats}")
@@ -92,21 +87,22 @@ def run_benchmark(blocks, geometries, s: int = 9, gs: int = 2, groups: int = 2,
     np_dtype = _DTYPES[dtype]
     results: list[BenchResult] = []
     skips: list[BenchSkip] = []
-    for h, w, c, cp in geometries:
+    for h, w in sizes:
+        if min(h, w) < 1:
+            raise ContractError(f"map size must be positive, got {h}x{w}")
         for block in blocks:
             if block not in BLOCKS:
                 raise ContractError(f"unknown block {block!r}; expected one of {BLOCKS}")
-            need = _estimate_bytes(block, h, w, c, cp, s, np.dtype(np_dtype).itemsize)
+            need = _estimate_bytes(block, h, w, layer, np.dtype(np_dtype).itemsize)
             if need > mem_budget_bytes:
                 reason = f"estimated {need / 2**30:.2f} GiB exceeds budget"
                 skips.append(BenchSkip(block, h, w, reason))
                 print(f"skip {block} at {h}x{w}: {reason}", file=sys.stderr)
                 continue
-            forward = _make_forward(block, h, w, c, cp, s, gs, groups, fusion, init_mode,
-                                    offset_source, np_dtype, seed)
+            forward = _make_forward(block, h, w, layer, np_dtype)
             median_ms, iqr_ms = time_callable(forward, repeats, warmup)
             results.append(BenchResult(
-                block=block, h=h, w=w, c=c, cp=cp, s=s, dtype=dtype,
+                block=block, h=h, w=w, c=layer.c, cp=layer.cp, s=layer.s, dtype=dtype,
                 median_ms=median_ms, iqr_ms=iqr_ms, repeats=repeats,
             ))
     return results, skips

@@ -21,6 +21,7 @@ from . import train as train_mod
 from .autograd import Tape
 from .config import load_config_file
 from .errors import ContractError, RepGraphError
+from .layer import LayerConfig
 from .nonlocal_block import affinity_matrix
 from .oracle import dense_equivalence_diff
 from .tensor import Rng
@@ -41,19 +42,15 @@ def _add_geometry_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="key=value layer config file")
 
 
-def _apply_config(args) -> None:
-    """Let a ``--config`` file override the geometry flags and set the other layer fields."""
-    if getattr(args, "config", None):
-        cfg = load_config_file(args.config)
-        args.c = cfg.c
-        args.cp = cfg.cp
-        args.nodes = cfg.s
-        args.fusion = cfg.fusion
-        args.gs = cfg.gs
-        args.groups = cfg.groups
-        args.init_mode = cfg.init_mode
-        args.offset_source = cfg.offset_source
-        args.seed = cfg.seed
+def _layer(args) -> LayerConfig:
+    """The ``--config`` file's layer, or else the one the layer flags describe.
+
+    Both are built as a :class:`LayerConfig`, so flags and files are validated alike.
+    """
+    if args.config:
+        return load_config_file(args.config)
+    return LayerConfig(c=args.c, cp=args.cp, s=args.nodes, fusion=args.fusion,
+                       seed=getattr(args, "seed", 0), gs=args.gs, groups=args.groups)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=int, default=2)
     p.add_argument("--dtype", choices=["f32", "f64"], default="f32")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bench, init_mode="fresh", offset_source="input")
+    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("oracle", help="dense-equivalence check of the sparse layer")
     p.add_argument("--n", type=int, default=36, help="node count (perfect square)")
@@ -114,10 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_flops(args) -> int:
-    _apply_config(args)
+    layer = _layer(args)
     report = flops_mod.count_flops(
-        args.block, args.h, args.w, args.c, args.cp, s=args.nodes,
-        gs=args.gs, groups=args.groups, fusion=args.fusion,
+        args.block, args.h, args.w, layer.c, layer.cp, s=layer.s,
+        gs=layer.gs, groups=layer.groups, fusion=layer.fusion,
     )
     print(report)
     if args.out:
@@ -126,13 +123,11 @@ def cmd_flops(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    _apply_config(args)
+    layer = _layer(args)
     blocks = [b.strip() for b in args.block.split(",") if b.strip()]
-    results, skips = bench_mod.run_benchmark(
-        blocks, [(args.h, args.w, args.c, args.cp)], s=args.nodes,
-        gs=args.gs, groups=args.groups, fusion=args.fusion, repeats=args.repeats,
-        warmup=args.warmup, dtype=args.dtype, seed=args.seed,
-        init_mode=args.init_mode, offset_source=args.offset_source,
+    results, _ = bench_mod.run_benchmark(
+        blocks, [(args.h, args.w)], layer, repeats=args.repeats, warmup=args.warmup,
+        dtype=args.dtype,
     )
     for r in results:
         print(f"{r.block}: median {r.median_ms:.2f} ms (iqr {r.iqr_ms:.2f}) "
@@ -174,6 +169,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_affinity(args) -> int:
+    if min(args.n, args.cp) < 1:
+        raise ContractError(f"--n and --cp must be >= 1, got {args.n} and {args.cp}")
     if args.ckpt:
         model, tcfg = train_mod.load_checkpoint(args.ckpt)
         if model.layer is None:
@@ -225,7 +222,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except RepGraphError as exc:
+    except (RepGraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -41,9 +41,7 @@ def layer_config_from_text(text: str) -> LayerConfig:
     missing = {"c", "cp"} - values.keys()
     if missing:
         raise ContractError(f"config is missing required keys: {sorted(missing)}")
-    cfg = LayerConfig(**values)  # type: ignore[arg-type]
-    cfg.validate()
-    return cfg
+    return LayerConfig(**values)  # type: ignore[arg-type]
 
 
 def load_config_file(path) -> LayerConfig:

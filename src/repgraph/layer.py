@@ -30,7 +30,7 @@ _OFFSET_SOURCES = ("input", "theta")
 
 @dataclass(frozen=True)
 class LayerConfig:
-    """Structural description of one layer instance.
+    """Structural description of one layer instance; construction validates it.
 
     ``gs`` > 1 is grid mode: one sampled node set per gs x gs spatial group.
     ``groups`` > 1 is group mode: the C' channels attend in G independent groups.
@@ -46,6 +46,9 @@ class LayerConfig:
     seed: int = 0
     gs: int = 1
     groups: int = 1
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if self.s < 1:
@@ -141,7 +144,6 @@ def _proj(rng: Rng, c_out: int, c_in: int, dtype, zero: bool = False) -> Project
 
 def init_layer_params(cfg: LayerConfig, rng: Optional[Rng] = None, dtype=np.float64):
     """A new parameter record for ``cfg``'s variant, drawn from ``rng`` or ``Rng(cfg.seed)``."""
-    cfg.validate()
     rng = rng if rng is not None else Rng(cfg.seed)
     zero_out = cfg.init_mode == "pretrained_insert"
     if cfg.variant == "simple":
@@ -219,12 +221,9 @@ def full_grid_offsets(n: int, h: int, w: int, dtype=np.float64) -> OffsetField:
     lands exactly on grid node k; with these offsets the sparse layer
     reproduces the dense baseline.
     """
-    node_y = np.arange(h * w, dtype=dtype) // w
-    node_x = np.arange(h * w, dtype=dtype) % w
-    qy = np.repeat(np.arange(h, dtype=dtype), w)
-    qx = np.tile(np.arange(w, dtype=dtype), h)
-    dy = node_y[:, None] - qy[None, :]
-    dx = node_x[:, None] - qx[None, :]
+    qy, qx = _anchor_grid(h, w, 1, dtype)
+    dy = qy[:, None] - qy[None, :]
+    dx = qx[:, None] - qx[None, :]
     off = np.stack([dy, dx], axis=1).reshape(1, 2 * h * w, h, w)
     return OffsetField(np.broadcast_to(off, (n, 2 * h * w, h, w)).copy())
 
@@ -370,7 +369,6 @@ def layer_forward_node(tape: Tape, x: Node, params, cfg: LayerConfig, *,
     ``offsets`` replaces the regressed displacement field; ``collect`` receives
     the offsets, sampling positions and attention weights.
     """
-    cfg.validate()
     if x.value.shape[1] != cfg.c:
         raise ShapeError(f"input has {x.value.shape[1]} channels, config says C={cfg.c}")
     p = _bind_params(tape, params, prefix)

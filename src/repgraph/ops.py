@@ -330,12 +330,9 @@ def avg_pool_node(x: Node, g: int) -> Node:
     if g < 1:
         raise ContractError(f"pooling group size must be >= 1, got {g}")
     n, c, h, w = x.value.shape
-    if g == 1:
-        out = x.value / 1.0
-    else:
-        t = np.add.reduceat(x.value, np.arange(0, h, g), axis=2)
-        t = np.add.reduceat(t, np.arange(0, w, g), axis=3)
-        out = t / _pool_area(h, w, g, t.dtype)
+    t = np.add.reduceat(x.value, np.arange(0, h, g), axis=2)
+    t = np.add.reduceat(t, np.arange(0, w, g), axis=3)
+    out = t / _pool_area(h, w, g, t.dtype)
 
     def bwd(grad):
         spread = grad / _pool_area(h, w, g, grad.dtype)

@@ -27,9 +27,9 @@ from .tensor import Rng
 def dense_equivalence_diff(n_nodes: int, seed: int, c: int = 8, cp: int = 4,
                            batch: int = 1, fusion: str = "sum") -> float:
     """Max |dense - sparse| over a random input with shared projections."""
-    side = int(round(math.sqrt(n_nodes)))
-    if side * side != n_nodes:
-        raise ContractError(f"node count must be a perfect square, got {n_nodes}")
+    if n_nodes < 1 or math.isqrt(n_nodes) ** 2 != n_nodes:
+        raise ContractError(f"node count must be a positive perfect square, got {n_nodes}")
+    side = math.isqrt(n_nodes)
     rng = Rng(seed)
     nl = init_nonlocal_params(c, cp, fusion=fusion, rng=rng)
     sparse = SimpleRepGraphParams(

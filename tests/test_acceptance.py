@@ -91,8 +91,9 @@ def test_criterion_4_complexity_scaling():
 
 
 def test_criterion_5_wall_clock_ratio():
-    results, skips = run_benchmark(["nl", "brg"], [(128, 64, 256, 64)],
-                                   s=9, repeats=5, warmup=2, dtype="f32")
+    results, skips = run_benchmark(["nl", "brg"], [(128, 64)],
+                                   LayerConfig(c=256, cp=64, s=9),
+                                   repeats=5, warmup=2, dtype="f32")
     assert not skips
     nl, brg = results
     ratio = brg.median_ms / nl.median_ms

@@ -1,28 +1,29 @@
 import numpy as np
 import pytest
 
-from repgraph import ContractError
+from repgraph import ContractError, LayerConfig
 from repgraph.bench import run_benchmark, time_callable, write_bench_csv
 
-TINY = [(8, 8, 8, 4)]
+TINY = [(8, 8)]
+LAYER = LayerConfig(c=8, cp=4)
 
 
 class TestContracts:
     def test_too_few_repeats_rejected(self):
         with pytest.raises(ContractError):
-            run_benchmark(["brg"], TINY, repeats=4)
+            run_benchmark(["brg"], TINY, LAYER, repeats=4)
 
     def test_too_little_warmup_rejected(self):
         with pytest.raises(ContractError):
-            run_benchmark(["brg"], TINY, warmup=1)
+            run_benchmark(["brg"], TINY, LAYER, warmup=1)
 
     def test_unknown_block_rejected(self):
         with pytest.raises(ContractError):
-            run_benchmark(["danet"], TINY)
+            run_benchmark(["danet"], TINY, LAYER)
 
     def test_bad_dtype_rejected(self):
         with pytest.raises(ContractError):
-            run_benchmark(["brg"], TINY, dtype="f16")
+            run_benchmark(["brg"], TINY, LAYER, dtype="f16")
 
 
 class TestTimer:
@@ -34,7 +35,7 @@ class TestTimer:
 
 class TestRuns:
     def test_tiny_geometry_produces_rows(self):
-        results, skips = run_benchmark(["nl", "brg", "srg"], TINY, s=3)
+        results, skips = run_benchmark(["nl", "brg", "srg"], TINY, LayerConfig(c=8, cp=4, s=3))
         assert [r.block for r in results] == ["nl", "brg", "srg"]
         assert not skips
         for r in results:
@@ -43,14 +44,14 @@ class TestRuns:
             assert r.dtype == "f32"
 
     def test_memory_budget_skips_gracefully(self, capsys):
-        results, skips = run_benchmark(["nl", "brg"], [(64, 64, 8, 4)],
+        results, skips = run_benchmark(["nl", "brg"], [(64, 64)], LAYER,
                                        mem_budget_bytes=1 << 20)
         assert [s.block for s in skips] == ["nl", "brg"]
         assert results == []
         assert "exceeds budget" in capsys.readouterr().err
 
     def test_csv_schema(self, tmp_path):
-        results, _ = run_benchmark(["brg"], TINY, s=2)
+        results, _ = run_benchmark(["brg"], TINY, LayerConfig(c=8, cp=4, s=2))
         path = tmp_path / "bench.csv"
         write_bench_csv(results, path)
         lines = path.read_text().strip().splitlines()

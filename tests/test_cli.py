@@ -134,6 +134,28 @@ class TestBenchCommand:
         assert srg.w_out.c_in == 8 + 4
         assert brg.expand.c_in == 2 * 4
 
+    def test_flags_and_config_file_give_every_block_the_same_layer(self, tmp_path,
+                                                                   monkeypatch, capsys):
+        from repgraph import bench
+
+        cfgs = []
+
+        def spy(cfg, *args, real=bench.init_layer_params, **kwargs):
+            cfgs.append(cfg)
+            return real(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "init_layer_params", spy)
+        blocks = ["--block", "srg,brg,grid,group", "--h", "4", "--w", "4"]
+        path = tmp_path / "layer.cfg"
+        path.write_text("c=8\ncp=4\ns=2\nfusion=concat\nseed=3\ngs=2\ngroups=2\n")
+        assert main(["bench", *blocks, "--c", "8", "--cp", "4", "--nodes", "2",
+                     "--fusion", "concat", "--seed", "3", "--gs", "2", "--groups", "2"]) == 0
+        assert main(["bench", *blocks, "--config", str(path)]) == 0
+        assert len(cfgs) == 8
+        assert cfgs[:4] == cfgs[4:]
+        assert [(c.variant, c.gs, c.groups) for c in cfgs[:4]] == [
+            ("simple", 1, 1), ("bottleneck", 1, 1), ("bottleneck", 2, 1), ("bottleneck", 1, 2)]
+
     def test_config_file_sets_every_layer_field_but_variant(self, tmp_path, monkeypatch,
                                                             capsys):
         from repgraph import bench
@@ -162,6 +184,28 @@ class TestFailures:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["flops", "--out", "{missing}"],
+        ["bench", "--block", "srg", "--h", "4", "--w", "4", "--c", "8", "--cp", "4",
+         "--nodes", "2", "--out", "{missing}"],
+        ["oracle", "--n", "4", "--out", "{missing}"],
+        ["affinity", "--demo", "uniform", "--n", "4", "--out", "{missing}"],
+        ["train", "--iters", "1", "--out", "{missing}"],
+        ["oracle", "--n", "0"],
+        ["affinity", "--n", "0", "--out", "{tmp}/a"],
+        ["affinity", "--n", "4", "--cp", "-1", "--out", "{tmp}/a"],
+        ["bench", "--block", "nl", "--h", "-1", "--c", "8", "--cp", "4"],
+        # Layer flags are validated as a config file would be.
+        ["flops", "--block", "srg", "--cp", "6", "--groups", "4"],
+        ["bench", "--block", "brg", "--gs", "0", "--h", "4", "--w", "4", "--c", "8",
+         "--cp", "4", "--nodes", "2"],
+    ], ids=["flops-out", "bench-out", "oracle-out", "affinity-out", "train-out", "oracle-n0",
+            "affinity-n0", "affinity-cp", "bench-h", "flops-groups", "bench-gs"])
+    def test_bad_input_is_one_line_validation_failure(self, argv, tmp_path, capsys):
+        paths = {"missing": tmp_path / "missing" / "x.csv", "tmp": tmp_path}
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        self._one_line_error(capsys)
 
     def test_missing_config_file_is_validation_failure(self, tmp_path, capsys):
         assert main(["bench", "--config", str(tmp_path / "missing.cfg")]) == 1

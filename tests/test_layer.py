@@ -72,9 +72,8 @@ class TestLayerConfig:
             LayerConfig(c=4, cp=2, s=0).validate()
 
     def test_pretrained_insert_requires_sum(self):
-        cfg = LayerConfig(c=4, cp=2, fusion="concat", init_mode="pretrained_insert")
         with pytest.raises(ContractError):
-            cfg.validate()
+            LayerConfig(c=4, cp=2, fusion="concat", init_mode="pretrained_insert")
 
 
 class TestRegressOffsets:
