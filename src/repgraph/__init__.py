@@ -23,6 +23,7 @@ from .layer import (
     AttentionWeights,
     BottleneckRepGraphParams,
     LayerConfig,
+    NonLocalParams,
     OffsetField,
     SimpleRepGraphParams,
     bottleneck_repgraph_forward,
@@ -31,12 +32,7 @@ from .layer import (
     repgraph_forward,
     simple_repgraph_forward,
 )
-from .nonlocal_block import (
-    NonLocalParams,
-    affinity_matrix,
-    init_nonlocal_params,
-    nonlocal_forward,
-)
+from .nonlocal_block import affinity_matrix, init_nonlocal_params, nonlocal_forward
 from .ops import (
     BatchNormParams,
     Projection1x1,
@@ -45,14 +41,7 @@ from .ops import (
 )
 from .oracle import dense_equivalence_diff
 from .stats import AffinityStats, affinity_stats
-from .tensor import (
-    Rng,
-    Tensor4,
-    load_tensor,
-    reshape_nodes,
-    save_tensor,
-    unflatten_nodes,
-)
+from .tensor import Rng, Tensor4, load_tensor, save_tensor
 from .variants import (
     GridConfig,
     GroupConfig,

@@ -16,10 +16,11 @@ import numpy as np
 from .errors import ContractError
 from .flops import BLOCKS
 from .layer import LayerConfig, init_layer_params, repgraph_forward
-from .nonlocal_block import init_nonlocal_params, nonlocal_forward
-from .tensor import Rng, Tensor4
+from .tensor import Rng
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
+_BLOCK_VARIANTS = {"nl": "nonlocal", "srg": "simple", "brg": "bottleneck",
+                   "grid": "bottleneck", "group": "bottleneck"}
 
 
 @dataclass
@@ -56,11 +57,7 @@ def _estimate_bytes(block: str, h: int, w: int, layer: LayerConfig, itemsize: in
 def _make_forward(block: str, h: int, w: int, layer: LayerConfig, dtype):
     rng = Rng(layer.seed)
     x = rng.tensor((1, layer.c, h, w), dtype=dtype)
-    if block == "nl":
-        params = init_nonlocal_params(layer.c, layer.cp, fusion=layer.fusion, rng=rng,
-                                      dtype=dtype)
-        return lambda: nonlocal_forward(x, params)
-    cfg = replace(layer, variant="simple" if block == "srg" else "bottleneck",
+    cfg = replace(layer, variant=_BLOCK_VARIANTS[block],
                   gs=layer.gs if block == "grid" else 1,
                   groups=layer.groups if block == "group" else 1)
     params = init_layer_params(cfg, rng=rng, dtype=dtype)
@@ -74,9 +71,9 @@ def run_benchmark(blocks, sizes, layer: LayerConfig, repeats: int = 5, warmup: i
 
     Every block at one size sees the identical input, drawn from
     ``layer.seed`` before the block's parameters.  The block name decides the
-    sparse layers' variant; ``layer.gs`` reaches only ``grid`` and
-    ``layer.groups`` only ``group``.  Sizes whose estimated working set exceeds
-    ``mem_budget_bytes`` are skipped with the reason recorded.
+    variant; ``layer.gs`` reaches only ``grid`` and ``layer.groups`` only
+    ``group``.  Sizes whose estimated working set exceeds ``mem_budget_bytes``
+    are skipped with the reason recorded.
     """
     if repeats < 5:
         raise ContractError(f"repeats must be >= 5, got {repeats}")

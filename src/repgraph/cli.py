@@ -101,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--nodes", type=int, default=9)
     p.add_argument("--lr", type=float, default=0.3)
-    p.add_argument("--variant", choices=["simple", "bottleneck"], default="simple")
+    p.add_argument("--variant", choices=["simple", "bottleneck", "nonlocal"],
+                   default="simple")
     p.add_argument("--ablate", action="store_true")
     p.add_argument("--out", default=None, help="training log CSV")
     p.add_argument("--ckpt-dir", default=None)

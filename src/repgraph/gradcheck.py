@@ -18,7 +18,6 @@ from . import ops
 from .autograd import Tape, finite_diff_check, weighted_sum
 from .errors import ContractError
 from .layer import LayerConfig, init_layer_params, layer_forward_node, param_arrays
-from .nonlocal_block import init_nonlocal_params, nonlocal_forward_node
 from .ops import BatchNormParams
 from .tensor import Rng
 from .train import conv3x3_node, softmax_xent_node
@@ -171,7 +170,8 @@ def _layer_case(**overrides):
     def block(tape, x, record):
         collect: dict = {}
         y = layer_forward_node(tape, x, record, cfg, training=True, collect=collect)
-        _assert_off_integer(collect["positions"])
+        if "positions" in collect:
+            _assert_off_integer(collect["positions"])
         return y
 
     return _record_case(init_layer_params(cfg), block, cfg.c)
@@ -227,7 +227,7 @@ CASES = {
     # case draws afresh; in the bottleneck it also drops the final ReLU.
     "bottleneck_layer_insert": _layer_case(variant="bottleneck",
                                            init_mode="pretrained_insert"),
-    "nonlocal_block": _record_case(init_nonlocal_params(6, 4), nonlocal_forward_node, 6),
+    "nonlocal_block": _layer_case(variant="nonlocal"),
 }
 
 

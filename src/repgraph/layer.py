@@ -1,11 +1,13 @@
 """Representative-node sparse attention: offset regression, sampling, attention,
-and the simple / bottleneck residual instantiations.
+the simple / bottleneck residual instantiations, and the dense non-local block.
 
 Per query position the layer regresses S fractional 2-D offsets, bilinearly
 samples the key and value branches at (position + offset), and attends over
 those S nodes only, which drops the attention cost from O(C'*N^2) to
-O(C'*N*S).  Both instantiations are residual and support an insertion mode
-whose zero-initialized output branch makes the layer an exact identity.
+O(C'*N*S).  The non-local variant is the dense baseline it replaces: the
+simple layer's projections and fusion, with every query attending over all N
+positions.  Every variant is residual and supports an insertion mode whose
+zero-initialized output branch makes the layer an exact identity.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import ContractError, ShapeError
 from .ops import BatchNormParams, Projection1x1
 from .tensor import Rng, Tensor4
 
-_VARIANTS = ("simple", "bottleneck")
+_VARIANTS = ("simple", "bottleneck", "nonlocal")
 _FUSIONS = ("sum", "concat")
 _INIT_MODES = ("fresh", "pretrained_insert")
 _OFFSET_SOURCES = ("input", "theta")
@@ -34,6 +36,8 @@ class LayerConfig:
 
     ``gs`` > 1 is grid mode: one sampled node set per gs x gs spatial group.
     ``groups`` > 1 is group mode: the C' channels attend in G independent groups.
+    ``variant="nonlocal"`` is the dense baseline: it samples nothing, so it
+    reads neither ``s`` nor ``offset_source`` and takes neither mode.
     """
 
     c: int
@@ -72,6 +76,11 @@ class LayerConfig:
         if self.cp % self.groups != 0:
             raise ContractError(
                 f"channel width C'={self.cp} is not divisible by G={self.groups}"
+            )
+        if self.variant == "nonlocal" and (self.gs, self.groups) != (1, 1):
+            raise ContractError(
+                f"the non-local block takes no grid or channel groups, "
+                f"got gs={self.gs}, G={self.groups}"
             )
 
 
@@ -131,6 +140,23 @@ class BottleneckRepGraphParams:
     bn_expand: BatchNormParams
 
 
+@dataclass
+class NonLocalParams:
+    """theta/phi/g map C -> C'; w_out restores C (from C' for sum, C + C' for concat)."""
+
+    theta: Projection1x1
+    phi: Projection1x1
+    g: Projection1x1
+    w_out: Projection1x1
+    fusion: str = "sum"
+
+    def __post_init__(self) -> None:
+        if self.fusion not in _FUSIONS:
+            raise ContractError(f"unknown fusion {self.fusion!r}")
+        if not (self.theta.c_out == self.phi.c_out == self.g.c_out):
+            raise ShapeError("theta, phi and g must share the projected width C'")
+
+
 def _proj(rng: Rng, c_out: int, c_in: int, dtype, zero: bool = False) -> Projection1x1:
     if zero:
         return Projection1x1(
@@ -146,13 +172,16 @@ def init_layer_params(cfg: LayerConfig, rng: Optional[Rng] = None, dtype=np.floa
     """A new parameter record for ``cfg``'s variant, drawn from ``rng`` or ``Rng(cfg.seed)``."""
     rng = rng if rng is not None else Rng(cfg.seed)
     zero_out = cfg.init_mode == "pretrained_insert"
-    if cfg.variant == "simple":
-        c_src = cfg.c if cfg.offset_source == "input" else cfg.cp
+    if cfg.variant != "bottleneck":
         c_fuse_in = cfg.cp if cfg.fusion == "sum" else cfg.c + cfg.cp
+        theta, phi, g = (_proj(rng, cfg.cp, cfg.c, dtype) for _ in range(3))
+        if cfg.variant == "nonlocal":
+            return NonLocalParams(theta, phi, g,
+                                  w_out=_proj(rng, cfg.c, c_fuse_in, dtype, zero=zero_out),
+                                  fusion=cfg.fusion)
+        c_src = cfg.c if cfg.offset_source == "input" else cfg.cp
         return SimpleRepGraphParams(
-            theta=_proj(rng, cfg.cp, cfg.c, dtype),
-            phi=_proj(rng, cfg.cp, cfg.c, dtype),
-            g=_proj(rng, cfg.cp, cfg.c, dtype),
+            theta, phi, g,
             w_off=_proj(rng, 2 * cfg.s, c_src, dtype),
             w_out=_proj(rng, cfg.c, c_fuse_in, dtype, zero=zero_out),
         )
@@ -351,6 +380,20 @@ def _repgraph_core(
     return _unflatten_map(x_tilde, h, w)
 
 
+def _dense_core(theta: Node, phi: Node, g: Node, collect: Optional[dict]) -> Node:
+    """Every query attends over all N positions; returns x_tilde as an [n, C', h, w] map.
+
+    ``collect`` receives the affinity as [n, N, 1, N] weights: one group whose
+    N samples are the grid positions in row-major order.
+    """
+    h, w = theta.value.shape[2:]
+    affinity = ops.softmax_node(
+        ag.einsum2("bnc,bmc->bnm", _flatten_map(theta), _flatten_map(phi)))
+    if collect is not None:
+        collect["weights"] = AttentionWeights(affinity.value[:, :, None, :])
+    return _unflatten_map(ag.einsum2("bnm,bmc->bnc", affinity, _flatten_map(g)), h, w)
+
+
 def _bind_params(tape: Tape, params, prefix: str) -> dict[str, Node]:
     """One tape leaf per trainable array, named ``prefix`` + its :func:`param_arrays` key."""
     return {name: tape.leaf(arr, prefix + name) for name, arr in param_arrays(params).items()}
@@ -366,18 +409,26 @@ def layer_forward_node(tape: Tape, x: Node, params, cfg: LayerConfig, *,
     """Record one layer forward on ``tape``; every variant, grid size and group count.
 
     ``training`` switches the bottleneck's batch norms to batch statistics.
-    ``offsets`` replaces the regressed displacement field; ``collect`` receives
-    the offsets, sampling positions and attention weights.
+    ``offsets`` replaces the regressed displacement field of a sparse variant;
+    ``collect`` receives the attention weights and, from a sparse variant, the
+    offsets and sampling positions.
     """
     if x.value.shape[1] != cfg.c:
         raise ShapeError(f"input has {x.value.shape[1]} channels, config says C={cfg.c}")
+    if offsets is not None and cfg.variant == "nonlocal":
+        raise ContractError("the non-local block samples no nodes, so it takes no offsets")
     p = _bind_params(tape, params, prefix)
-    if cfg.variant == "simple":
+    if cfg.variant != "bottleneck":
+        # Simple and non-local share the projections and the fusion; only the
+        # attention core differs.
         theta = _project(x, p, "theta")
         phi = _project(x, p, "phi")
         g = _project(x, p, "g")
-        offset_src = x if cfg.offset_source == "input" else theta
-        x_tilde = _repgraph_core(offset_src, theta, phi, g, p, cfg, offsets, collect)
+        if cfg.variant == "nonlocal":
+            x_tilde = _dense_core(theta, phi, g, collect)
+        else:
+            offset_src = x if cfg.offset_source == "input" else theta
+            x_tilde = _repgraph_core(offset_src, theta, phi, g, p, cfg, offsets, collect)
         if cfg.fusion == "sum":
             return ag.add(_project(x_tilde, p, "w_out"), x)
         return _project(ag.concat([x_tilde, x], axis=1), p, "w_out")

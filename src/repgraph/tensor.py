@@ -94,25 +94,6 @@ class Rng:
         return Tensor4(self.uniform(lo, hi, shape, dtype=dtype))
 
 
-def reshape_nodes(x: Tensor4) -> np.ndarray:
-    """Flatten (n, c, h, w) into an (n*h*w, c) node matrix.
-
-    Row i holds the feature vector of spatial position i mod (h*w)
-    (row-major over the grid) of batch element i // (h*w).
-    """
-    n, c, h, w = x.shape
-    return np.ascontiguousarray(x.data.transpose(0, 2, 3, 1).reshape(n * h * w, c))
-
-
-def unflatten_nodes(mat: np.ndarray, shape: tuple[int, int, int, int]) -> Tensor4:
-    """Inverse of :func:`reshape_nodes`; the round trip is bit-exact."""
-    n, c, h, w = shape
-    mat = np.asarray(mat)
-    if mat.shape != (n * h * w, c):
-        raise ShapeError(f"node matrix {mat.shape} does not match target shape {shape}")
-    return Tensor4(mat.reshape(n, h, w, c).transpose(0, 3, 1, 2))
-
-
 def save_tensor(x: Tensor4, path) -> None:
     """Write ``x`` in the RGT4 container (magic, u64 dims, dtype tag, raw values)."""
     tag = _TAG_FOR_DTYPE[np.dtype(x.dtype)]

@@ -1,4 +1,7 @@
-"""Toy end-to-end trainer: two 3x3 convs, one sparse attention layer, 1x1 classifier.
+"""Toy end-to-end trainer: two 3x3 convs, one attention layer, 1x1 classifier.
+
+The layer is any :class:`LayerConfig` variant: the simple or bottleneck
+sparse layer, or the dense non-local block in the same slot.
 
 Desk-scale stand-in for full segmentation training: SGD with momentum and a
 polynomial learning-rate decay, per-pixel cross-entropy on the synthetic
@@ -127,7 +130,7 @@ class ToyModel:
     conv2_b: np.ndarray
     classifier: Projection1x1
     layer_cfg: Optional[LayerConfig]
-    layer: object = None  # SimpleRepGraphParams | BottleneckRepGraphParams | None
+    layer: object = None  # a record of init_layer_params, or None when ablated
 
     def parameter_arrays(self) -> dict[str, np.ndarray]:
         """Trainable arrays, keyed by their tape leaf names."""
@@ -352,71 +355,66 @@ def load_checkpoint(ckpt_dir: str) -> tuple[ToyModel, TrainConfig]:
 
 
 def toy_train(cfg: TrainConfig) -> TrainResult:
-    """Run the full loop; returns per-iteration rows and held-out accuracy."""
+    """Run the full loop; returns per-iteration rows and held-out accuracy.
+
+    The log at ``cfg.log_path`` is opened before the first step and gains one
+    row per step, so an unwritable path fails before any training.
+    """
     cfg.validate()
-    model = init_toy_model(cfg)
-    params = model.parameter_arrays()
-    state = {**params, **model.buffer_arrays()}
-    velocity = {name: np.zeros_like(arr) for name, arr in params.items()}
-    data_rng = Rng(cfg.seed + 1)
-    holdout = make_batch(Rng(cfg.seed + 10_000), cfg.holdout_batch, cfg.task)
+    with open(cfg.log_path or os.devnull, "w", newline="") as log_file:
+        log = csv.writer(log_file)
+        log.writerow(["iter", "lr", "loss", "pix_acc"])
+        model = init_toy_model(cfg)
+        params = model.parameter_arrays()
+        state = {**params, **model.buffer_arrays()}
+        velocity = {name: np.zeros_like(arr) for name, arr in params.items()}
+        data_rng = Rng(cfg.seed + 1)
+        holdout = make_batch(Rng(cfg.seed + 10_000), cfg.holdout_batch, cfg.task)
 
-    rows = []
-    offset_grad_norm = 0.0
-    snapshot = {name: arr.copy() for name, arr in state.items()}
-    for it in range(cfg.iters):
-        images, labels = make_batch(data_rng, cfg.batch, cfg.task)
-        tape = Tape()
-        logits = toy_model_logits(tape, model, images, training=True)
-        loss = softmax_xent_node(logits, labels)
-        loss_val = float(loss.value)
-        if not np.isfinite(loss_val):
+        rows = []
+        offset_grad_norm = 0.0
+        snapshot = {name: arr.copy() for name, arr in state.items()}
+        for it in range(cfg.iters):
+            images, labels = make_batch(data_rng, cfg.batch, cfg.task)
+            tape = Tape()
+            logits = toy_model_logits(tape, model, images, training=True)
+            loss = softmax_xent_node(logits, labels)
+            loss_val = float(loss.value)
+            if not np.isfinite(loss_val):
+                for name, arr in state.items():
+                    arr[...] = snapshot[name]
+                if cfg.checkpoint_dir:
+                    save_checkpoint(model, cfg, cfg.checkpoint_dir)
+                raise DivergenceError(
+                    f"non-finite loss at iteration {it}; last-good checkpoint kept"
+                )
+            backward(loss)
+            if it == 0 and "layer.w_off.w" in tape.params:
+                offset_grad_norm = float(np.linalg.norm(tape.params["layer.w_off.w"].grad))
+            lr = poly_lr(cfg.lr, it, cfg.iters, cfg.poly_power)
             for name, arr in state.items():
-                arr[...] = snapshot[name]
-            if cfg.checkpoint_dir:
-                save_checkpoint(model, cfg, cfg.checkpoint_dir)
-            _write_log(cfg.log_path, rows)
-            raise DivergenceError(
-                f"non-finite loss at iteration {it}; last-good checkpoint kept"
-            )
-        backward(loss)
-        if it == 0 and model.layer is not None:
-            offset_grad_norm = float(
-                np.linalg.norm(tape.params["layer.w_off.w"].grad)
-            )
-        lr = poly_lr(cfg.lr, it, cfg.iters, cfg.poly_power)
-        for name, arr in state.items():
-            snapshot[name][...] = arr
-        for name, arr in params.items():
-            g = tape.params[name].grad
-            velocity[name] = cfg.momentum * velocity[name] + g
-            arr -= lr * velocity[name]
-        rows.append((it, lr, loss_val, pixel_accuracy(logits.value, labels)))
+                snapshot[name][...] = arr
+            for name, arr in params.items():
+                g = tape.params[name].grad
+                velocity[name] = cfg.momentum * velocity[name] + g
+                arr -= lr * velocity[name]
+            acc = pixel_accuracy(logits.value, labels)
+            rows.append((it, lr, loss_val, acc))
+            log.writerow([it, f"{lr:.6f}", f"{loss_val:.6f}", f"{acc:.6f}"])
 
-    eval_tape = Tape()
-    eval_logits = toy_model_logits(eval_tape, model, holdout[0], training=False)
-    holdout_acc = pixel_accuracy(eval_logits.value, holdout[1])
+        eval_tape = Tape()
+        eval_logits = toy_model_logits(eval_tape, model, holdout[0], training=False)
+        holdout_acc = pixel_accuracy(eval_logits.value, holdout[1])
 
-    if cfg.checkpoint_dir:
-        save_checkpoint(model, cfg, cfg.checkpoint_dir)
-    _write_log(cfg.log_path, rows)
-    return TrainResult(
-        rows=rows,
-        holdout_acc=holdout_acc,
-        offset_grad_norm_iter1=offset_grad_norm,
-        checkpoint_dir=cfg.checkpoint_dir,
-        final_loss=rows[-1][2],
-    )
-
-
-def _write_log(path: Optional[str], rows) -> None:
-    if not path:
-        return
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "lr", "loss", "pix_acc"])
-        for it, lr, loss, acc in rows:
-            writer.writerow([it, f"{lr:.6f}", f"{loss:.6f}", f"{acc:.6f}"])
+        if cfg.checkpoint_dir:
+            save_checkpoint(model, cfg, cfg.checkpoint_dir)
+        return TrainResult(
+            rows=rows,
+            holdout_acc=holdout_acc,
+            offset_grad_norm_iter1=offset_grad_norm,
+            checkpoint_dir=cfg.checkpoint_dir,
+            final_loss=rows[-1][2],
+        )
 
 
 def ablated_control(cfg: TrainConfig) -> TrainResult:

@@ -107,6 +107,27 @@ class TestTrainCommand:
         assert len(rows) == 4
         assert (ckpt / "manifest.txt").exists()
 
+    def test_unwritable_log_fails_before_any_training(self, tmp_path, monkeypatch, capsys):
+        from repgraph import train
+
+        def forward(*args, **kwargs):
+            raise AssertionError("the model ran before the log was opened")
+
+        monkeypatch.setattr(train, "toy_model_logits", forward)
+        assert main(["train", "--iters", "20",
+                     "--out", str(tmp_path / "missing" / "log.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_dense_block_trains_in_the_toy_slot(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        assert main(["train", "--iters", "3", "--seed", "1", "--variant", "nonlocal",
+                     "--ckpt-dir", str(ckpt)]) == 0
+        assert main(["affinity", "--ckpt", str(ckpt), "--out", str(tmp_path / "a")]) == 0
+        # A batch of four 32x32 images, each query over all 1024 positions.
+        assert "4096 rows of 1024" in capsys.readouterr().out
+
 
 class TestBenchCommand:
     def test_tiny_bench_writes_csv(self, tmp_path, capsys):
@@ -122,11 +143,12 @@ class TestBenchCommand:
         from repgraph import bench
 
         built = []
-        for name in ("init_nonlocal_params", "init_layer_params"):
-            def spy(*args, real=getattr(bench, name), **kwargs):
-                built.append(real(*args, **kwargs))
-                return built[-1]
-            monkeypatch.setattr(bench, name, spy)
+
+        def spy(*args, real=bench.init_layer_params, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(bench, "init_layer_params", spy)
         assert main(["bench", "--block", "nl,srg,brg", "--h", "4", "--w", "4",
                      "--c", "8", "--cp", "4", "--nodes", "2", "--fusion", "concat"]) == 0
         nl, srg, brg = built

@@ -26,9 +26,9 @@ def test_every_op_a_model_records_has_a_passing_op_case(monkeypatch):
     """Each op a model records is recorded by some op case, and the op cases pass.
 
     The models are the parameter-record cases (every layer configuration and
-    the non-local block) and the toy model with its loss.  Only the op cases
-    run finite differences; a record case stops at one forward per probed
-    array.
+    the non-local block) and the toy model of every variant, with its loss.
+    Only the op cases run finite differences; a record case stops at one
+    forward per probed array.
     """
     check = gradcheck.finite_diff_check
     op_labels, model_labels = set(), set()
@@ -49,7 +49,7 @@ def test_every_op_a_model_records_has_a_passing_op_case(monkeypatch):
 
     task = ToyTaskConfig(size=8, min_side=2, max_side=4)
     images, labels = make_batch(Rng(0), 2, task)
-    for variant in ("simple", "bottleneck"):
+    for variant in ("simple", "bottleneck", "nonlocal"):
         model = init_toy_model(TrainConfig(width=8, cp=4, s=3, variant=variant, task=task))
         logits = toy_model_logits(Tape(), model, images, training=True)
         model_labels.update(_backward_labels(softmax_xent_node(logits, labels)))

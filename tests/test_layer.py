@@ -16,6 +16,7 @@ from repgraph import (
     dense_equivalence_diff,
     full_grid_offsets,
     init_layer_params,
+    init_nonlocal_params,
     project_1x1,
     repgraph_forward,
     simple_repgraph_forward,
@@ -74,6 +75,24 @@ class TestLayerConfig:
     def test_pretrained_insert_requires_sum(self):
         with pytest.raises(ContractError):
             LayerConfig(c=4, cp=2, fusion="concat", init_mode="pretrained_insert")
+
+    def test_dense_block_inherits_the_insertion_guard(self):
+        # Concat fusion has no residual path: a zero output branch gives zeros,
+        # not the identity.
+        with pytest.raises(ContractError):
+            init_nonlocal_params(6, 3, fusion="concat", zero_out=True)
+
+    @pytest.mark.parametrize("mode", [{"gs": 2}, {"groups": 2}], ids=["gs", "groups"])
+    def test_dense_block_takes_no_grid_or_channel_groups(self, mode):
+        LayerConfig(c=4, cp=2, variant="nonlocal")
+        with pytest.raises(ContractError):
+            LayerConfig(c=4, cp=2, variant="nonlocal", **mode)
+
+    def test_dense_block_takes_no_offsets(self):
+        cfg = LayerConfig(c=4, cp=2, s=4, variant="nonlocal")
+        x = Rng(0).tensor((1, 4, 2, 2))
+        with pytest.raises(ContractError):
+            repgraph_forward(x, init_layer_params(cfg), cfg, offsets=full_grid_offsets(1, 2, 2))
 
 
 class TestRegressOffsets:

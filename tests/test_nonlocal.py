@@ -10,9 +10,7 @@ from repgraph import (
     affinity_matrix,
     init_nonlocal_params,
     nonlocal_forward,
-    reshape_nodes,
     softmax_rows,
-    unflatten_nodes,
 )
 
 
@@ -66,7 +64,9 @@ class TestNonLocalForward:
         params = init_nonlocal_params(5, 4, rng=rng)
         collect = {}
         nonlocal_forward(x, params, collect=collect)
-        a = collect["affinity"]
+        w = collect["weights"].data
+        assert w.shape == (2, 12, 1, 12)
+        a = w[:, :, 0]
         assert a.shape == (2, 12, 12)
         assert np.all(a >= 0)
         assert np.abs(a.sum(axis=-1) - 1.0).max() < 1e-10
@@ -79,14 +79,16 @@ class TestNonLocalForward:
         params = init_nonlocal_params(5, 4, rng=rng)
         y = nonlocal_forward(x, params)
 
+        def nodes(t):
+            # [1, 5, 3, 4] map -> [12, 5] node matrix, row-major over the grid.
+            return t.data.transpose(0, 2, 3, 1).reshape(12, 5)
+
         perm = np.random.default_rng(9).permutation(12)
-        mat = reshape_nodes(x)
-        xp = unflatten_nodes(mat[perm], x.shape)
+        xp = Tensor4(nodes(x)[perm].reshape(1, 3, 4, 5).transpose(0, 3, 1, 2))
         yp = nonlocal_forward(xp, params)
-        yp_mat = reshape_nodes(yp)
-        restored = np.empty_like(yp_mat)
-        restored[perm] = yp_mat
-        assert np.abs(restored - reshape_nodes(y)).max() < 1e-10
+        restored = np.empty((12, 5))
+        restored[perm] = nodes(yp)
+        assert np.abs(restored - nodes(y)).max() < 1e-10
 
     def test_concat_fusion_shapes_and_contract(self):
         rng = Rng(6)

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +11,7 @@ from repgraph import (
     ShapeError,
     Tensor4,
     load_tensor,
-    reshape_nodes,
     save_tensor,
-    unflatten_nodes,
 )
 from repgraph.autograd import Tape, einsum2
 from repgraph.tensor import MAGIC
@@ -66,37 +62,6 @@ class TestMatmul:
             right = matmul(a, matmul(b, c))
             rel = np.abs(left - right) / np.maximum(1.0, np.abs(left))
             assert rel.max() < 1e-10
-
-
-class TestReshapeNodes:
-    def test_small_shape_and_round_trip(self):
-        x = Rng(0).tensor((1, 3, 2, 2))
-        mat = reshape_nodes(x)
-        assert mat.shape == (4, 3)
-        assert np.array_equal(unflatten_nodes(mat, x.shape).data, x.data)
-
-    def test_degenerate_spatial(self):
-        x = Rng(1).tensor((2, 1, 1, 1))
-        assert reshape_nodes(x).shape == (2, 1)
-
-    def test_index_arithmetic_oracle(self):
-        x = Rng(2).tensor((2, 4, 3, 5))
-        mat = reshape_nodes(x)
-        n, c, h, w = x.shape
-        for i in range(n * h * w):
-            b, pos = divmod(i, h * w)
-            y, xw = divmod(pos, w)
-            assert np.array_equal(mat[i], x.data[b, :, y, xw])
-
-    def test_round_trip_exhaustive_small_shapes(self):
-        rng = Rng(3)
-        for n, c, h, w in itertools.product(range(1, 9), repeat=4):
-            x = Tensor4(rng.uniform(-1, 1, (n, c, h, w), dtype=np.float32))
-            assert np.array_equal(unflatten_nodes(reshape_nodes(x), x.shape).data, x.data)
-
-    def test_rejects_wrong_matrix_shape(self):
-        with pytest.raises(ShapeError):
-            unflatten_nodes(np.zeros((5, 3)), (1, 3, 2, 2))
 
 
 class TestTensor4:
