@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Wall-clock comparison of the dense baseline against the sparse blocks.
 
-Times all five blocks (nl, srg, brg, grid, group) and prints each sparse
-block's median as a ratio to nl's at the same geometry.  Writes
-bench_results.csv next to this script; medians are machine-specific, so read
-the block-to-block ratios rather than the absolute milliseconds.
+Times all five blocks (nl, srg, brg, grid, group) and prints each block's
+peak memory and each sparse block's median as a ratio to nl's at the same
+geometry.  Writes bench_results.csv next to this script; medians are
+machine-specific, so read the block-to-block ratios rather than the absolute
+milliseconds.
 """
 
 import pathlib
@@ -23,7 +24,8 @@ def main() -> None:
     write_bench_csv(results, out)
     dense = {(r.h, r.w): r.median_ms for r in results if r.block == "nl"}
     for r in results:
-        line = f"{r.block:>5} {r.h}x{r.w}: {r.median_ms:9.2f} ms (iqr {r.iqr_ms:.2f})"
+        line = (f"{r.block:>5} {r.h}x{r.w}: {r.median_ms:9.2f} ms (iqr {r.iqr_ms:.2f}), "
+                f"peak {r.peak_mib:6.1f} MiB")
         if r.block != "nl" and (r.h, r.w) in dense:
             line += f"  {r.block}/nl = {r.median_ms / dense[r.h, r.w]:.3f}"
         print(line)

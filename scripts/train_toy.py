@@ -35,7 +35,7 @@ def main() -> None:
     model, tcfg = load_checkpoint(cfg.checkpoint_dir)
     images, _ = make_batch(Rng(tcfg.seed + 10_000), 4, tcfg.task)
     collect = {}
-    toy_model_logits(Tape(), model, images, collect=collect)
+    toy_model_logits(Tape(grad=False), model, images, collect=collect)
     stats = affinity_stats(collect["weights"].data, source="trained toy layer")
     paths = write_affinity_csv(stats, out / "attention")
     print(f"mean attention imbalance: {stats.mean_imbalance:.3f}")

@@ -8,6 +8,10 @@ its leaves, so that ``backward`` can give untouched leaves zero gradients.
 ``backward`` visits the nodes the loss depends on in decreasing id order, so
 gradient accumulation order is fixed and runs are bit-stable.  One tape per
 training context; independent tapes may run concurrently.
+
+A tape built with ``grad=False`` records no graph: its nodes keep their value
+but no parents and no backward rule, so each intermediate is freed as soon as
+its last consumer has run.  Every forward that only reads values runs on one.
 """
 
 from __future__ import annotations
@@ -30,7 +34,9 @@ class Node:
     def __init__(self, nid, tape, value, parents, backward_fn, op):
         self.id = nid
         # The tape owns its leaves, so a leaf refers to it weakly; every other
-        # node keeps its tape alive.  Nothing forms a reference cycle.
+        # node keeps its tape alive.  Nothing forms a reference cycle.  Every
+        # node of a tape without gradients has no parents, so it too refers
+        # to its tape weakly.
         self._tape = tape if parents else weakref.ref(tape)
         self.value = value
         self.parents = parents
@@ -51,18 +57,32 @@ class Node:
 
 
 class Tape:
-    """Numbers recorded nodes and keeps the leaves and named parameters."""
+    """Numbers recorded nodes and keeps the leaves and named parameters.
 
-    def __init__(self) -> None:
+    ``grad=False`` makes a tape that records no backward graph: every node it
+    records has no parents and no backward rule, none lands in ``leaves``,
+    and ``backward`` refuses its nodes.  The ops are the same on both kinds
+    of tape and compute the same bytes.  Its nodes refer to the tape weakly,
+    so keep the tape in a variable for the whole forward.
+    ``layer.repgraph_forward`` (and so every array-level block forward),
+    ``ops.project_1x1``, ``toy_train``'s held-out pass, ``repgraph affinity
+    --ckpt`` and ``scripts/train_toy.py`` run on such a tape.
+    """
+
+    def __init__(self, grad: bool = True) -> None:
+        self.grad = grad
         self.next_id = 0
         self.leaves: list[Node] = []
         self.params: dict[str, Node] = {}
 
     def record(self, value, parents=(), backward_fn=None, op="op") -> Node:
-        node = Node(self.next_id, self, np.asarray(value), tuple(parents), backward_fn, op)
+        if self.grad:
+            node = Node(self.next_id, self, np.asarray(value), tuple(parents), backward_fn, op)
+            if not node.parents:
+                self.leaves.append(node)
+        else:
+            node = Node(self.next_id, self, np.asarray(value), (), None, op)
         self.next_id += 1
-        if not node.parents:
-            self.leaves.append(node)
         return node
 
     def leaf(self, value, name: Optional[str] = None) -> Node:
@@ -87,6 +107,9 @@ def backward(loss: Node) -> dict[int, np.ndarray]:
     """
     if loss.value.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.value.shape}")
+    tape = loss.tape
+    if not tape.grad:
+        raise ContractError(f"op {loss.op!r} was recorded on a tape without gradients")
     seen = {loss.id: loss}
     stack = [loss]
     while stack:
@@ -118,7 +141,7 @@ def backward(loss: Node) -> dict[int, np.ndarray]:
     for node in nodes:
         if node.id in grads:
             node.grad = grads[node.id]
-    for leaf in loss.tape.leaves:
+    for leaf in tape.leaves:
         if leaf.id not in grads:
             leaf.grad = grads[leaf.id] = np.zeros_like(leaf.value)
     return grads

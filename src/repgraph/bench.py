@@ -1,7 +1,8 @@
 """Wall-clock microbenchmarks of block forward passes.
 
-Medians over repeated runs on identical inputs; absolute milliseconds depend
-on the machine, so claims are expressed as ratios between blocks.
+Medians over repeated runs on identical inputs, and the tracemalloc peak of
+one more untimed run; absolute milliseconds depend on the machine, so claims
+are expressed as ratios between blocks.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import csv
 import sys
 import time
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,6 +36,7 @@ class BenchResult:
     dtype: str
     median_ms: float
     iqr_ms: float
+    peak_mib: float
     repeats: int
 
 
@@ -72,8 +75,9 @@ def run_benchmark(blocks, sizes, layer: LayerConfig, repeats: int = 5, warmup: i
     Every block at one size sees the identical input, drawn from
     ``layer.seed`` before the block's parameters.  The block name decides the
     variant; ``layer.gs`` reaches only ``grid`` and ``layer.groups`` only
-    ``group``.  Sizes whose estimated working set exceeds ``mem_budget_bytes``
-    are skipped with the reason recorded.
+    ``group``.  After timing, one more call measures the block's peak memory.
+    Sizes whose estimated working set exceeds ``mem_budget_bytes`` are
+    skipped with the reason recorded.
     """
     if repeats < 5:
         raise ContractError(f"repeats must be >= 5, got {repeats}")
@@ -100,7 +104,8 @@ def run_benchmark(blocks, sizes, layer: LayerConfig, repeats: int = 5, warmup: i
             median_ms, iqr_ms = time_callable(forward, repeats, warmup)
             results.append(BenchResult(
                 block=block, h=h, w=w, c=layer.c, cp=layer.cp, s=layer.s, dtype=dtype,
-                median_ms=median_ms, iqr_ms=iqr_ms, repeats=repeats,
+                median_ms=median_ms, iqr_ms=iqr_ms, peak_mib=peak_mib(forward),
+                repeats=repeats,
             ))
     return results, skips
 
@@ -118,11 +123,23 @@ def time_callable(fn, repeats: int, warmup: int) -> tuple[float, float]:
     return float(np.median(arr)), float(np.percentile(arr, 75) - np.percentile(arr, 25))
 
 
+def peak_mib(fn) -> float:
+    """Peak tracemalloc memory of one ``fn()`` call in MiB; numpy reports its
+    array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def write_bench_csv(results, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["block", "h", "w", "c", "cp", "s", "dtype",
-                         "median_ms", "iqr_ms", "repeats"])
+                         "median_ms", "iqr_ms", "peak_mib", "repeats"])
         for r in results:
             writer.writerow([r.block, r.h, r.w, r.c, r.cp, r.s, r.dtype,
-                             f"{r.median_ms:.4f}", f"{r.iqr_ms:.4f}", r.repeats])
+                             f"{r.median_ms:.4f}", f"{r.iqr_ms:.4f}", f"{r.peak_mib:.2f}",
+                             r.repeats])

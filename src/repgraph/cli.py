@@ -131,8 +131,8 @@ def cmd_bench(args) -> int:
         dtype=args.dtype,
     )
     for r in results:
-        print(f"{r.block}: median {r.median_ms:.2f} ms (iqr {r.iqr_ms:.2f}) "
-              f"at {r.h}x{r.w} c={r.c} cp={r.cp} [{r.dtype}]")
+        print(f"{r.block}: median {r.median_ms:.2f} ms (iqr {r.iqr_ms:.2f}), "
+              f"peak {r.peak_mib:.1f} MiB at {r.h}x{r.w} c={r.c} cp={r.cp} [{r.dtype}]")
     if args.out:
         bench_mod.write_bench_csv(results, args.out)
     return 0
@@ -180,7 +180,7 @@ def cmd_affinity(args) -> int:
             )
         images, _ = make_batch(Rng(args.seed + 10_000), 4, tcfg.task)
         collect: dict = {}
-        train_mod.toy_model_logits(Tape(), model, images, collect=collect)
+        train_mod.toy_model_logits(Tape(grad=False), model, images, collect=collect)
         weights = collect["weights"].data
         source = f"checkpoint {args.ckpt}"
     elif args.demo == "uniform":

@@ -454,8 +454,12 @@ def layer_forward_node(tape: Tape, x: Node, params, cfg: LayerConfig, *,
 def repgraph_forward(x: Tensor4, params, cfg: LayerConfig, *, training: bool = False,
                      offsets: Optional[OffsetField] = None,
                      collect: Optional[dict] = None) -> Tensor4:
-    """The layer on a plain feature map; see :func:`layer_forward_node`."""
-    tape = Tape()
+    """The layer on a plain feature map; see :func:`layer_forward_node`.
+
+    The forward runs on a tape without gradients, so no backward graph keeps
+    its intermediates alive; ``tape`` stays referenced until the call returns.
+    """
+    tape = Tape(grad=False)
     y = layer_forward_node(tape, tape.leaf(x.data), params, cfg, training=training,
                            offsets=offsets, collect=collect)
     return Tensor4(y.value)

@@ -76,7 +76,7 @@ class BatchNormParams:
 
 def project_1x1(x: Tensor4, proj: Projection1x1) -> Tensor4:
     """y[b, :, i, j] = W @ x[b, :, i, j] + bias, through :func:`project_node`."""
-    tape = Tape()
+    tape = Tape(grad=False)
     bias = None if proj.bias is None else tape.constant(proj.bias)
     return Tensor4(project_node(tape.constant(x.data), tape.constant(proj.weight), bias).value)
 
@@ -360,18 +360,21 @@ def batch_norm_node(x: Node, gamma: Node, beta: Node, params: BatchNormParams,
     if n * h * w == 0:
         raise ContractError("batch norm requires a non-empty batch")
     if training:
-        mu = data.mean(axis=(0, 2, 3))
+        mean = data.mean(axis=(0, 2, 3))
         var = data.var(axis=(0, 2, 3))
-        inv = 1.0 / np.sqrt(var + params.eps)
-        xhat = (data - mu[None, :, None, None]) * inv[None, :, None, None]
         mom = params.momentum
         # In place so records that share these buffers observe the update.
-        params.running_mean[...] = (1.0 - mom) * params.running_mean + mom * mu
+        params.running_mean[...] = (1.0 - mom) * params.running_mean + mom * mean
         params.running_var[...] = (1.0 - mom) * params.running_var + mom * var
     else:
-        inv = 1.0 / np.sqrt(params.running_var + params.eps)
-        xhat = (data - params.running_mean[None, :, None, None]) * inv[None, :, None, None]
-    value = gamma.value[None, :, None, None] * xhat + beta.value[None, :, None, None]
+        mean, var = params.running_mean, params.running_var
+    inv = 1.0 / np.sqrt(var + params.eps)
+    # (data - mean) * inv and gamma * xhat + beta, each computed in its first
+    # temporary: the same operations in the same order, so the same bytes.
+    xhat = data - mean[None, :, None, None]
+    xhat *= inv[None, :, None, None]
+    value = gamma.value[None, :, None, None] * xhat
+    value += beta.value[None, :, None, None]
 
     def bwd(g):
         dgamma = (g * xhat).sum(axis=(0, 2, 3))

@@ -402,7 +402,7 @@ def toy_train(cfg: TrainConfig) -> TrainResult:
             rows.append((it, lr, loss_val, acc))
             log.writerow([it, f"{lr:.6f}", f"{loss_val:.6f}", f"{acc:.6f}"])
 
-        eval_tape = Tape()
+        eval_tape = Tape(grad=False)
         eval_logits = toy_model_logits(eval_tape, model, holdout[0], training=False)
         holdout_acc = pixel_accuracy(eval_logits.value, holdout[1])
 

@@ -70,6 +70,14 @@ class TestBackward:
             repgraph_forward(Rng(0).tensor((1, 4, 4, 4)), init_layer_params(cfg), cfg,
                              training=True)
 
+        def eval_pass():
+            # The tape lives only as an argument, as in the held-out pass.
+            cfg = TrainConfig(width=8, cp=4, s=2)
+            images, _ = make_batch(Rng(2), 2, cfg.task)
+            collect = {}
+            toy_model_logits(Tape(grad=False), init_toy_model(cfg), images, collect=collect)
+            assert collect["weights"].data.shape[-1] == 2
+
         def train_step():
             cfg = TrainConfig(width=8, cp=4, s=2)
             model = init_toy_model(cfg)
@@ -86,6 +94,7 @@ class TestBackward:
         gc.set_debug(gc.DEBUG_SAVEALL)  # keep what the collector finds in gc.garbage
         try:
             forward()
+            eval_pass()
             train_step()
             gc.collect()
             found = [obj for obj in gc.garbage if isinstance(obj, Node)]
@@ -133,6 +142,32 @@ class TestBackward:
         y = ag.mul(x, x)  # both parents are the same node
         backward(sum_of(y))
         assert np.array_equal(x.grad, np.full((2, 2), 6.0))
+
+
+class TestTapeWithoutGradients:
+    def test_nodes_keep_no_parents_or_backward_rule(self):
+        tape = Tape(grad=False)
+        x = tape.leaf(np.arange(4.0).reshape(2, 2), "x")
+        y = ag.mul(x, ag.add(x, x))
+        assert y.parents == () and y.backward_fn is None and y.op == "mul"
+        assert np.array_equal(y.value, 2 * np.arange(4.0).reshape(2, 2) ** 2)
+        assert tape.params["x"] is x and y.tape is tape
+
+    def test_leaves_do_not_grow_with_record(self):
+        tape = Tape(grad=False)
+        x = tape.leaf(np.ones(3), "x")
+        tape.constant(np.zeros(3))
+        for _ in range(4):
+            x = tape.record(x.value * 2, (x,), lambda g: (g * 2,), op="scale")
+        assert tape.leaves == []
+        assert tape.next_id == 6 and x.parents == ()
+
+    def test_backward_raises_contract_error(self):
+        tape = Tape(grad=False)
+        x = tape.leaf(np.ones((2, 2)), "x")
+        with pytest.raises(ContractError, match="without gradients"):
+            backward(sum_of(ag.mul(x, x)))
+        assert x.grad is None
 
 
 class TestFiniteDiffCheck:

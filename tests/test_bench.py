@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repgraph import ContractError, LayerConfig
-from repgraph.bench import run_benchmark, time_callable, write_bench_csv
+from repgraph.bench import peak_mib, run_benchmark, time_callable, write_bench_csv
 
 TINY = [(8, 8)]
 LAYER = LayerConfig(c=8, cp=4)
@@ -33,6 +35,17 @@ class TestTimer:
         assert iqr < 0.5
 
 
+class TestPeakMemory:
+    def test_counts_the_arrays_one_call_allocates(self):
+        def allocate():
+            big = np.ones(1 << 20)  # 8 MiB, freed before the 1-MiB array
+            del big
+            return np.zeros(1 << 17)
+
+        assert 8.0 <= peak_mib(allocate) < 8.1
+        assert not tracemalloc.is_tracing()
+
+
 class TestRuns:
     def test_tiny_geometry_produces_rows(self):
         results, skips = run_benchmark(["nl", "brg", "srg"], TINY, LayerConfig(c=8, cp=4, s=3))
@@ -42,6 +55,7 @@ class TestRuns:
             assert r.median_ms > 0
             assert r.repeats == 5
             assert r.dtype == "f32"
+            assert r.peak_mib > 0
 
     def test_memory_budget_skips_gracefully(self, capsys):
         results, skips = run_benchmark(["nl", "brg"], [(64, 64)], LAYER,
@@ -55,8 +69,9 @@ class TestRuns:
         path = tmp_path / "bench.csv"
         write_bench_csv(results, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "block,h,w,c,cp,s,dtype,median_ms,iqr_ms,repeats"
+        assert lines[0] == "block,h,w,c,cp,s,dtype,median_ms,iqr_ms,peak_mib,repeats"
         assert lines[1].startswith("brg,8,8,8,4,2,f32,")
+        assert float(lines[1].split(",")[9]) == round(results[0].peak_mib, 2) > 0
 
 
 def test_sampler_bench_script_sweeps_and_restores_the_block(monkeypatch, capsys):

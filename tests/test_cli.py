@@ -138,6 +138,8 @@ class TestBenchCommand:
         rows = list(csv.reader(path.open()))
         assert rows[0][:3] == ["block", "h", "w"]
         assert {r[0] for r in rows[1:]} == {"srg", "brg"}
+        assert all(", peak " in line and " MiB at 8x8" in line
+                   for line in capsys.readouterr().out.splitlines())
 
     def test_concat_fusion_builds_concat_width_params(self, monkeypatch, capsys):
         from repgraph import bench

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,10 +24,12 @@ from repgraph import (
     simple_repgraph_forward,
 )
 from repgraph.autograd import Tape, backward, weighted_sum
+from repgraph.bench import peak_mib
 from repgraph.layer import (
     _attention,
     _positions_node,
     _sample_node,
+    buffer_arrays,
     layer_forward_node,
 )
 from repgraph.ops import bilinear_node
@@ -365,3 +369,58 @@ class TestAttentionRowSums:
         w = collect["weights"].data
         assert w.shape == (1, 9, 1, s)
         assert np.abs(w.sum(axis=-1) - 1.0).max() < 1e-10
+
+
+# Every structural combination a layer config exposes; the dense block takes
+# neither grid nor channel groups.
+_FORWARD_CASES = [
+    (variant, fusion, gs, groups)
+    for variant, fusion, gs, groups in itertools.product(
+        ("simple", "bottleneck", "nonlocal"), ("sum", "concat"), (1, 2), (1, 2))
+    if variant != "nonlocal" or (gs, groups) == (1, 1)
+]
+
+
+def _collected(collect):
+    return {k: np.asarray(getattr(v, "data", v)) for k, v in collect.items()}
+
+
+class TestForwardWithoutGradients:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("variant,fusion,gs,groups", _FORWARD_CASES)
+    def test_bytes_match_a_grad_tape_forward(self, variant, fusion, gs, groups, training,
+                                             dtype):
+        cfg = LayerConfig(c=6, cp=4, s=3, variant=variant, fusion=fusion, gs=gs,
+                          groups=groups)
+        x = Rng(21).tensor((2, 6, 5, 4), dtype=dtype)
+        # Training batch norm updates the running statistics, so each run
+        # gets its own copy of the same record.
+        params = [init_layer_params(cfg, Rng(22), dtype=dtype) for _ in range(2)]
+        collects = [{}, {}]
+        tape = Tape()
+        want = layer_forward_node(tape, tape.leaf(x.data), params[0], cfg,
+                                  training=training, collect=collects[0]).value
+        got = repgraph_forward(x, params[1], cfg, training=training, collect=collects[1]).data
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+        want_c, got_c = _collected(collects[0]), _collected(collects[1])
+        assert sorted(got_c) == sorted(want_c) and "weights" in got_c
+        for key in want_c:
+            assert got_c[key].dtype == want_c[key].dtype
+            assert got_c[key].tobytes() == want_c[key].tobytes(), key
+        for a, b in zip(buffer_arrays(params[0]).values(), buffer_arrays(params[1]).values()):
+            assert a.tobytes() == b.tobytes()
+
+    def test_forward_peak_is_below_the_grad_tape_peak(self):
+        cfg = LayerConfig(c=64, cp=16, s=9, variant="bottleneck")
+        x = Rng(23).tensor((1, 64, 32, 32))
+        params = init_layer_params(cfg)
+
+        def grad_tape():
+            tape = Tape()
+            return layer_forward_node(tape, tape.leaf(x.data), params, cfg).value
+
+        with_graph = peak_mib(grad_tape)
+        without = peak_mib(lambda: repgraph_forward(x, params, cfg))
+        assert without < 0.6 * with_graph

@@ -473,6 +473,52 @@ class TestReluAndBatchNorm:
         out = batch_norm(x, params, training=False)
         assert np.abs(out - (4.0 - 2.0) / np.sqrt(4.0 + params.eps)).max() < 1e-12
 
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_match_the_one_line_formulas(self, training, dtype):
+        rng = Rng(12)
+        data = rng.tensor((2, 3, 5, 4), dtype=dtype).data
+        probe = rng.uniform(-1, 1, data.shape, dtype=dtype)
+        params = BatchNormParams.create(3, dtype=dtype)
+        params.gamma = rng.uniform(0.5, 1.5, 3, dtype=dtype)
+        params.beta = rng.uniform(-1, 1, 3, dtype=dtype)
+        params.running_mean[...] = rng.uniform(-1, 1, 3)
+        params.running_var[...] = rng.uniform(0.5, 2, 3)
+
+        def ch(v):
+            return v[None, :, None, None]
+
+        gamma, beta, mom = params.gamma, params.beta, params.momentum
+        running_mean, running_var = params.running_mean.copy(), params.running_var.copy()
+        if training:
+            mu, var = data.mean(axis=(0, 2, 3)), data.var(axis=(0, 2, 3))
+            inv = 1.0 / np.sqrt(var + params.eps)
+            xhat = (data - ch(mu)) * ch(inv)
+            running_mean = (1.0 - mom) * running_mean + mom * mu
+            running_var = (1.0 - mom) * running_var + mom * var
+        else:
+            inv = 1.0 / np.sqrt(running_var + params.eps)
+            xhat = (data - ch(running_mean)) * ch(inv)
+        want = ch(gamma) * xhat + ch(beta)
+        dxhat = probe * ch(gamma)
+        if training:
+            want_dx = (dxhat - dxhat.mean(axis=(0, 2, 3), keepdims=True)
+                       - xhat * (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)) * ch(inv)
+        else:
+            want_dx = dxhat * ch(inv)
+
+        tape = Tape()
+        x, g, b = tape.leaf(data), tape.leaf(gamma), tape.leaf(beta)
+        out = batch_norm_node(x, g, b, params, training)
+        backward(weighted_sum(out, probe))
+        assert out.value.dtype == dtype
+        assert out.value.tobytes() == want.tobytes()
+        assert params.running_mean.tobytes() == running_mean.tobytes()
+        assert params.running_var.tobytes() == running_var.tobytes()
+        assert x.grad.tobytes() == want_dx.tobytes()
+        assert g.grad.tobytes() == (probe * xhat).sum(axis=(0, 2, 3)).tobytes()
+        assert b.grad.tobytes() == probe.sum(axis=(0, 2, 3)).tobytes()
+
     def test_empty_batch_rejected(self):
         params = BatchNormParams.create(2)
         with pytest.raises(ContractError):
