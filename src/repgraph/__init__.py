@@ -3,6 +3,7 @@
 Numpy-backed tensors and reverse-mode autograd, the sparse attention layer
 in simple / bottleneck / grid / group instantiations, exact-equivalence and
 gradient oracles, FLOPs accounting, microbenchmarks, and a toy trainer.
+Every block is a :class:`LayerConfig` run by :func:`repgraph_forward`.
 """
 
 from .autograd import GradCheckReport, Node, Tape, backward, finite_diff_check
@@ -26,13 +27,12 @@ from .layer import (
     NonLocalParams,
     OffsetField,
     SimpleRepGraphParams,
-    bottleneck_repgraph_forward,
     full_grid_offsets,
     init_layer_params,
     repgraph_forward,
-    simple_repgraph_forward,
 )
-from .nonlocal_block import affinity_matrix, init_nonlocal_params, nonlocal_forward
+# Exported only because perfbench's tracer test reads ``repgraph.nonlocal_forward``.
+from .nonlocal_block import nonlocal_forward
 from .ops import (
     BatchNormParams,
     Projection1x1,
@@ -42,11 +42,5 @@ from .ops import (
 from .oracle import dense_equivalence_diff
 from .stats import AffinityStats, affinity_stats
 from .tensor import Rng, Tensor4, load_tensor, save_tensor
-from .variants import (
-    GridConfig,
-    GroupConfig,
-    grid_repgraph_forward,
-    group_repgraph_forward,
-)
 
 __version__ = "0.1.0"

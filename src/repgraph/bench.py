@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import ops
 from .errors import ContractError
 from .flops import BLOCKS
 from .layer import LayerConfig, init_layer_params, repgraph_forward
@@ -48,21 +49,28 @@ class BenchSkip:
     reason: str
 
 
-def _estimate_bytes(block: str, h: int, w: int, layer: LayerConfig, itemsize: int) -> int:
+def _block_config(block: str, layer: LayerConfig) -> LayerConfig:
+    """The layer ``block`` runs: its variant, ``gs`` only for grid, ``groups`` only for group."""
+    return replace(layer, variant=_BLOCK_VARIANTS[block],
+                   gs=layer.gs if block == "grid" else 1,
+                   groups=layer.groups if block == "group" else 1)
+
+
+def _estimate_bytes(cfg: LayerConfig, h: int, w: int, itemsize: int) -> int:
+    """Upper bound on the peak of one forward: four [N, C] maps, two sampler blocks
+    of slack, and the N x N logits and softmax (dense) or the [N, S, C'] sampled
+    sets (two in the simple layer, one shared in the bottleneck)."""
     n_nodes = h * w
-    if block == "nl":
-        work = 3 * n_nodes * n_nodes  # logits + softmax + backprop-free slack
+    if cfg.variant == "nonlocal":
+        work = 2 * n_nodes * n_nodes
     else:
-        work = 12 * n_nodes * layer.s * layer.cp
-    return (work + 8 * n_nodes * max(layer.c, layer.cp)) * itemsize
+        work = (2 if cfg.variant == "simple" else 1) * n_nodes * cfg.s * cfg.cp
+    return (work + 4 * n_nodes * max(cfg.c, cfg.cp)) * itemsize + 2 * ops._BLOCK_BYTES
 
 
-def _make_forward(block: str, h: int, w: int, layer: LayerConfig, dtype):
-    rng = Rng(layer.seed)
-    x = rng.tensor((1, layer.c, h, w), dtype=dtype)
-    cfg = replace(layer, variant=_BLOCK_VARIANTS[block],
-                  gs=layer.gs if block == "grid" else 1,
-                  groups=layer.groups if block == "group" else 1)
+def _make_forward(cfg: LayerConfig, h: int, w: int, dtype):
+    rng = Rng(cfg.seed)
+    x = rng.tensor((1, cfg.c, h, w), dtype=dtype)
     params = init_layer_params(cfg, rng=rng, dtype=dtype)
     return lambda: repgraph_forward(x, params, cfg)
 
@@ -94,13 +102,14 @@ def run_benchmark(blocks, sizes, layer: LayerConfig, repeats: int = 5, warmup: i
         for block in blocks:
             if block not in BLOCKS:
                 raise ContractError(f"unknown block {block!r}; expected one of {BLOCKS}")
-            need = _estimate_bytes(block, h, w, layer, np.dtype(np_dtype).itemsize)
+            cfg = _block_config(block, layer)
+            need = _estimate_bytes(cfg, h, w, np.dtype(np_dtype).itemsize)
             if need > mem_budget_bytes:
                 reason = f"estimated {need / 2**30:.2f} GiB exceeds budget"
                 skips.append(BenchSkip(block, h, w, reason))
                 print(f"skip {block} at {h}x{w}: {reason}", file=sys.stderr)
                 continue
-            forward = _make_forward(block, h, w, layer, np_dtype)
+            forward = _make_forward(cfg, h, w, np_dtype)
             median_ms, iqr_ms = time_callable(forward, repeats, warmup)
             results.append(BenchResult(
                 block=block, h=h, w=w, c=layer.c, cp=layer.cp, s=layer.s, dtype=dtype,

@@ -16,13 +16,13 @@ import numpy as np
 from . import bench as bench_mod
 from . import flops as flops_mod
 from . import gradcheck as gradcheck_mod
+from . import ops
 from . import stats as stats_mod
 from . import train as train_mod
 from .autograd import Tape
 from .config import load_config_file
 from .errors import ContractError, RepGraphError
 from .layer import LayerConfig
-from .nonlocal_block import affinity_matrix
 from .oracle import dense_equivalence_diff
 from .tensor import Rng
 from .toytask import make_batch
@@ -193,7 +193,7 @@ def cmd_affinity(args) -> int:
         rng = Rng(args.seed)
         theta = rng.uniform(-1, 1, (args.n, args.cp))
         phi = rng.uniform(-1, 1, (args.n, args.cp))
-        weights = affinity_matrix(theta, phi)
+        weights = ops.softmax_rows(theta @ phi.T)
         source = "random dense affinity"
     result = stats_mod.affinity_stats(weights, source=source)
     hist_path, topk_path = stats_mod.write_affinity_csv(result, args.out)

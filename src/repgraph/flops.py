@@ -67,27 +67,21 @@ def count_flops(block: str, h: int, w: int, c: int, cp: int, s: int = 9,
     geometry = dict(h=h, w=w, c=c, cp=cp, s=s, gs=gs, groups=groups,
                     fusion=fusion, n=n)
 
-    if block == "nl":
+    if block in ("nl", "srg"):
+        # The dense block is the simple layer with every query attending over
+        # all k = N positions, so it regresses and samples nothing.
+        k = N if block == "nl" else s
         fuse_in = cp if fusion == "sum" else c + cp
-        parts = [
-            ("theta_proj", n * N * c * cp),
-            ("phi_proj", n * N * c * cp),
-            ("g_proj", n * N * c * cp),
-            ("attn_logits", n * N * N * cp),
-            ("attn_aggregate", n * N * N * cp),
-            ("fusion_out", n * N * fuse_in * c),
-        ]
-    elif block == "srg":
-        fuse_in = cp if fusion == "sum" else c + cp
-        parts = [
-            ("theta_proj", n * N * c * cp),
-            ("phi_proj", n * N * c * cp),
-            ("g_proj", n * N * c * cp),
-            ("offset_conv", n * N * c * 2 * s),
-            ("sample_key", 4 * n * N * s * cp),
-            ("sample_value", 4 * n * N * s * cp),
-            ("attn_logits", n * N * s * cp),
-            ("attn_aggregate", n * N * s * cp),
+        parts = [(f"{name}_proj", n * N * c * cp) for name in ("theta", "phi", "g")]
+        if block == "srg":
+            parts += [
+                ("offset_conv", n * N * c * 2 * s),
+                ("sample_key", 4 * n * N * s * cp),
+                ("sample_value", 4 * n * N * s * cp),
+            ]
+        parts += [
+            ("attn_logits", n * N * k * cp),
+            ("attn_aggregate", n * N * k * cp),
             ("fusion_out", n * N * fuse_in * c),
         ]
     elif block in ("brg", "grid", "group"):

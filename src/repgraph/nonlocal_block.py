@@ -4,8 +4,8 @@ Every position attends over all N = h*w positions through a row-stochastic
 N x N affinity matrix.  Softmax is the sole normalizer (the extra 1/C(x)
 factor some formulations carry is redundant once softmax is applied, so it
 is fixed to 1 here and in the sparse layer).  The block is the layer variant
-``LayerConfig(variant="nonlocal")``; the functions here are its named entry
-points.
+``LayerConfig(variant="nonlocal")``; the functions here are the entry points
+and reference that perfbench reads, kept until it no longer does.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def affinity_matrix(x_theta: np.ndarray, x_phi: np.ndarray) -> np.ndarray:
 
 def nonlocal_forward(x: Tensor4, params: NonLocalParams,
                      collect: Optional[dict] = None) -> Tensor4:
-    """The block described by ``params``; see :func:`layer.layer_forward_node`."""
+    """The block described by ``params``; its ``w_out`` width tells sum from concat fusion."""
     cfg = LayerConfig(c=params.theta.c_in, cp=params.theta.c_out, variant="nonlocal",
-                      fusion=params.fusion)
+                      fusion="sum" if params.w_out.c_in == params.theta.c_out else "concat")
     return repgraph_forward(x, params, cfg, collect=collect)

@@ -17,9 +17,9 @@ from .layer import (
     LayerConfig,
     SimpleRepGraphParams,
     full_grid_offsets,
+    init_layer_params,
     repgraph_forward,
 )
-from .nonlocal_block import init_nonlocal_params, nonlocal_forward
 from .ops import Projection1x1
 from .tensor import Rng
 
@@ -31,17 +31,13 @@ def dense_equivalence_diff(n_nodes: int, seed: int, c: int = 8, cp: int = 4,
         raise ContractError(f"node count must be a positive perfect square, got {n_nodes}")
     side = math.isqrt(n_nodes)
     rng = Rng(seed)
-    nl = init_nonlocal_params(c, cp, fusion=fusion, rng=rng)
-    sparse = SimpleRepGraphParams(
-        theta=nl.theta,
-        phi=nl.phi,
-        g=nl.g,
-        w_off=Projection1x1(np.zeros((2 * n_nodes, c)), np.zeros(2 * n_nodes)),
-        w_out=nl.w_out,
-    )
+    dense_cfg = LayerConfig(c, cp, variant="nonlocal", fusion=fusion)
+    nl = init_layer_params(dense_cfg, rng=rng)
+    w_off = Projection1x1(np.zeros((2 * n_nodes, c)), np.zeros(2 * n_nodes))
+    sparse = SimpleRepGraphParams(nl.theta, nl.phi, nl.g, w_off, nl.w_out)
     cfg = LayerConfig(c=c, cp=cp, s=n_nodes, variant="simple", fusion=fusion)
     x = rng.tensor((batch, c, side, side))
-    dense = nonlocal_forward(x, nl)
+    dense = repgraph_forward(x, nl, dense_cfg)
     offsets = full_grid_offsets(batch, side, side)
     grid = repgraph_forward(x, sparse, cfg, offsets=offsets)
     return float(np.abs(dense.data - grid.data).max())

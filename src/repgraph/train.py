@@ -22,6 +22,7 @@ import numpy as np
 
 from . import ops
 from .autograd import Node, Tape, backward, matmul
+from .config import read_entries
 from .errors import CheckpointError, ContractError, DivergenceError
 from .layer import (
     LayerConfig,
@@ -287,22 +288,6 @@ def _write_checkpoint(model: ToyModel, cfg: TrainConfig, out_dir: str) -> None:
         fh.write("\n".join(manifest) + "\n")
 
 
-def _read_entries(path: str) -> dict[str, str]:
-    """The ``key=value`` lines of a checkpoint text file."""
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read {path}: {exc.strerror}") from exc
-    entries: dict[str, str] = {}
-    for line in filter(None, map(str.strip, lines)):
-        key, _, val = line.partition("=")
-        if key in entries:
-            raise CheckpointError(f"{path}: duplicate entry {key!r}")
-        entries[key] = val
-    return entries
-
-
 def load_checkpoint(ckpt_dir: str) -> tuple[ToyModel, TrainConfig]:
     """Rebuild the model saved in ``ckpt_dir`` by :func:`save_checkpoint`.
 
@@ -313,7 +298,7 @@ def load_checkpoint(ckpt_dir: str) -> tuple[ToyModel, TrainConfig]:
     if not os.path.isdir(ckpt_dir):
         raise CheckpointError(f"checkpoint directory {ckpt_dir} does not exist")
     config_path = os.path.join(ckpt_dir, "config.txt")
-    kv = _read_entries(config_path)
+    kv = read_entries(config_path, CheckpointError)
     try:
         cfg = TrainConfig(
             width=int(kv["width"]), cp=int(kv["cp"]), s=int(kv["s"]),
@@ -328,7 +313,7 @@ def load_checkpoint(ckpt_dir: str) -> tuple[ToyModel, TrainConfig]:
     model = init_toy_model(cfg)
     arrays = {**model.parameter_arrays(), **model.buffer_arrays()}
     manifest_path = os.path.join(ckpt_dir, "manifest.txt")
-    manifest = _read_entries(manifest_path)
+    manifest = read_entries(manifest_path, CheckpointError)
     if manifest.keys() != arrays.keys():
         raise CheckpointError(
             f"{manifest_path} does not match the model: missing "

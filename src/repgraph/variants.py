@@ -5,7 +5,8 @@ at the group's left-top pixel, offsets regressed from the pooled map) while
 every position keeps its own query row.  Group mode splits the C' channels
 into G groups and runs the attention independently per group.  Both are
 fields of :class:`LayerConfig` and reduce bit-exactly to the base layer at
-g_s = 1 / G = 1; the entry points below set one of them on a base config.
+g_s = 1 / G = 1.  The entry points below, which perfbench traces by name and
+nothing else calls, set one of them on a base config.
 """
 
 from __future__ import annotations

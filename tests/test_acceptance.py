@@ -6,24 +6,20 @@ through a module-scoped fixture; everything else is self-contained.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repgraph import (
-    GridConfig,
-    GroupConfig,
     LayerConfig,
     Rng,
     affinity_stats,
-    bottleneck_repgraph_forward,
     count_flops,
     dense_equivalence_diff,
     fit_scaling_exponent,
-    grid_repgraph_forward,
-    group_repgraph_forward,
     init_layer_params,
-    simple_repgraph_forward,
+    repgraph_forward,
 )
 from repgraph.bench import run_benchmark
 from repgraph.gradcheck import all_passed, run_all
@@ -116,8 +112,8 @@ def test_criterion_6_identity_at_init():
                             init_mode="pretrained_insert")
         cfg_b = LayerConfig(c=c, cp=cp, s=3, variant="bottleneck",
                             init_mode="pretrained_insert")
-        y_s = simple_repgraph_forward(x, init_layer_params(cfg_s, rng), cfg_s)
-        y_b = bottleneck_repgraph_forward(x, init_layer_params(cfg_b, rng), cfg_b)
+        y_s = repgraph_forward(x, init_layer_params(cfg_s, rng), cfg_s)
+        y_b = repgraph_forward(x, init_layer_params(cfg_b, rng), cfg_b)
         total += 2
         exact += int(np.array_equal(y_s.data, x.data))
         exact += int(np.array_equal(y_b.data, x.data))
@@ -137,12 +133,11 @@ def test_criterion_7_variant_reductions():
         variant = "simple" if seed % 2 == 0 else "bottleneck"
         fusion = "sum" if seed % 3 else "concat"
         cfg = LayerConfig(c=c, cp=cp, s=s, variant=variant, fusion=fusion, seed=seed)
-        forward = simple_repgraph_forward if variant == "simple" else bottleneck_repgraph_forward
         params = init_layer_params(cfg, rng)
         x = rng.tensor((1, c, h, w))
-        base = forward(x, params, cfg)
-        grid = grid_repgraph_forward(x, params, cfg, GridConfig(1))
-        grouped = group_repgraph_forward(x, params, cfg, GroupConfig(1))
+        base = repgraph_forward(x, params, cfg)
+        grid = repgraph_forward(x, params, replace(cfg, gs=1))
+        grouped = repgraph_forward(x, params, replace(cfg, groups=1))
         total += 2
         exact += int(np.array_equal(grid.data, base.data))
         exact += int(np.array_equal(grouped.data, base.data))
@@ -160,10 +155,9 @@ def test_criterion_8_attention_normalization():
             cp = int(rng.integers(2, 5))
             variant = "simple" if seed % 2 == 0 else "bottleneck"
             cfg = LayerConfig(c=c, cp=cp, s=s, variant=variant)
-            forward = simple_repgraph_forward if variant == "simple" else bottleneck_repgraph_forward
             collect = {}
-            forward(rng.tensor((2, c, 4, 5)), init_layer_params(cfg, rng), cfg,
-                    collect=collect)
+            repgraph_forward(rng.tensor((2, c, 4, 5)), init_layer_params(cfg, rng), cfg,
+                             collect=collect)
             w = collect["weights"].data
             worst = max(worst, float(np.abs(w.sum(axis=-1) - 1.0).max()))
             checked += 1

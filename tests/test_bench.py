@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from repgraph import ContractError, LayerConfig
-from repgraph.bench import peak_mib, run_benchmark, time_callable, write_bench_csv
+from repgraph.bench import (
+    _block_config,
+    _estimate_bytes,
+    _make_forward,
+    peak_mib,
+    run_benchmark,
+    time_callable,
+    write_bench_csv,
+)
+from repgraph.flops import BLOCKS
 
 TINY = [(8, 8)]
 LAYER = LayerConfig(c=8, cp=4)
@@ -44,6 +53,29 @@ class TestPeakMemory:
 
         assert 8.0 <= peak_mib(allocate) < 8.1
         assert not tracemalloc.is_tracing()
+
+
+class TestMemoryEstimate:
+    LAYER = LayerConfig(c=256, cp=64, s=9, gs=2, groups=2)
+
+    def test_block_config_takes_the_variant_and_only_its_own_mode(self):
+        cfgs = {block: _block_config(block, self.LAYER) for block in BLOCKS}
+        assert {b: c.variant for b, c in cfgs.items()} == {
+            "nl": "nonlocal", "srg": "simple", "brg": "bottleneck",
+            "grid": "bottleneck", "group": "bottleneck"}
+        assert {b: (c.gs, c.groups) for b, c in cfgs.items()} == {
+            "nl": (1, 1), "srg": (1, 1), "brg": (1, 1), "grid": (2, 1), "group": (1, 2)}
+
+    @pytest.mark.parametrize("h,w", [(64, 32), (32, 16)])
+    def test_estimate_bounds_the_measured_peak_within_3x(self, h, w):
+        # The estimate decides skips, so it must never read below the peak.
+        for block in BLOCKS:
+            cfg = _block_config(block, self.LAYER)
+            forward = _make_forward(cfg, h, w, np.float32)
+            forward()
+            peak = peak_mib(forward) * 2**20
+            ratio = _estimate_bytes(cfg, h, w, 4) / peak
+            assert 1.0 <= ratio <= 3.0, f"{block} at {h}x{w}: estimate is {ratio:.2f}x the peak"
 
 
 class TestRuns:

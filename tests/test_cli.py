@@ -208,6 +208,7 @@ class TestFailures:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
+        return err
 
     @pytest.mark.parametrize("argv", [
         ["flops", "--out", "{missing}"],
@@ -234,6 +235,13 @@ class TestFailures:
     def test_missing_config_file_is_validation_failure(self, tmp_path, capsys):
         assert main(["bench", "--config", str(tmp_path / "missing.cfg")]) == 1
         self._one_line_error(capsys)
+
+    def test_config_file_with_duplicate_key_is_validation_failure(self, tmp_path, capsys):
+        path = tmp_path / "layer.cfg"
+        path.write_text("c=8\ncp=4\ncp=2\n")
+        assert main(["bench", "--block", "srg", "--h", "4", "--w", "4",
+                     "--config", str(path)]) == 1
+        assert "line 3: duplicate key 'cp'" in self._one_line_error(capsys)
 
     def test_affinity_on_ablated_checkpoint_is_validation_failure(self, tmp_path, capsys):
         from repgraph.train import TrainConfig, init_toy_model, save_checkpoint

@@ -55,6 +55,10 @@ variant=simple
         with pytest.raises(ContractError, match="key=value"):
             layer_config_from_text("c=4\ncp=2\njust-words\n")
 
+    def test_duplicate_key_rejected_naming_the_line(self):
+        with pytest.raises(ContractError, match="line 3: duplicate key 'cp'"):
+            layer_config_from_text("c=8\ncp=4\ncp=2\n")
+
     def test_invalid_combination_rejected(self):
         text = "c=4\ncp=2\nfusion=concat\ninit_mode=pretrained_insert\n"
         with pytest.raises(ContractError):
@@ -65,3 +69,9 @@ variant=simple
         path.write_text("c=8\ncp=4\ngs=2\n")
         cfg = load_config_file(path)
         assert cfg.c == 8 and cfg.gs == 2 and cfg.groups == 1
+
+    def test_file_with_duplicate_key_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "layer.cfg"
+        path.write_text("c=8\n# comment\ncp=4\nc=16\n")
+        with pytest.raises(ContractError, match=r"layer\.cfg: line 4: duplicate key 'c'"):
+            load_config_file(path)

@@ -14,14 +14,11 @@ from repgraph import (
     Rng,
     ShapeError,
     Tensor4,
-    bottleneck_repgraph_forward,
     dense_equivalence_diff,
     full_grid_offsets,
     init_layer_params,
-    init_nonlocal_params,
     project_1x1,
     repgraph_forward,
-    simple_repgraph_forward,
 )
 from repgraph.autograd import Tape, backward, weighted_sum
 from repgraph.bench import peak_mib
@@ -84,7 +81,8 @@ class TestLayerConfig:
         # Concat fusion has no residual path: a zero output branch gives zeros,
         # not the identity.
         with pytest.raises(ContractError):
-            init_nonlocal_params(6, 3, fusion="concat", zero_out=True)
+            LayerConfig(c=6, cp=3, variant="nonlocal", fusion="concat",
+                        init_mode="pretrained_insert")
 
     @pytest.mark.parametrize("mode", [{"gs": 2}, {"groups": 2}], ids=["gs", "groups"])
     def test_dense_block_takes_no_grid_or_channel_groups(self, mode):
@@ -245,7 +243,7 @@ class TestSimpleLayer:
         params = init_layer_params(cfg, rng)
         for seed in range(3):
             x = Rng(seed).tensor((2, 5, 4, 3))
-            y = simple_repgraph_forward(x, params, cfg)
+            y = repgraph_forward(x, params, cfg)
             assert np.array_equal(y.data, x.data)
 
     def test_single_node_hand_trace(self):
@@ -266,7 +264,7 @@ class TestSimpleLayer:
             proj.bias[:] = 0.0
 
         x = Tensor4(np.full((1, 1, 1, 1), xv))
-        y = simple_repgraph_forward(x, params, cfg)
+        y = repgraph_forward(x, params, cfg)
 
         off_y, off_x = dy * xv, dx * xv
         kernel = max(0.0, 1.0 - abs(off_y)) * max(0.0, 1.0 - abs(off_x))
@@ -279,7 +277,7 @@ class TestSimpleLayer:
         params.w_off.weight[:] = 0.0
         params.w_off.bias[:] = np.array([7.0, -3.0])  # sample far off the map
         x = Tensor4(np.full((1, 1, 1, 1), 2.0))
-        y = simple_repgraph_forward(x, params, cfg)
+        y = repgraph_forward(x, params, cfg)
         want = params.w_out.weight[0, 0] * 0.0 + params.w_out.bias[0] + 2.0
         assert abs(y.data[0, 0, 0, 0] - want) < 1e-12
 
@@ -298,7 +296,7 @@ class TestSimpleLayer:
         cfg = LayerConfig(c=5, cp=3, s=2, fusion="concat")
         params = init_layer_params(cfg, rng)
         x = rng.tensor((1, 5, 3, 3))
-        y = simple_repgraph_forward(x, params, cfg)
+        y = repgraph_forward(x, params, cfg)
         assert y.shape == x.shape
         assert params.w_out.c_in == 5 + 3
 
@@ -308,7 +306,7 @@ class TestSimpleLayer:
         params = init_layer_params(cfg, rng)
         assert params.w_off.c_in == 3
         x = rng.tensor((1, 5, 3, 3))
-        assert simple_repgraph_forward(x, params, cfg).shape == x.shape
+        assert repgraph_forward(x, params, cfg).shape == x.shape
 
 
 class TestBottleneckLayer:
@@ -318,7 +316,7 @@ class TestBottleneckLayer:
         params = init_layer_params(cfg, Rng(12))
         for seed in range(3):
             x = Rng(seed).tensor((1, 6, 3, 4))
-            y = bottleneck_repgraph_forward(x, params, cfg)
+            y = repgraph_forward(x, params, cfg)
             assert np.array_equal(y.data, x.data)
 
     def test_fresh_mode_final_relu_hand_trace(self):
@@ -327,7 +325,7 @@ class TestBottleneckLayer:
         cfg = LayerConfig(c=2, cp=1, s=1, variant="bottleneck")
         params = init_layer_params(cfg, Rng(13))
         x = Tensor4(np.array([[[[1.5]], [[-0.5]]]]))
-        y = bottleneck_repgraph_forward(x, params, cfg, training=False)
+        y = repgraph_forward(x, params, cfg, training=False)
 
         v = x.data[0, :, 0, 0]
         eps = params.bn_reduce.eps
@@ -348,7 +346,7 @@ class TestBottleneckLayer:
                           init_mode="pretrained_insert")
         params = init_layer_params(cfg, Rng(14))
         x = Tensor4(-np.abs(Rng(15).uniform(0.1, 1.0, (1, 3, 2, 2))))
-        y = bottleneck_repgraph_forward(x, params, cfg)
+        y = repgraph_forward(x, params, cfg)
         assert np.array_equal(y.data, x.data)  # negatives survive
 
 
@@ -363,9 +361,8 @@ class TestAttentionRowSums:
         rng = Rng(seed)
         cfg = LayerConfig(c=4, cp=2, s=s, variant=variant)
         params = init_layer_params(cfg, rng)
-        forward = simple_repgraph_forward if variant == "simple" else bottleneck_repgraph_forward
         collect = {}
-        forward(rng.tensor((1, 4, 3, 3)), params, cfg, collect=collect)
+        repgraph_forward(rng.tensor((1, 4, 3, 3)), params, cfg, collect=collect)
         w = collect["weights"].data
         assert w.shape == (1, 9, 1, s)
         assert np.abs(w.sum(axis=-1) - 1.0).max() < 1e-10

@@ -2,16 +2,23 @@ import numpy as np
 import pytest
 
 from repgraph import (
+    LayerConfig,
     NonLocalParams,
     Projection1x1,
     Rng,
     ShapeError,
     Tensor4,
-    affinity_matrix,
-    init_nonlocal_params,
-    nonlocal_forward,
+    init_layer_params,
+    repgraph_forward,
     softmax_rows,
 )
+from repgraph.nonlocal_block import affinity_matrix
+
+
+def dense_block(c, cp, rng, **kw):
+    """A non-local layer config and a record for it drawn from ``rng``."""
+    cfg = LayerConfig(c=c, cp=cp, variant="nonlocal", **kw)
+    return cfg, init_layer_params(cfg, rng=rng)
 
 
 class TestAffinityMatrix:
@@ -44,15 +51,15 @@ class TestNonLocalForward:
     def test_zero_output_projection_is_identity(self):
         rng = Rng(1)
         x = rng.tensor((1, 6, 4, 4))
-        params = init_nonlocal_params(6, 3, rng=rng, zero_out=True)
-        y = nonlocal_forward(x, params)
+        cfg, params = dense_block(6, 3, rng, init_mode="pretrained_insert")
+        y = repgraph_forward(x, params, cfg)
         assert np.array_equal(y.data, x.data)
 
     def test_single_node_reduces_to_projections(self):
         rng = Rng(2)
         x = rng.tensor((1, 4, 1, 1))
-        params = init_nonlocal_params(4, 3, rng=rng)
-        y = nonlocal_forward(x, params)
+        cfg, params = dense_block(4, 3, rng)
+        y = repgraph_forward(x, params, cfg)
         v = x.data[0, :, 0, 0]
         gx = params.g.weight @ v + params.g.bias
         want = params.w_out.weight @ gx + params.w_out.bias + v
@@ -61,9 +68,9 @@ class TestNonLocalForward:
     def test_affinity_rows_are_distributions(self):
         rng = Rng(3)
         x = rng.tensor((2, 5, 3, 4))
-        params = init_nonlocal_params(5, 4, rng=rng)
+        cfg, params = dense_block(5, 4, rng)
         collect = {}
-        nonlocal_forward(x, params, collect=collect)
+        repgraph_forward(x, params, cfg, collect=collect)
         w = collect["weights"].data
         assert w.shape == (2, 12, 1, 12)
         a = w[:, :, 0]
@@ -76,8 +83,8 @@ class TestNonLocalForward:
         # output back must reproduce the original result.
         rng = Rng(4)
         x = rng.tensor((1, 5, 3, 4))
-        params = init_nonlocal_params(5, 4, rng=rng)
-        y = nonlocal_forward(x, params)
+        cfg, params = dense_block(5, 4, rng)
+        y = repgraph_forward(x, params, cfg)
 
         def nodes(t):
             # [1, 5, 3, 4] map -> [12, 5] node matrix, row-major over the grid.
@@ -85,7 +92,7 @@ class TestNonLocalForward:
 
         perm = np.random.default_rng(9).permutation(12)
         xp = Tensor4(nodes(x)[perm].reshape(1, 3, 4, 5).transpose(0, 3, 1, 2))
-        yp = nonlocal_forward(xp, params)
+        yp = repgraph_forward(xp, params, cfg)
         restored = np.empty((12, 5))
         restored[perm] = nodes(yp)
         assert np.abs(restored - nodes(y)).max() < 1e-10
@@ -93,15 +100,15 @@ class TestNonLocalForward:
     def test_concat_fusion_shapes_and_contract(self):
         rng = Rng(6)
         x = rng.tensor((1, 6, 3, 3))
-        params = init_nonlocal_params(6, 4, fusion="concat", rng=rng)
-        y = nonlocal_forward(x, params)
+        cfg, params = dense_block(6, 4, rng, fusion="concat")
+        y = repgraph_forward(x, params, cfg)
         assert y.shape == x.shape
         assert params.w_out.c_in == 6 + 4
 
     def test_channel_mismatch(self):
-        params = init_nonlocal_params(6, 3, rng=Rng(7))
+        cfg, params = dense_block(6, 3, Rng(7))
         with pytest.raises(ShapeError):
-            nonlocal_forward(Rng(0).tensor((1, 5, 2, 2)), params)
+            repgraph_forward(Rng(0).tensor((1, 5, 2, 2)), params, cfg)
 
     def test_params_validate_shared_width(self):
         p = Projection1x1(np.zeros((3, 6)))

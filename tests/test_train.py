@@ -197,6 +197,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=name):
             load_checkpoint(str(ckpt))
 
+    @pytest.mark.parametrize("name", ["config.txt", "manifest.txt"])
+    def test_duplicate_entry_rejected_naming_the_file_and_line(self, ckpt, name):
+        path = ckpt / name
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [lines[0]]) + "\n")
+        key = lines[0].partition("=")[0]
+        with pytest.raises(CheckpointError,
+                           match=rf"{name}: line {len(lines) + 1}: duplicate key '{key}'"):
+            load_checkpoint(str(ckpt))
+
     def test_manifest_omitting_an_array_rejected(self, ckpt):
         self._edit_manifest(ckpt, lambda lines: [line for line in lines
                                                  if not line.startswith("layer.w_off.b=")])

@@ -5,16 +5,12 @@ import pytest
 
 from repgraph import (
     ContractError,
-    GridConfig,
-    GroupConfig,
     LayerConfig,
     Rng,
     Tensor4,
-    grid_repgraph_forward,
-    group_repgraph_forward,
     init_layer_params,
     project_1x1,
-    simple_repgraph_forward,
+    repgraph_forward,
     softmax_rows,
 )
 from repgraph.autograd import Tape
@@ -73,8 +69,8 @@ class TestGridRepGraph:
         cfg = LayerConfig(c=4, cp=3, s=2)
         params = init_layer_params(cfg, rng)
         x = rng.tensor((2, 4, 5, 4))
-        base = simple_repgraph_forward(x, params, cfg)
-        grid = grid_repgraph_forward(x, params, cfg, GridConfig(1))
+        base = repgraph_forward(x, params, cfg)
+        grid = repgraph_forward(x, params, replace(cfg, gs=1))
         assert np.array_equal(grid.data, base.data)
 
     def test_matches_naive_per_group_oracle(self):
@@ -82,7 +78,7 @@ class TestGridRepGraph:
         cfg = LayerConfig(c=4, cp=3, s=2)
         params = init_layer_params(cfg, rng)
         x = rng.tensor((1, 4, 6, 6))
-        got = grid_repgraph_forward(x, params, cfg, GridConfig(3))
+        got = repgraph_forward(x, params, replace(cfg, gs=3))
         want = naive_grid_forward(x, params, cfg, 3)
         assert np.abs(got.data - want).max() < 1e-12
 
@@ -91,7 +87,7 @@ class TestGridRepGraph:
         cfg = LayerConfig(c=3, cp=2, s=3)
         params = init_layer_params(cfg, rng)
         x = rng.tensor((2, 3, 5, 7))
-        got = grid_repgraph_forward(x, params, cfg, GridConfig(2))
+        got = repgraph_forward(x, params, replace(cfg, gs=2))
         want = naive_grid_forward(x, params, cfg, 2)
         assert np.abs(got.data - want).max() < 1e-12
 
@@ -101,7 +97,7 @@ class TestGridRepGraph:
         params = init_layer_params(cfg, rng)
         x = rng.tensor((1, 3, 4, 4))
         collect = {}
-        got = grid_repgraph_forward(x, params, cfg, GridConfig(4), collect=collect)
+        got = repgraph_forward(x, params, replace(cfg, gs=4), collect=collect)
         # One offset site anchored at (0, 0); every position shares its set.
         assert collect["offsets"].data.shape == (1, 4, 1, 1)
         assert collect["positions"].shape == (1, 2, 2, 1)
@@ -113,10 +109,10 @@ class TestGridRepGraph:
     def test_f32_input_gives_f32_output(self):
         cfg = LayerConfig(c=4, cp=3, s=2)
         x = Rng(12).tensor((1, 4, 5, 7), dtype=np.float32)
-        got = grid_repgraph_forward(x, init_layer_params(cfg, Rng(13), dtype=np.float32),
-                                    cfg, GridConfig(2))
-        want = grid_repgraph_forward(Tensor4(x.data.astype(np.float64)),
-                                     init_layer_params(cfg, Rng(13)), cfg, GridConfig(2))
+        got = repgraph_forward(x, init_layer_params(cfg, Rng(13), dtype=np.float32),
+                               replace(cfg, gs=2))
+        want = repgraph_forward(Tensor4(x.data.astype(np.float64)),
+                                init_layer_params(cfg, Rng(13)), replace(cfg, gs=2))
         assert got.data.dtype == np.float32
         tol = 1e3 * np.finfo(np.float32).eps * max(1.0, np.abs(want.data).max())
         assert np.abs(got.data - want.data).max() <= tol
@@ -125,7 +121,7 @@ class TestGridRepGraph:
         cfg = LayerConfig(c=3, cp=2, s=2)
         params = init_layer_params(cfg, Rng(0))
         with pytest.raises(ContractError):
-            grid_repgraph_forward(Rng(0).tensor((1, 3, 4, 4)), params, cfg, GridConfig(0))
+            repgraph_forward(Rng(0).tensor((1, 3, 4, 4)), params, replace(cfg, gs=0))
 
 
 class TestGroupRepGraph:
@@ -134,8 +130,8 @@ class TestGroupRepGraph:
         cfg = LayerConfig(c=5, cp=4, s=3)
         params = init_layer_params(cfg, rng)
         x = rng.tensor((1, 5, 3, 4))
-        base = simple_repgraph_forward(x, params, cfg)
-        grouped = group_repgraph_forward(x, params, cfg, GroupConfig(1))
+        base = repgraph_forward(x, params, cfg)
+        grouped = repgraph_forward(x, params, replace(cfg, groups=1))
         assert np.array_equal(grouped.data, base.data)
 
     def _slice_dispatch_oracle(self, x, params, cfg, groups):
@@ -175,7 +171,7 @@ class TestGroupRepGraph:
         params = init_layer_params(cfg, rng)
         x = rng.tensor((2, 6, 3, 3))
         collect = {}
-        got = group_repgraph_forward(x, params, cfg, GroupConfig(4), collect=collect)
+        got = repgraph_forward(x, params, replace(cfg, groups=4), collect=collect)
         want, slice_weights = self._slice_dispatch_oracle(x, params, cfg, 4)
         assert np.abs(got.data - want).max() < 1e-12
         for g, weights in enumerate(slice_weights):
@@ -186,7 +182,7 @@ class TestGroupRepGraph:
         cfg = LayerConfig(c=4, cp=4, s=2)
         params = init_layer_params(cfg, rng)
         x = rng.tensor((1, 4, 3, 3))
-        got = group_repgraph_forward(x, params, cfg, GroupConfig(4))
+        got = repgraph_forward(x, params, replace(cfg, groups=4))
         want, _ = self._slice_dispatch_oracle(x, params, cfg, 4)
         assert np.abs(got.data - want).max() < 1e-12
 
@@ -195,8 +191,8 @@ class TestGroupRepGraph:
         cfg = LayerConfig(c=4, cp=6, s=4)
         params = init_layer_params(cfg, rng)
         collect = {}
-        group_repgraph_forward(rng.tensor((1, 4, 3, 3)), params, cfg,
-                               GroupConfig(3), collect=collect)
+        repgraph_forward(rng.tensor((1, 4, 3, 3)), params, replace(cfg, groups=3),
+                         collect=collect)
         w = collect["weights"].data
         assert w.shape == (1, 9, 3, 4)
         assert np.abs(w.sum(axis=-1) - 1.0).max() < 1e-10
@@ -218,7 +214,7 @@ class TestGroupRepGraph:
         cfg = LayerConfig(c=4, cp=6, s=2)
         params = init_layer_params(cfg, Rng(0))
         with pytest.raises(ContractError, match=r"C'=6.*G=4"):
-            group_repgraph_forward(Rng(0).tensor((1, 4, 3, 3)), params, cfg, GroupConfig(4))
+            repgraph_forward(Rng(0).tensor((1, 4, 3, 3)), params, replace(cfg, groups=4))
 
 
 class TestVariantFlops:
