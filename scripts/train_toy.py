@@ -24,7 +24,7 @@ from repgraph.train import (
 def main() -> None:
     out = pathlib.Path("toy_run")
     out.mkdir(exist_ok=True)
-    cfg = TrainConfig(iters=500, seed=7, s=9,
+    cfg = TrainConfig(iters=500, seed=7,
                       log_path=str(out / "train.csv"),
                       checkpoint_dir=str(out / "ckpt"))
     full = toy_train(cfg)

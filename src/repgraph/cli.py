@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -204,11 +205,10 @@ def cmd_affinity(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = train_mod.TrainConfig(
-        iters=args.iters, seed=args.seed, s=args.nodes, lr=args.lr,
-        variant=args.variant, ablate=args.ablate, log_path=args.out,
-        checkpoint_dir=args.ckpt_dir,
-    )
+    layer = None if args.ablate else replace(train_mod.TrainConfig.layer, s=args.nodes,
+                                             variant=args.variant)
+    cfg = train_mod.TrainConfig(iters=args.iters, seed=args.seed, lr=args.lr, layer=layer,
+                                log_path=args.out, checkpoint_dir=args.ckpt_dir)
     result = train_mod.toy_train(cfg)
     print(f"final loss {result.final_loss:.4f}, "
           f"held-out pixel accuracy {result.holdout_acc:.4f}")

@@ -1,7 +1,8 @@
 """Flat key=value text files: one `key=value` per line, `#` comments.
 
 Layer-config files (keys: the fields of :class:`LayerConfig`) and the toy
-trainer's checkpoint ``config.txt`` and ``manifest.txt`` share one reader.
+trainer's checkpoint ``config.txt``, ``layer.txt`` (a layer-config file) and
+``manifest.txt`` share one reader.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ def parse_entries(text: str) -> dict[str, str]:
     return entries
 
 
-def read_entries(path, error: type[Exception] = ContractError) -> dict[str, str]:
-    """:func:`parse_entries` of the file at ``path``; failures raise ``error`` naming the file."""
+def read_entries(path, error: type[Exception] = ContractError, parse=parse_entries):
+    """``parse`` of the text at ``path``; any failure raises ``error`` naming the file."""
     try:
         with open(path) as fh:
-            return parse_entries(fh.read())
+            return parse(fh.read())
     except OSError as exc:
         raise error(f"cannot read {path}: {exc.strerror}") from exc
     except ContractError as exc:
@@ -47,9 +48,9 @@ def layer_config_to_text(cfg: LayerConfig) -> str:
     return "".join(f"{f.name}={getattr(cfg, f.name)}\n" for f in fields(cfg))
 
 
-def _layer_config(entries: dict[str, str]) -> LayerConfig:
+def layer_config_from_text(text: str) -> LayerConfig:
     values: dict[str, object] = {}
-    for key, val in entries.items():
+    for key, val in parse_entries(text).items():
         if key not in _KEYS:
             raise ContractError(f"unknown config key {key!r}")
         try:
@@ -62,9 +63,5 @@ def _layer_config(entries: dict[str, str]) -> LayerConfig:
     return LayerConfig(**values)  # type: ignore[arg-type]
 
 
-def layer_config_from_text(text: str) -> LayerConfig:
-    return _layer_config(parse_entries(text))
-
-
-def load_config_file(path) -> LayerConfig:
-    return _layer_config(read_entries(path))
+def load_config_file(path, error: type[Exception] = ContractError) -> LayerConfig:
+    return read_entries(path, error, layer_config_from_text)

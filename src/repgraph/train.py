@@ -1,7 +1,7 @@
 """Toy end-to-end trainer: two 3x3 convs, one attention layer, 1x1 classifier.
 
-The layer is any :class:`LayerConfig` variant: the simple or bottleneck
-sparse layer, or the dense non-local block in the same slot.
+The layer is any :class:`LayerConfig`: the simple or bottleneck sparse layer
+in any mode, or the dense non-local block in the same slot.
 
 Desk-scale stand-in for full segmentation training: SGD with momentum and a
 polynomial learning-rate decay, per-pixel cross-entropy on the synthetic
@@ -15,14 +15,14 @@ import csv
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from . import ops
 from .autograd import Node, Tape, backward, matmul
-from .config import read_entries
+from .config import layer_config_to_text, load_config_file, read_entries
 from .errors import CheckpointError, ContractError, DivergenceError
 from .layer import (
     LayerConfig,
@@ -156,27 +156,33 @@ class ToyModel:
 
 @dataclass
 class TrainConfig:
+    """``layer``, with ``c`` = ``width``, fills the attention slot; ``None`` ablates it."""
+
     iters: int = 500
     seed: int = 7
-    s: int = 9
     lr: float = 0.3
     momentum: float = 0.9
     poly_power: float = 0.9
     batch: int = 4
     holdout_batch: int = 8
     width: int = 16
-    cp: int = 8
-    variant: str = "simple"
-    ablate: bool = False
+    layer: Optional[LayerConfig] = LayerConfig(c=16, cp=8)
     task: ToyTaskConfig = field(default_factory=ToyTaskConfig)
     log_path: Optional[str] = None
     checkpoint_dir: Optional[str] = None
+    cp: InitVar[Optional[int]] = None  # if set, the default layer at c=width and this C'
+
+    def __post_init__(self, cp: Optional[int]) -> None:
+        if cp is not None:
+            self.layer = replace(self.layer, c=self.width, cp=cp)
 
     def validate(self) -> None:
         if self.iters < 1 or self.batch < 1 or self.holdout_batch < 1:
             raise ContractError("iters and batch sizes must be positive")
         if self.lr <= 0:
             raise ContractError(f"learning rate must be positive, got {self.lr}")
+        if self.layer is not None and self.layer.c != self.width:
+            raise ContractError(f"layer C={self.layer.c} is not the model width {self.width}")
 
 
 @dataclass
@@ -192,12 +198,7 @@ def init_toy_model(cfg: TrainConfig, dtype=np.float64) -> ToyModel:
     rng = Rng(cfg.seed)
     c_in = 3
     k = cfg.task.num_classes
-    layer_cfg = None
-    layer = None
-    if not cfg.ablate:
-        layer_cfg = LayerConfig(c=cfg.width, cp=cfg.cp, s=cfg.s, variant=cfg.variant,
-                                fusion="sum", seed=cfg.seed)
-        layer = init_layer_params(layer_cfg, rng=rng, dtype=dtype)
+    layer = None if cfg.layer is None else init_layer_params(cfg.layer, rng=rng, dtype=dtype)
     return ToyModel(
         conv1_w=rng.init_weight((cfg.width, c_in, 3, 3), fan_in=9 * c_in, dtype=dtype),
         conv1_b=np.zeros(cfg.width, dtype=dtype),
@@ -207,7 +208,7 @@ def init_toy_model(cfg: TrainConfig, dtype=np.float64) -> ToyModel:
             weight=rng.init_weight((k, cfg.width), fan_in=cfg.width, dtype=dtype),
             bias=np.zeros(k, dtype=dtype),
         ),
-        layer_cfg=layer_cfg,
+        layer_cfg=cfg.layer,
         layer=layer,
     )
 
@@ -246,7 +247,7 @@ def save_checkpoint(model: ToyModel, cfg: TrainConfig, out_dir: str) -> None:
     """
     out_dir = os.path.realpath(out_dir)
     if os.path.lexists(out_dir) and not (os.path.isdir(out_dir) and all(
-        name in ("config.txt", "manifest.txt") or name.endswith(".rgt4")
+        name in ("config.txt", "layer.txt", "manifest.txt") or name.endswith(".rgt4")
         for name in os.listdir(out_dir)
     )):
         raise CheckpointError(f"{out_dir} exists and is not a checkpoint directory")
@@ -270,11 +271,7 @@ def save_checkpoint(model: ToyModel, cfg: TrainConfig, out_dir: str) -> None:
 
 
 def _write_checkpoint(model: ToyModel, cfg: TrainConfig, out_dir: str) -> None:
-    lines = [
-        f"width={cfg.width}", f"cp={cfg.cp}", f"s={cfg.s}", f"seed={cfg.seed}",
-        f"variant={cfg.variant}", f"ablate={int(cfg.ablate)}",
-        f"num_classes={cfg.task.num_classes}",
-    ]
+    lines = [f"width={cfg.width}", f"seed={cfg.seed}", f"num_classes={cfg.task.num_classes}"]
     manifest = []
     state = {**model.parameter_arrays(), **model.buffer_arrays()}
     for name, arr in state.items():
@@ -282,30 +279,36 @@ def _write_checkpoint(model: ToyModel, cfg: TrainConfig, out_dir: str) -> None:
         arr4 = arr.reshape((1,) * (4 - arr.ndim) + arr.shape)
         save_tensor(Tensor4(arr4), os.path.join(out_dir, fname))
         manifest.append(f"{name}={fname}:{','.join(map(str, arr.shape))}")
-    with open(os.path.join(out_dir, "config.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
-        fh.write("\n".join(manifest) + "\n")
+    files = {"config.txt": "\n".join(lines) + "\n", "manifest.txt": "\n".join(manifest) + "\n"}
+    if cfg.layer is not None:
+        files["layer.txt"] = layer_config_to_text(cfg.layer)
+    for name, text in files.items():
+        with open(os.path.join(out_dir, name), "w") as fh:
+            fh.write(text)
 
 
 def load_checkpoint(ckpt_dir: str) -> tuple[ToyModel, TrainConfig]:
     """Rebuild the model saved in ``ckpt_dir`` by :func:`save_checkpoint`.
 
-    The manifest must list every parameter and buffer of the model that
-    ``config.txt`` describes, and nothing else, each with the model's shape;
-    anything else raises :class:`CheckpointError`.
+    ``config.txt`` holds ``width``, ``seed`` and ``num_classes`` and no other
+    key; ``layer.txt``, absent for an ablated model, holds the layer.  The
+    manifest must list every parameter and buffer of the model they describe,
+    and nothing else, each with the model's shape; anything else raises
+    :class:`CheckpointError` naming the file.
     """
     if not os.path.isdir(ckpt_dir):
         raise CheckpointError(f"checkpoint directory {ckpt_dir} does not exist")
     config_path = os.path.join(ckpt_dir, "config.txt")
     kv = read_entries(config_path, CheckpointError)
+    unknown = kv.keys() - {"width", "seed", "num_classes"}
+    if unknown:
+        raise CheckpointError(f"{config_path}: unknown keys {sorted(unknown)}")
+    layer_path = os.path.join(ckpt_dir, "layer.txt")
+    layer = load_config_file(layer_path, CheckpointError) if os.path.exists(layer_path) else None
     try:
-        cfg = TrainConfig(
-            width=int(kv["width"]), cp=int(kv["cp"]), s=int(kv["s"]),
-            seed=int(kv["seed"]), variant=kv["variant"],
-            ablate=bool(int(kv["ablate"])),
-            task=ToyTaskConfig(num_classes=int(kv["num_classes"])),
-        )
+        cfg = TrainConfig(width=int(kv["width"]), seed=int(kv["seed"]), layer=layer,
+                          task=ToyTaskConfig(num_classes=int(kv["num_classes"])))
+        cfg.validate()
     except KeyError as exc:
         raise CheckpointError(f"{config_path}: missing entry {exc}") from exc
     except ValueError as exc:
@@ -404,4 +407,4 @@ def toy_train(cfg: TrainConfig) -> TrainResult:
 
 def ablated_control(cfg: TrainConfig) -> TrainResult:
     """Same run with the attention layer removed (identity in its place)."""
-    return toy_train(replace(cfg, ablate=True, log_path=None, checkpoint_dir=None))
+    return toy_train(replace(cfg, layer=None, log_path=None, checkpoint_dir=None))

@@ -36,8 +36,7 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
 def trained(tmp_path_factory):
     ckpt = tmp_path_factory.mktemp("toy") / "ckpt"
     log = ckpt.parent / "train.csv"
-    cfg = TrainConfig(iters=500, seed=7, s=9, log_path=str(log),
-                      checkpoint_dir=str(ckpt))
+    cfg = TrainConfig(iters=500, seed=7, log_path=str(log), checkpoint_dir=str(ckpt))
     t0 = time.perf_counter()
     full = toy_train(cfg)
     control = ablated_control(cfg)

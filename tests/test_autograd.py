@@ -72,14 +72,14 @@ class TestBackward:
 
         def eval_pass():
             # The tape lives only as an argument, as in the held-out pass.
-            cfg = TrainConfig(width=8, cp=4, s=2)
+            cfg = TrainConfig(width=8, layer=LayerConfig(c=8, cp=4, s=2))
             images, _ = make_batch(Rng(2), 2, cfg.task)
             collect = {}
             toy_model_logits(Tape(grad=False), init_toy_model(cfg), images, collect=collect)
             assert collect["weights"].data.shape[-1] == 2
 
         def train_step():
-            cfg = TrainConfig(width=8, cp=4, s=2)
+            cfg = TrainConfig(width=8, layer=LayerConfig(c=8, cp=4, s=2))
             model = init_toy_model(cfg)
             images, labels = make_batch(Rng(1), 2, cfg.task)
             tape = Tape()

@@ -84,9 +84,10 @@ class TestAffinityCommand:
         assert "random dense affinity" in capsys.readouterr().out
 
     def test_checkpoint_gives_one_row_per_query_and_group(self, tmp_path, capsys):
+        from repgraph import LayerConfig
         from repgraph.train import TrainConfig, init_toy_model, save_checkpoint
 
-        cfg = TrainConfig(width=8, cp=4, s=2)
+        cfg = TrainConfig(width=8, layer=LayerConfig(c=8, cp=4, s=2))
         save_checkpoint(init_toy_model(cfg), cfg, str(tmp_path / "ck"))
         assert main(["affinity", "--ckpt", str(tmp_path / "ck"),
                      "--out", str(tmp_path / "a")]) == 0
@@ -127,6 +128,41 @@ class TestTrainCommand:
         assert main(["affinity", "--ckpt", str(ckpt), "--out", str(tmp_path / "a")]) == 0
         # A batch of four 32x32 images, each query over all 1024 positions.
         assert "4096 rows of 1024" in capsys.readouterr().out
+
+    @pytest.fixture
+    def grouped_grid_ckpt(self, tmp_path):
+        from repgraph import LayerConfig
+        from repgraph.train import TrainConfig, toy_train
+
+        layer = LayerConfig(c=8, cp=4, s=3, variant="bottleneck", fusion="concat",
+                            gs=2, groups=2)
+        ckpt = tmp_path / "ckpt"
+        toy_train(TrainConfig(iters=3, batch=2, holdout_batch=2, width=8, layer=layer,
+                              checkpoint_dir=str(ckpt)))
+        return ckpt
+
+    def test_grouped_grid_layer_trains_and_its_weights_read_back(self, grouped_grid_ckpt,
+                                                                  tmp_path, monkeypatch,
+                                                                  capsys):
+        from repgraph import cli
+
+        shapes = []
+
+        def spy(weights, *args, real=cli.stats_mod.affinity_stats, **kwargs):
+            shapes.append(weights.shape)
+            return real(weights, *args, **kwargs)
+
+        monkeypatch.setattr(cli.stats_mod, "affinity_stats", spy)
+        assert main(["affinity", "--ckpt", str(grouped_grid_ckpt),
+                     "--out", str(tmp_path / "a")]) == 0
+        assert shapes == [(4, 1024, 2, 3)]
+        assert "8192 rows of 3" in capsys.readouterr().out
+
+    def test_checkpoint_layer_file_is_a_config_file(self, grouped_grid_ckpt, capsys):
+        assert main(["bench", "--block", "srg,grid,group", "--h", "4", "--w", "4",
+                     "--repeats", "5", "--warmup", "2",
+                     "--config", str(grouped_grid_ckpt / "layer.txt")]) == 0
+        assert "c=8 cp=4" in capsys.readouterr().out
 
 
 class TestBenchCommand:
@@ -243,10 +279,31 @@ class TestFailures:
                      "--config", str(path)]) == 1
         assert "line 3: duplicate key 'cp'" in self._one_line_error(capsys)
 
+    @pytest.mark.parametrize("text", ["c=8\ncp=0\n", "c=8\ncp=4\nfoo=1\n"],
+                             ids=["bad-value", "unknown-key"])
+    def test_config_file_error_names_the_file(self, text, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert main(["flops", "--config", str(path)]) == 1
+        assert self._one_line_error(capsys).startswith(f"error: {path}: ")
+
+    def test_old_format_checkpoint_is_validation_failure(self, tmp_path, capsys):
+        from repgraph import LayerConfig
+        from repgraph.train import TrainConfig, init_toy_model, save_checkpoint
+
+        ckpt = tmp_path / "ck"
+        cfg = TrainConfig(width=8, layer=LayerConfig(c=8, cp=4, s=2))
+        save_checkpoint(init_toy_model(cfg), cfg, str(ckpt))
+        (ckpt / "layer.txt").unlink()
+        (ckpt / "config.txt").write_text(
+            "width=8\ncp=4\ns=2\nseed=7\nvariant=simple\nablate=0\nnum_classes=4\n")
+        assert main(["affinity", "--ckpt", str(ckpt), "--out", str(tmp_path / "a")]) == 1
+        assert "config.txt: unknown keys" in self._one_line_error(capsys)
+
     def test_affinity_on_ablated_checkpoint_is_validation_failure(self, tmp_path, capsys):
         from repgraph.train import TrainConfig, init_toy_model, save_checkpoint
 
-        cfg = TrainConfig(width=8, cp=4, s=2, ablate=True)
+        cfg = TrainConfig(width=8, layer=None)
         save_checkpoint(init_toy_model(cfg), cfg, str(tmp_path / "ck"))
         assert main(["affinity", "--ckpt", str(tmp_path / "ck"),
                      "--out", str(tmp_path / "a")]) == 1

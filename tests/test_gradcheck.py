@@ -1,4 +1,4 @@
-from repgraph import gradcheck
+from repgraph import LayerConfig, gradcheck
 from repgraph.autograd import GradCheckReport, Tape
 from repgraph.tensor import Rng
 from repgraph.toytask import ToyTaskConfig, make_batch
@@ -50,7 +50,8 @@ def test_every_op_a_model_records_has_a_passing_op_case(monkeypatch):
     task = ToyTaskConfig(size=8, min_side=2, max_side=4)
     images, labels = make_batch(Rng(0), 2, task)
     for variant in ("simple", "bottleneck", "nonlocal"):
-        model = init_toy_model(TrainConfig(width=8, cp=4, s=3, variant=variant, task=task))
+        layer = LayerConfig(c=8, cp=4, s=3, variant=variant)
+        model = init_toy_model(TrainConfig(width=8, layer=layer, task=task))
         logits = toy_model_logits(Tape(), model, images, training=True)
         model_labels.update(_backward_labels(softmax_xent_node(logits, labels)))
 

@@ -1,10 +1,12 @@
 import os
 import warnings
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
 
-from repgraph import CheckpointError, DivergenceError, Rng
+from repgraph import CheckpointError, ContractError, DivergenceError, LayerConfig, Rng
+from repgraph import layer as layer_module
 from repgraph.autograd import Tape, backward, weighted_sum
 from repgraph.toytask import ToyTaskConfig, make_batch
 from repgraph.train import (
@@ -19,7 +21,33 @@ from repgraph.train import (
     toy_train,
 )
 
-FAST = TrainConfig(iters=8, batch=2, holdout_batch=2, width=8, cp=4, s=3)
+SMALL = LayerConfig(c=8, cp=4, s=2)
+
+
+def non_default_layers():
+    """For each ``LayerConfig`` field with a default, ``SMALL`` with that field changed.
+
+    A number moves by one and a string takes the first other name that
+    ``layer.py`` lists and that validates, so a new field needs no edit here.
+    """
+    names = sorted({x for v in vars(layer_module).values() if isinstance(v, tuple)
+                    for x in v if isinstance(x, str)})
+    for f in fields(LayerConfig):
+        if f.default is MISSING:
+            continue
+        if isinstance(f.default, str):
+            candidates = [n for n in names if n != f.default]
+        else:
+            candidates = [not f.default if isinstance(f.default, bool) else f.default + 1]
+        for value in candidates:
+            try:
+                layer = replace(SMALL, **{f.name: value})
+            except ContractError:
+                continue
+            yield f.name, layer
+            break
+        else:
+            raise AssertionError(f"no valid non-default value for LayerConfig.{f.name}")
 
 
 def naive_conv3x3(x, w, b):
@@ -120,7 +148,7 @@ class TestToyTask:
 class TestTrainingLoop:
     def test_loss_decreases_and_offsets_move(self):
         result = toy_train(TrainConfig(iters=40, batch=2, holdout_batch=2,
-                                       width=8, cp=4, s=3))
+                                       width=8, layer=LayerConfig(c=8, cp=4, s=3)))
         first = np.mean([r[2] for r in result.rows[:5]])
         last = np.mean([r[2] for r in result.rows[-5:]])
         assert last < first
@@ -128,8 +156,8 @@ class TestTrainingLoop:
 
     def test_log_csv_schema(self, tmp_path):
         path = tmp_path / "log.csv"
-        cfg = TrainConfig(iters=4, batch=2, holdout_batch=2, width=8, cp=4,
-                          s=2, log_path=str(path))
+        cfg = TrainConfig(iters=4, batch=2, holdout_batch=2, width=8, layer=SMALL,
+                          log_path=str(path))
         toy_train(cfg)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "iter,lr,loss,pix_acc"
@@ -138,27 +166,31 @@ class TestTrainingLoop:
 
     def test_divergence_aborts_with_checkpoint(self, tmp_path):
         ckpt = tmp_path / "ckpt"
-        cfg = TrainConfig(iters=50, batch=2, holdout_batch=2, width=8, cp=4,
-                          s=2, lr=1e9, checkpoint_dir=str(ckpt))
+        cfg = TrainConfig(iters=50, batch=2, holdout_batch=2, width=8, layer=SMALL,
+                          lr=1e9, checkpoint_dir=str(ckpt))
         with pytest.raises(DivergenceError):
             toy_train(cfg)
         model, _ = load_checkpoint(str(ckpt))
         for arr in model.parameter_arrays().values():
             assert np.all(np.isfinite(arr))
 
+    def test_layer_width_must_be_the_model_width(self):
+        with pytest.raises(ContractError, match="C=8 is not the model width 16"):
+            toy_train(TrainConfig(iters=1, layer=SMALL))
+
     def test_ablated_model_has_no_layer(self):
-        model = init_toy_model(TrainConfig(ablate=True))
+        model = init_toy_model(TrainConfig(layer=None))
         assert model.layer is None
         assert "layer.w_off.w" not in model.parameter_arrays()
 
     def test_bottleneck_variant_trains_and_checkpoints(self, tmp_path):
         ckpt = tmp_path / "ck"
-        cfg = TrainConfig(iters=12, batch=2, holdout_batch=2, width=8, cp=4,
-                          s=2, variant="bottleneck", checkpoint_dir=str(ckpt))
+        cfg = TrainConfig(iters=12, batch=2, holdout_batch=2, width=8,
+                          layer=replace(SMALL, variant="bottleneck"), checkpoint_dir=str(ckpt))
         result = toy_train(cfg)
         assert result.rows[-1][2] < result.rows[0][2]
         model, lcfg = load_checkpoint(str(ckpt))
-        assert lcfg.variant == "bottleneck"
+        assert lcfg.layer.variant == "bottleneck"
         # Running stats moved off their init and survive the round trip.
         rv = model.buffer_arrays()["layer.bn_reduce.running_var"]
         assert not np.array_equal(rv, np.ones_like(rv))
@@ -166,20 +198,42 @@ class TestTrainingLoop:
 
 class TestCheckpoint:
     def test_round_trip_restores_every_array(self, tmp_path):
-        cfg = TrainConfig(width=8, cp=4, s=2)
+        cfg = TrainConfig(width=8, layer=SMALL)
         model = init_toy_model(cfg)
         save_checkpoint(model, cfg, str(tmp_path / "ck"))
         loaded, loaded_cfg = load_checkpoint(str(tmp_path / "ck"))
-        assert loaded_cfg.width == 8 and loaded_cfg.s == 2
+        assert loaded_cfg.width == 8 and loaded_cfg.layer.s == 2
         orig = model.parameter_arrays()
         back = loaded.parameter_arrays()
         assert orig.keys() == back.keys()
         for name in orig:
             assert np.array_equal(orig[name], back[name]), name
 
+    def test_every_layer_field_survives_the_round_trip(self, tmp_path):
+        changed = dict(non_default_layers())
+        assert changed.keys() == {f.name for f in fields(LayerConfig)} - {"c", "cp"}
+        assert (SMALL.c, SMALL.cp) != (TrainConfig.layer.c, TrainConfig.layer.cp)
+        for name, layer in changed.items():
+            assert getattr(layer, name) != getattr(SMALL, name)
+            cfg = TrainConfig(width=8, layer=layer)
+            model = init_toy_model(cfg)
+            save_checkpoint(model, cfg, str(tmp_path / name))
+            loaded, loaded_cfg = load_checkpoint(str(tmp_path / name))
+            assert loaded_cfg.layer == layer, name
+            assert loaded.layer_cfg == layer, name
+            for key, arr in model.parameter_arrays().items():
+                assert np.array_equal(loaded.parameter_arrays()[key], arr), (name, key)
+
+    def test_ablated_checkpoint_has_no_layer_file(self, tmp_path):
+        cfg = TrainConfig(width=8, layer=None)
+        save_checkpoint(init_toy_model(cfg), cfg, str(tmp_path / "ck"))
+        assert not (tmp_path / "ck" / "layer.txt").exists()
+        loaded, loaded_cfg = load_checkpoint(str(tmp_path / "ck"))
+        assert loaded.layer is None and loaded_cfg.layer is None
+
     @pytest.fixture
     def ckpt(self, tmp_path):
-        cfg = TrainConfig(width=8, cp=4, s=2)
+        cfg = TrainConfig(width=8, layer=SMALL)
         save_checkpoint(init_toy_model(cfg), cfg, str(tmp_path / "ck"))
         return tmp_path / "ck"
 
@@ -197,7 +251,7 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=name):
             load_checkpoint(str(ckpt))
 
-    @pytest.mark.parametrize("name", ["config.txt", "manifest.txt"])
+    @pytest.mark.parametrize("name", ["config.txt", "layer.txt", "manifest.txt"])
     def test_duplicate_entry_rejected_naming_the_file_and_line(self, ckpt, name):
         path = ckpt / name
         lines = path.read_text().splitlines()
@@ -205,6 +259,42 @@ class TestCheckpoint:
         key = lines[0].partition("=")[0]
         with pytest.raises(CheckpointError,
                            match=rf"{name}: line {len(lines) + 1}: duplicate key '{key}'"):
+            load_checkpoint(str(ckpt))
+
+    def test_config_keeps_only_width_seed_and_classes(self, ckpt):
+        assert (ckpt / "config.txt").read_text() == "width=8\nseed=7\nnum_classes=4\n"
+
+    @pytest.mark.parametrize("line", ["gs=2", "cp=4", "ablate=0"])
+    def test_unknown_config_key_rejected(self, ckpt, line):
+        path = ckpt / "config.txt"
+        path.write_text(path.read_text() + line + "\n")
+        key = line.partition("=")[0]
+        with pytest.raises(CheckpointError, match=rf"config\.txt: unknown keys \['{key}'\]"):
+            load_checkpoint(str(ckpt))
+
+    @pytest.mark.parametrize("line,message", [
+        ("variant=huge", "unknown variant 'huge'"),
+        ("cp=0", "channel widths must be positive"),
+        ("gs=zero", "gs must be an integer"),
+        ("stride=2", "unknown config key 'stride'"),
+    ])
+    def test_bad_layer_file_rejected_naming_it(self, ckpt, line, message):
+        path = ckpt / "layer.txt"
+        key = line.partition("=")[0]
+        kept = [old for old in path.read_text().splitlines() if not old.startswith(key + "=")]
+        path.write_text("\n".join(kept + [line]) + "\n")
+        with pytest.raises(CheckpointError, match=rf"layer\.txt: {message}"):
+            load_checkpoint(str(ckpt))
+
+    def test_layer_of_another_width_rejected(self, ckpt):
+        path = ckpt / "layer.txt"
+        path.write_text(path.read_text().replace("c=8\n", "c=16\n"))
+        with pytest.raises(CheckpointError, match="C=16 is not the model width 8"):
+            load_checkpoint(str(ckpt))
+
+    def test_layer_arrays_without_a_layer_file_rejected(self, ckpt):
+        (ckpt / "layer.txt").unlink()
+        with pytest.raises(CheckpointError, match=r"unexpected \['layer\."):
             load_checkpoint(str(ckpt))
 
     def test_manifest_omitting_an_array_rejected(self, ckpt):
@@ -225,7 +315,7 @@ class TestCheckpoint:
             load_checkpoint(str(ckpt))
 
     def test_num_classes_comes_from_the_config(self, tmp_path):
-        cfg = TrainConfig(width=8, cp=4, s=2, task=ToyTaskConfig(num_classes=3))
+        cfg = TrainConfig(width=8, layer=SMALL, task=ToyTaskConfig(num_classes=3))
         model = init_toy_model(cfg)
         save_checkpoint(model, cfg, str(tmp_path / "ck"))
         loaded, loaded_cfg = load_checkpoint(str(tmp_path / "ck"))
@@ -235,7 +325,7 @@ class TestCheckpoint:
     def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
         from repgraph import train
 
-        cfg = TrainConfig(width=8, cp=4, s=2)
+        cfg = TrainConfig(width=8, layer=SMALL)
         model = init_toy_model(cfg)
         save_checkpoint(model, cfg, str(tmp_path / "ck"))
         saved = {k: v.copy() for k, v in model.parameter_arrays().items()}
@@ -267,14 +357,14 @@ class TestCheckpoint:
             assert np.array_equal(arr, model.parameter_arrays()[name]), name
 
     def test_save_refuses_to_replace_a_directory_with_other_files(self, tmp_path):
-        cfg = TrainConfig(width=8, cp=4, s=2)
+        cfg = TrainConfig(width=8, layer=SMALL)
         (tmp_path / "notes.txt").write_text("keep me")
         with pytest.raises(CheckpointError, match="not a checkpoint directory"):
             save_checkpoint(init_toy_model(cfg), cfg, str(tmp_path))
         assert (tmp_path / "notes.txt").read_text() == "keep me"
 
     def test_checkpointed_model_runs_forward(self, tmp_path):
-        cfg = TrainConfig(width=8, cp=4, s=2)
+        cfg = TrainConfig(width=8, layer=SMALL)
         model = init_toy_model(cfg)
         save_checkpoint(model, cfg, str(tmp_path / "ck"))
         loaded, lcfg = load_checkpoint(str(tmp_path / "ck"))

@@ -64,14 +64,14 @@ def naive_grid_forward(x, params, cfg, gs):
 
 
 class TestGridRepGraph:
-    def test_gs1_is_bit_exact_to_base(self):
+    def test_gs1_matches_naive_per_group_oracle(self):
         rng = Rng(0)
         cfg = LayerConfig(c=4, cp=3, s=2)
         params = init_layer_params(cfg, rng)
         x = rng.tensor((2, 4, 5, 4))
-        base = repgraph_forward(x, params, cfg)
-        grid = repgraph_forward(x, params, replace(cfg, gs=1))
-        assert np.array_equal(grid.data, base.data)
+        got = repgraph_forward(x, params, replace(cfg, gs=1))
+        want = naive_grid_forward(x, params, cfg, 1)
+        assert np.abs(got.data - want).max() < 1e-12
 
     def test_matches_naive_per_group_oracle(self):
         rng = Rng(1)
@@ -125,14 +125,14 @@ class TestGridRepGraph:
 
 
 class TestGroupRepGraph:
-    def test_g1_is_bit_exact_to_base(self):
+    def test_g1_matches_slice_dispatch_oracle(self):
         rng = Rng(4)
         cfg = LayerConfig(c=5, cp=4, s=3)
         params = init_layer_params(cfg, rng)
         x = rng.tensor((1, 5, 3, 4))
-        base = repgraph_forward(x, params, cfg)
-        grouped = repgraph_forward(x, params, replace(cfg, groups=1))
-        assert np.array_equal(grouped.data, base.data)
+        got = repgraph_forward(x, params, replace(cfg, groups=1))
+        want, _ = self._slice_dispatch_oracle(x, params, cfg, 1)
+        assert np.abs(got.data - want).max() < 1e-12
 
     def _slice_dispatch_oracle(self, x, params, cfg, groups):
         """Slice channels and call the attention per slice.
