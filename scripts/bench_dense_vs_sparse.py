@@ -14,7 +14,7 @@ from repgraph import LayerConfig
 from repgraph.bench import run_benchmark, write_bench_csv
 
 BLOCKS = ["nl", "srg", "brg", "grid", "group"]
-SIZES = [(64, 32), (128, 64)]
+SIZES = [(64, 32), (128, 64), (256, 128)]
 LAYER = LayerConfig(c=256, cp=64, s=9, gs=2, groups=2)
 
 

@@ -376,18 +376,51 @@ def _repgraph_core(
     return _unflatten_map(x_tilde, h, w)
 
 
+# The dense block runs its queries in blocks of rows, each holding about this
+# many bytes of [n, rows, N] logits and at least _DENSE_MIN_ROWS rows.  At
+# c=256, C'=64, f32, 2 MiB ran fastest of 0.25-40 MiB at 64x32 and kept the
+# peak at 6 MiB; blocks under 64 rows ran 1.2-1.7x slower at 128x64 and
+# 256x128 (scripts/bench_dense_vs_sparse.py geometry).
+_DENSE_BLOCK_BYTES = 2 << 20
+_DENSE_MIN_ROWS = 64
+
+
+def _dense_block_rows(n: int, n_nodes: int, itemsize: int) -> int:
+    """Query rows per block of the dense block over n maps of ``n_nodes`` positions."""
+    fit = _DENSE_BLOCK_BYTES // max(1, n * n_nodes * itemsize)
+    return min(n_nodes, max(_DENSE_MIN_ROWS, fit))
+
+
 def _dense_core(theta: Node, phi: Node, g: Node, collect: Optional[dict]) -> Node:
     """Every query attends over all N positions; returns x_tilde as an [n, C', h, w] map.
+
+    The queries run in blocks of :func:`_dense_block_rows` rows.  Each block
+    forms its [n, rows, N] logits, softmax and aggregate, and the block
+    outputs are concatenated.  On a tape without gradients a block's logits
+    and weights are freed before the next block starts, so the forward never
+    holds the N x N affinity.  On a tape with gradients the graph keeps every
+    block's logits and weights for the backward, N^2 values per map in all.
 
     ``collect`` receives the affinity as [n, N, 1, N] weights: one group whose
     N samples are the grid positions in row-major order.
     """
-    h, w = theta.value.shape[2:]
-    affinity = ops.softmax_node(
-        ag.einsum2("bnc,bmc->bnm", _flatten_map(theta), _flatten_map(phi)))
-    if collect is not None:
-        collect["weights"] = AttentionWeights(affinity.value[:, :, None, :])
-    return _unflatten_map(ag.einsum2("bnm,bmc->bnc", affinity, _flatten_map(g)), h, w)
+    n, _, h, w = theta.value.shape
+    n_nodes = h * w
+    queries, keys, vals = _flatten_map(theta), _flatten_map(phi), _flatten_map(g)
+    rows = _dense_block_rows(n, n_nodes, theta.value.itemsize)
+    weights = None if collect is None else np.empty((n, n_nodes, 1, n_nodes), theta.value.dtype)
+    outs = []
+    for lo in range(0, n_nodes, rows):
+        q = queries if rows == n_nodes else ag.narrow(queries, 1, lo, min(rows, n_nodes - lo))
+        affinity = ops.softmax_node(ag.einsum2("bnc,bmc->bnm", q, keys))
+        if weights is not None:
+            weights[:, lo:lo + rows, 0] = affinity.value
+        outs.append(ag.einsum2("bnm,bmc->bnc", affinity, vals))
+        del affinity  # freed before the next block's logits
+    if weights is not None:
+        collect["weights"] = AttentionWeights(weights)
+    x_tilde = outs[0] if len(outs) == 1 else ag.concat(outs, axis=1)
+    return _unflatten_map(x_tilde, h, w)
 
 
 def _bind_params(tape: Tape, params, prefix: str) -> dict[str, Node]:

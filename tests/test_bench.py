@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -76,6 +77,10 @@ class TestMemoryEstimate:
             peak = peak_mib(forward) * 2**20
             ratio = _estimate_bytes(cfg, h, w, 4) / peak
             assert 1.0 <= ratio <= 3.0, f"{block} at {h}x{w}: estimate is {ratio:.2f}x the peak"
+
+    def test_dense_block_at_256x128_fits_the_default_budget(self):
+        budget = inspect.signature(run_benchmark).parameters["mem_budget_bytes"].default
+        assert _estimate_bytes(_block_config("nl", self.LAYER), 256, 128, 4) <= budget
 
 
 class TestRuns:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,14 @@ from repgraph import (
     ShapeError,
     Tensor4,
     init_layer_params,
+    project_1x1,
     repgraph_forward,
     softmax_rows,
 )
+from repgraph import layer, ops
+from repgraph.autograd import Tape, backward, weighted_sum
+from repgraph.bench import peak_mib
+from repgraph.layer import layer_forward_node
 from repgraph.nonlocal_block import affinity_matrix
 
 
@@ -115,3 +122,56 @@ class TestNonLocalForward:
         q = Projection1x1(np.zeros((4, 6)))
         with pytest.raises(ShapeError):
             NonLocalParams(theta=p, phi=p, g=q, w_out=p)
+
+
+class TestQueryBlocks:
+    # 13 x 16 = 208 positions; at batch 2, f64 a row of logits is 3328 bytes.
+    SHAPE = (2, 5, 13, 16)
+    ROW_BYTES = 2 * 208 * 8
+
+    @pytest.mark.parametrize("fusion", ["sum", "concat"])
+    @pytest.mark.parametrize("block_bytes,rows", [(1, 64), (100 * ROW_BYTES, 100)])
+    def test_result_does_not_depend_on_the_block_size(self, monkeypatch, fusion,
+                                                      block_bytes, rows):
+        cfg, params = dense_block(5, 3, Rng(31), fusion=fusion)
+        x = Rng(32).tensor(self.SHAPE)
+        probe = Rng(33).uniform(-1, 1, self.SHAPE)
+        softmax = ops.softmax_node
+        calls = []
+        monkeypatch.setattr(ops, "softmax_node", lambda a: calls.append(a.shape) or softmax(a))
+
+        def run():
+            calls.clear()
+            collect = {}
+            out = repgraph_forward(x, params, cfg, collect=collect).data
+            blocks = len(calls)
+            tape = Tape()
+            y = layer_forward_node(tape, tape.leaf(x.data), params, cfg)
+            backward(weighted_sum(y, probe))
+            return blocks, out, collect["weights"].data, [leaf.grad for leaf in tape.leaves]
+
+        monkeypatch.setattr(layer, "_DENSE_BLOCK_BYTES", 1 << 40)
+        blocks, *want = run()
+        assert blocks == 1
+        monkeypatch.setattr(layer, "_DENSE_BLOCK_BYTES", block_bytes)
+        blocks, *got = run()
+        # Several blocks, the last one short.
+        assert blocks == math.ceil(208 / rows) and 208 % rows
+        (out, weights, grads), (want_out, want_weights, want_grads) = got, want
+        assert np.abs(out - want_out).max() < 1e-12
+        assert weights.shape == (2, 208, 1, 208)
+        assert np.abs(weights - want_weights).max() < 1e-12
+        for i in range(2):
+            theta, phi = (project_1x1(x, proj).data[i].reshape(3, 208).T
+                          for proj in (params.theta, params.phi))
+            assert np.abs(weights[i, :, 0] - affinity_matrix(theta, phi)).max() < 1e-12
+        assert len(grads) == len(want_grads) == 1 + 2 * 4
+        for g, want_g in zip(grads, want_grads):
+            assert np.abs(g - want_g).max() < 1e-12
+
+    def test_forward_never_holds_the_n_by_n_affinity(self):
+        cfg = LayerConfig(c=256, cp=64, variant="nonlocal")
+        params = init_layer_params(cfg, rng=Rng(34), dtype=np.float32)
+        x = Rng(35).tensor((1, 256, 64, 32), dtype=np.float32)
+        affinity_mib = (64 * 32) ** 2 * 4 / 2**20
+        assert peak_mib(lambda: repgraph_forward(x, params, cfg)) < affinity_mib
