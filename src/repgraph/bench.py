@@ -18,7 +18,13 @@ import numpy as np
 from . import ops
 from .errors import ContractError
 from .flops import BLOCKS
-from .layer import LayerConfig, _dense_block_rows, init_layer_params, repgraph_forward
+from .layer import (
+    LayerConfig,
+    _dense_block_rows,
+    _sparse_block_rows,
+    init_layer_params,
+    repgraph_forward,
+)
 from .tensor import Rng
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
@@ -59,13 +65,15 @@ def _block_config(block: str, layer: LayerConfig) -> LayerConfig:
 def _estimate_bytes(cfg: LayerConfig, h: int, w: int, itemsize: int) -> int:
     """Upper bound on the peak of one forward: four [N, C] maps, two sampler blocks
     of slack, and the logits and softmax of one [rows, N] query block (dense) or
-    the [N, S, C'] sampled sets (two in the simple layer, one shared in the
-    bottleneck)."""
+    the [rows, S, C'] sampled sets of one query block (two in the simple layer,
+    one shared in the bottleneck)."""
     n_nodes = h * w
     if cfg.variant == "nonlocal":
         work = 2 * _dense_block_rows(1, n_nodes, itemsize) * n_nodes
     else:
-        work = (2 if cfg.variant == "simple" else 1) * n_nodes * cfg.s * cfg.cp
+        n_sets = 2 if cfg.variant == "simple" else 1
+        rows = _sparse_block_rows(cfg, 1, h, w, n_sets, itemsize)
+        work = n_sets * rows * cfg.gs * w * cfg.s * cfg.cp
     return (work + 4 * n_nodes * max(cfg.c, cfg.cp)) * itemsize + 2 * ops._BLOCK_BYTES
 
 

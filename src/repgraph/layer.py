@@ -314,6 +314,49 @@ def _sample_node(branch: Node, py: Node, px: Node) -> Node:
     return ops.bilinear_node(branch, py, px, np.arange(n)[:, None, None])
 
 
+# The sparse core runs its queries in blocks of whole group rows, each holding
+# at most this many bytes of sampled [n, rows, S, C'] sets: two when key and
+# value come from separate branches, one when they share it.  At 128x64,
+# c=256, C'=64, S=9, f32 (18 MiB per full set), 4-16 MiB all kept the simple
+# layer's forward peak at 24 MiB and the bottleneck's at 20 MiB, where 24 MiB
+# blocks let it rise to 29 and 24; 16 MiB runs the fewest blocks (3 and 2).
+_SPARSE_BLOCK_BYTES = 16 << 20
+
+
+def _sparse_block_rows(cfg: LayerConfig, n: int, h: int, w: int, n_sets: int,
+                       itemsize: int) -> int:
+    """Group rows per block of the sparse core over n maps of h x w with ``n_sets`` sets.
+
+    The fewest blocks of at most ``_SPARSE_BLOCK_BYTES`` of [n, rows, S, C']
+    sets (one group row at least), each as short as that many blocks allow.
+    """
+    n_rows = -(-h // cfg.gs)
+    row_bytes = n * n_sets * cfg.gs * w * cfg.s * cfg.cp * itemsize
+    fit = max(1, _SPARSE_BLOCK_BYTES // max(1, row_bytes))
+    blocks = -(-n_rows // fit)
+    return -(-n_rows // blocks)
+
+
+def _attend_block(theta_map: Node, phi_map: Node, g_map: Node, py: Node, px: Node,
+                  gidx: Optional[np.ndarray], groups: int,
+                  span: Optional[tuple[int, int]]) -> tuple[Node, Node]:
+    """Sample one block's node sets and attend over them; see :func:`_attention`.
+
+    ``gidx`` maps each query to its group's set in grid mode, and ``span``,
+    a (start, length) pair, narrows the flattened queries to the block's.
+    The sets are locals, so a tape without gradients frees them on return.
+    """
+    key_feats = _sample_node(phi_map, py, px)
+    val_feats = key_feats if g_map is phi_map else _sample_node(g_map, py, px)
+    if gidx is not None:
+        key_feats = ag.gather_last(key_feats, gidx, axis=1)
+        val_feats = key_feats if g_map is phi_map else ag.gather_last(val_feats, gidx, axis=1)
+    queries = _flatten_map(theta_map)
+    if span is not None:
+        queries = ag.narrow(queries, 1, *span)
+    return _attention(queries, key_feats, val_feats, groups)
+
+
 def _repgraph_core(
     offset_src: Node,
     theta_map: Node,
@@ -329,6 +372,13 @@ def _repgraph_core(
     ``cfg.gs`` > 1 switches to grid mode: offsets are regressed from the pooled
     source, one sampled set is anchored at each group's left-top pixel, and
     every position in a group shares that set while keeping its own query row.
+
+    The queries run in blocks of :func:`_sparse_block_rows` group rows.  Each
+    block narrows its positions and θ rows, samples its sets and attends, and
+    the block outputs are concatenated; a map whose sets fit in one block
+    runs with no narrow or concat.  On a tape without gradients a block's sets
+    are freed before the next block samples, so the forward never holds every
+    query's sets.
     """
     n, _, h, w = theta_map.value.shape
     dtype = theta_map.value.dtype
@@ -356,23 +406,32 @@ def _repgraph_core(
     hg, wg = off.value.shape[2], off.value.shape[3]
     ay, ax = _anchor_grid(hg, wg, gs, dtype)
     py, px = _positions_node(off, ay, ax)
-
-    key_feats = _sample_node(phi_map, py, px)
-    val_feats = key_feats if g_map is phi_map else _sample_node(g_map, py, px)
-
-    if gs > 1:
-        row = np.arange(h) // gs
-        col = np.arange(w) // gs
-        gidx = (row[:, None] * wg + col[None, :]).reshape(-1)
-        key_feats = ag.gather_last(key_feats, gidx, axis=1)
-        val_feats = key_feats if g_map is phi_map else ag.gather_last(val_feats, gidx, axis=1)
-
-    x_tilde, weights = _attention(_flatten_map(theta_map), key_feats, val_feats, cfg.groups)
+    rows = _sparse_block_rows(cfg, n, h, w, 1 if g_map is phi_map else 2, dtype.itemsize)
+    weights = None if collect is None else np.empty((n, h * w, cfg.groups, cfg.s), dtype)
+    outs = []
+    for r0 in range(0, hg, rows):
+        r1 = min(hg, r0 + rows)
+        y0, y1 = r0 * gs, min(h, r1 * gs)
+        gidx = None
+        if gs > 1:
+            gidx = ((np.arange(y0, y1) // gs - r0)[:, None] * wg
+                    + np.arange(w)[None, :] // gs).reshape(-1)
+        if rows == hg:
+            x_b, w_b = _attend_block(theta_map, phi_map, g_map, py, px, gidx, cfg.groups, None)
+        else:
+            x_b, w_b = _attend_block(
+                theta_map, phi_map, g_map, ag.narrow(py, 1, r0 * wg, (r1 - r0) * wg),
+                ag.narrow(px, 1, r0 * wg, (r1 - r0) * wg), gidx, cfg.groups,
+                (y0 * w, (y1 - y0) * w))
+        if weights is not None:
+            weights[:, y0 * w:y1 * w] = w_b.value
+        outs.append(x_b)
     if collect is not None:
         collect["offsets"] = OffsetField(off.value)
         collect["positions"] = np.stack([py.value.transpose(0, 2, 1),
                                          px.value.transpose(0, 2, 1)], axis=2)
-        collect["weights"] = AttentionWeights(weights.value)
+        collect["weights"] = AttentionWeights(weights)
+    x_tilde = outs[0] if len(outs) == 1 else ag.concat(outs, axis=1)
     return _unflatten_map(x_tilde, h, w)
 
 
@@ -471,10 +530,11 @@ def layer_forward_node(tape: Tape, x: Node, params, cfg: LayerConfig, *,
         params.bn_reduce, training))
     x_tilde = _repgraph_core(reduced, reduced, reduced, reduced, p, cfg, offsets, collect)
     expand_in = x_tilde if cfg.fusion == "sum" else ag.concat([x_tilde, reduced], axis=1)
-    branch = ops.batch_norm_node(
+    # The batch-norm node goes straight into the add, so a tape without
+    # gradients frees it before the final ReLU allocates.
+    out = ag.add(ops.batch_norm_node(
         _project(expand_in, p, "expand"), p["bn_expand.gamma"], p["bn_expand.beta"],
-        params.bn_expand, training)
-    out = ag.add(branch, x)
+        params.bn_expand, training), x)
     if cfg.init_mode == "fresh":
         out = ops.relu_node(out)
     return out

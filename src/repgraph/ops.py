@@ -367,25 +367,32 @@ def batch_norm_node(x: Node, gamma: Node, beta: Node, params: BatchNormParams,
         params.running_mean[...] = (1.0 - mom) * params.running_mean + mom * mean
         params.running_var[...] = (1.0 - mom) * params.running_var + mom * var
     else:
-        mean, var = params.running_mean, params.running_var
+        # Copied, so a later training step's in-place update cannot reach
+        # this node's backward.
+        mean, var = params.running_mean.copy(), params.running_var
     inv = 1.0 / np.sqrt(var + params.eps)
-    # (data - mean) * inv and gamma * xhat + beta, each computed in its first
-    # temporary: the same operations in the same order, so the same bytes.
-    xhat = data - mean[None, :, None, None]
-    xhat *= inv[None, :, None, None]
-    value = gamma.value[None, :, None, None] * xhat
+    shift = mean[None, :, None, None]
+    scale = inv[None, :, None, None]
+    # gamma * ((data - mean) * inv) + beta in one buffer: the same operations
+    # in the same order, so the same bytes.  The backward recomputes xhat
+    # rather than keep it beside the input and the value.
+    value = data - shift
+    value *= scale
+    value *= gamma.value[None, :, None, None]
     value += beta.value[None, :, None, None]
 
     def bwd(g):
+        xhat = data - shift
+        xhat *= scale
         dgamma = (g * xhat).sum(axis=(0, 2, 3))
         dbeta = g.sum(axis=(0, 2, 3))
         dxhat = g * gamma.value[None, :, None, None]
         if training:
             mean_dxhat = dxhat.mean(axis=(0, 2, 3), keepdims=True)
             mean_dxhat_xhat = (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
-            dx = (dxhat - mean_dxhat - xhat * mean_dxhat_xhat) * inv[None, :, None, None]
+            dx = (dxhat - mean_dxhat - xhat * mean_dxhat_xhat) * scale
         else:
-            dx = dxhat * inv[None, :, None, None]
+            dx = dxhat * scale
         return dx, dgamma, dbeta
 
     return x.tape.record(value, (x, gamma, beta), bwd, op="batch_norm")

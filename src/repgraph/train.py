@@ -52,19 +52,18 @@ def _im2col3x3(x: np.ndarray) -> np.ndarray:
 def _col2im3x3(cols: np.ndarray, h: int, w: int) -> np.ndarray:
     """Adjoint of :func:`_im2col3x3`: [n, c, 3, 3, h, w] patch gradients -> [n, c, h, w].
 
-    Pixel (y, x) collects tap (ky, kx) of patch (y + 1 - ky, x + 1 - kx).
-    With the taps flipped and the patches zero-padded by one, that is tap j
-    of padded patch row y + j, so one strided view lines up all nine
-    contributions of every pixel and a single sum adds them.
+    Pixel (y, x) collects tap (ky, kx) of patch (y + 1 - ky, x + 1 - kx), so
+    tap (ky, kx) of every patch adds into a one-pixel-bordered map shifted by
+    (ky, kx), and the border is cropped.  The taps add in the order 2, 1, 0,
+    which gives the bytes of summing the nine contributions of a pixel in
+    that order.
     """
     n, c = cols.shape[:2]
-    pad = np.zeros((n, c, 3, 3, h + 2, w + 2), dtype=cols.dtype)
-    pad[..., 1:-1, 1:-1] = cols
-    flip = pad[:, :, ::-1, ::-1]
-    sn, sc, sj, si, sy, sx = flip.strides
-    taps = np.lib.stride_tricks.as_strided(
-        flip, (n, c, 3, 3, h, w), (sn, sc, sj + sy, si + sx, sy, sx), writeable=False)
-    return taps.sum(axis=(2, 3))
+    out = np.zeros((n, c, h + 2, w + 2), dtype=cols.dtype)
+    for ky in (2, 1, 0):
+        for kx in (2, 1, 0):
+            out[:, :, ky:ky + h, kx:kx + w] += cols[:, :, ky, kx]
+    return out[:, :, 1:-1, 1:-1]
 
 
 def conv3x3_node(x: Node, weight: Node, bias: Node) -> Node:

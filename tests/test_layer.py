@@ -20,12 +20,14 @@ from repgraph import (
     project_1x1,
     repgraph_forward,
 )
+from repgraph import layer, ops
 from repgraph.autograd import Tape, backward, weighted_sum
 from repgraph.bench import peak_mib
 from repgraph.layer import (
     _attention,
     _positions_node,
     _sample_node,
+    _sparse_block_rows,
     buffer_arrays,
     layer_forward_node,
 )
@@ -421,3 +423,87 @@ class TestForwardWithoutGradients:
         with_graph = peak_mib(grad_tape)
         without = peak_mib(lambda: repgraph_forward(x, params, cfg))
         assert without < 0.6 * with_graph
+
+
+class TestSparseQueryBlocks:
+    # (variant, gs, groups, input shape); gs=2 over 13 rows and gs=3 over 37
+    # rows both end in a partial group row.
+    CASES = [
+        ("simple", 1, 1, (2, 6, 13, 11)),
+        ("bottleneck", 1, 1, (2, 6, 13, 11)),
+        ("bottleneck", 2, 1, (2, 6, 13, 11)),
+        ("bottleneck", 3, 1, (1, 6, 37, 23)),
+        ("bottleneck", 1, 2, (2, 6, 13, 11)),
+    ]
+
+    @staticmethod
+    def run(monkeypatch, cfg, x, probe, dtype, block_bytes):
+        """(blocks, output, collected arrays, f64 input and parameter gradients) at
+        ``block_bytes``; the gradients are None in f32."""
+        monkeypatch.setattr(layer, "_SPARSE_BLOCK_BYTES", block_bytes)
+        softmax = ops.softmax_node
+        calls = []
+        monkeypatch.setattr(ops, "softmax_node", lambda a: calls.append(a.shape) or softmax(a))
+        params = init_layer_params(cfg, Rng(42), dtype=dtype)
+        data = x.astype(dtype)
+        collect = {}
+        out = repgraph_forward(Tensor4(data), params, cfg, collect=collect).data
+        blocks = len(calls)
+        grads = None
+        if dtype == np.float64:
+            tape = Tape()
+            x_leaf = tape.leaf(data)
+            backward(weighted_sum(layer_forward_node(tape, x_leaf, params, cfg), probe))
+            grads = {"x": x_leaf.grad, **{k: v.grad for k, v in tape.params.items()}}
+        return blocks, out, _collected(collect), grads
+
+    @pytest.mark.parametrize("fusion", ["sum", "concat"])
+    @pytest.mark.parametrize("variant,gs,groups,shape", CASES)
+    def test_result_does_not_depend_on_the_block_size(self, monkeypatch, variant, gs, groups,
+                                                      shape, fusion):
+        cfg = LayerConfig(c=6, cp=4, s=3, variant=variant, fusion=fusion, gs=gs,
+                          groups=groups)
+        x = Rng(40).uniform(-1, 1, shape)
+        probe = Rng(41).uniform(-1, 1, shape)
+        group_rows = -(-shape[2] // gs)
+        for dtype in (np.float32, np.float64):
+            blocks, *want = self.run(monkeypatch, cfg, x, probe, dtype, 1 << 40)
+            assert blocks == 1
+            # One byte per block: every block is one group row.
+            blocks, *got = self.run(monkeypatch, cfg, x, probe, dtype, 1)
+            assert blocks == group_rows
+            (out, collected, grads), (want_out, want_collected, want_grads) = got, want
+            assert out.dtype == dtype
+            assert out.tobytes() == want_out.tobytes()
+            assert sorted(collected) == ["offsets", "positions", "weights"]
+            for key in want_collected:
+                assert collected[key].tobytes() == want_collected[key].tobytes(), key
+            if dtype == np.float64:
+                assert sorted(grads) == sorted(want_grads) and "w_off.w" in grads
+                for name, want_g in want_grads.items():
+                    assert grads[name].shape == want_g.shape, name
+                    assert np.abs(grads[name] - want_g).max() < 1e-12, name
+
+    def test_blocks_are_the_fewest_that_fit_with_the_fewest_rows(self, monkeypatch):
+        cfg = LayerConfig(c=8, cp=4, s=2, gs=3)
+        # Per map and set, a group row of 3 x 10 queries holds 3 * 10 * S * C' * 8
+        # bytes; two maps with two sets each hold four times that.
+        row_bytes = 4 * 3 * 10 * 2 * 4 * 8
+        # 37 rows are 13 group rows.  (rows that fit, rows per block): 6 fit
+        # give 3 blocks of 5, 5, 3; 8 or 12 give 2 blocks of 7 and 6.
+        for fit, rows in [(1, 1), (4, 4), (6, 5), (8, 7), (12, 7), (13, 13), (99, 13)]:
+            monkeypatch.setattr(layer, "_SPARSE_BLOCK_BYTES", fit * row_bytes)
+            assert _sparse_block_rows(cfg, 2, 37, 10, 2, 8) == rows, fit
+        # Below one group row a block still takes one.
+        monkeypatch.setattr(layer, "_SPARSE_BLOCK_BYTES", 1)
+        assert _sparse_block_rows(cfg, 2, 37, 10, 2, 8) == 1
+
+    def test_forward_never_holds_every_querys_sampled_set(self):
+        # At c=256 the bottleneck's tail holds 20 MiB of [C, N] maps, so the
+        # input width is C'; the sets then set the peak.
+        cfg = LayerConfig(c=64, cp=64, s=9, variant="bottleneck")
+        params = init_layer_params(cfg, rng=Rng(43), dtype=np.float32)
+        x = Rng(44).tensor((1, 64, 128, 64), dtype=np.float32)
+        set_mib = 128 * 64 * cfg.s * cfg.cp * 4 / 2**20
+        assert set_mib == 18
+        assert peak_mib(lambda: repgraph_forward(x, params, cfg)) < set_mib

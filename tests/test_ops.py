@@ -519,6 +519,36 @@ class TestReluAndBatchNorm:
         assert g.grad.tobytes() == (probe * xhat).sum(axis=(0, 2, 3)).tobytes()
         assert b.grad.tobytes() == probe.sum(axis=(0, 2, 3)).tobytes()
 
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_keeps_the_statistics_of_its_forward(self, training, dtype):
+        # The backward recomputes xhat from the input.  A second node on the
+        # same record runs a training step, which updates the running
+        # statistics in place before the backward; the first node's value and
+        # gradients must keep the bytes they have without it.
+        rng = Rng(13)
+        data = rng.tensor((2, 3, 5, 4), dtype=dtype).data
+        probe = rng.uniform(-1, 1, data.shape, dtype=dtype)
+        gamma = rng.uniform(0.5, 1.5, 3, dtype=dtype)
+        beta = rng.uniform(-1, 1, 3, dtype=dtype)
+        mean, var = rng.uniform(-1, 1, 3), rng.uniform(0.5, 2, 3)
+
+        def run(update_between):
+            params = BatchNormParams.create(3, dtype=dtype)
+            params.running_mean[...] = mean
+            params.running_var[...] = var
+            tape = Tape()
+            x, g, b = tape.leaf(data), tape.leaf(gamma), tape.leaf(beta)
+            out = batch_norm_node(x, g, b, params, training)
+            if update_between:
+                batch_norm_node(tape.constant(3 * data + 1), tape.constant(gamma),
+                                tape.constant(beta), params, training=True)
+            backward(weighted_sum(out, probe))
+            return out.value, x.grad, g.grad, b.grad
+
+        for got, want in zip(run(True), run(False)):
+            assert got.tobytes() == want.tobytes()
+
     def test_empty_batch_rejected(self):
         params = BatchNormParams.create(2)
         with pytest.raises(ContractError):

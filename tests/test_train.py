@@ -11,6 +11,7 @@ from repgraph.autograd import Tape, backward, weighted_sum
 from repgraph.toytask import ToyTaskConfig, make_batch
 from repgraph.train import (
     TrainConfig,
+    _col2im3x3,
     conv3x3_node,
     init_toy_model,
     load_checkpoint,
@@ -95,6 +96,25 @@ class TestTrainerOps:
                 if 0 <= yy < h and 0 <= xx < width:
                     want[bi, :, yy, xx] += w[o, :, ky, kx] * probe[bi, o, i, j]
         assert np.abs(xn.grad - want).max() < 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(4, 16, 32, 32), (2, 3, 5, 4), (1, 1, 1, 1),
+                                       (3, 5, 7, 2)])
+    def test_col2im_bytes_match_the_strided_sum(self, shape, dtype):
+        # Reference: the nine taps lined up by one strided view of the patch
+        # gradients zero-padded by one, added by a single sum.
+        n, c, h, w = shape
+        cols = Rng(5).uniform(-1, 1, (n, c, 3, 3, h, w), dtype=dtype)
+        pad = np.zeros((n, c, 3, 3, h + 2, w + 2), dtype=dtype)
+        pad[..., 1:-1, 1:-1] = cols
+        flip = pad[:, :, ::-1, ::-1]
+        sn, sc, sj, si, sy, sx = flip.strides
+        taps = np.lib.stride_tricks.as_strided(
+            flip, (n, c, 3, 3, h, w), (sn, sc, sj + sy, si + sx, sy, sx), writeable=False)
+        want = taps.sum(axis=(2, 3))
+        got = _col2im3x3(cols, h, w)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
     def test_softmax_xent_matches_manual(self):
         rng = Rng(1)
