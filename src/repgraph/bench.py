@@ -77,20 +77,20 @@ def _estimate_bytes(cfg: LayerConfig, h: int, w: int, itemsize: int) -> int:
     return (work + 4 * n_nodes * max(cfg.c, cfg.cp)) * itemsize + 2 * ops._BLOCK_BYTES
 
 
-def _make_forward(cfg: LayerConfig, h: int, w: int, dtype):
-    rng = Rng(cfg.seed)
+def _make_forward(cfg: LayerConfig, h: int, w: int, dtype, seed: int):
+    rng = Rng(seed)
     x = rng.tensor((1, cfg.c, h, w), dtype=dtype)
     params = init_layer_params(cfg, rng=rng, dtype=dtype)
     return lambda: repgraph_forward(x, params, cfg)
 
 
 def run_benchmark(blocks, sizes, layer: LayerConfig, repeats: int = 5, warmup: int = 2,
-                  dtype: str = "f32", mem_budget_bytes: int = 8 << 30,
+                  dtype: str = "f32", mem_budget_bytes: int = 8 << 30, seed: int = 0,
                   ) -> tuple[list[BenchResult], list[BenchSkip]]:
     """Time forward passes of ``layer`` per block and (h, w) size.
 
     Every block at one size sees the identical input, drawn from
-    ``layer.seed`` before the block's parameters.  The block name decides the
+    ``Rng(seed)`` before the block's parameters.  The block name decides the
     variant; ``layer.gs`` reaches only ``grid`` and ``layer.groups`` only
     ``group``.  After timing, one more call measures the block's peak memory.
     Sizes whose estimated working set exceeds ``mem_budget_bytes`` are
@@ -118,7 +118,7 @@ def run_benchmark(blocks, sizes, layer: LayerConfig, repeats: int = 5, warmup: i
                 skips.append(BenchSkip(block, h, w, reason))
                 print(f"skip {block} at {h}x{w}: {reason}", file=sys.stderr)
                 continue
-            forward = _make_forward(cfg, h, w, np_dtype)
+            forward = _make_forward(cfg, h, w, np_dtype, seed)
             median_ms, iqr_ms = time_callable(forward, repeats, warmup)
             results.append(BenchResult(
                 block=block, h=h, w=w, c=layer.c, cp=layer.cp, s=layer.s, dtype=dtype,

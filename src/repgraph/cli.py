@@ -51,7 +51,7 @@ def _layer(args) -> LayerConfig:
     if args.config:
         return load_config_file(args.config)
     return LayerConfig(c=args.c, cp=args.cp, s=args.nodes, fusion=args.fusion,
-                       seed=getattr(args, "seed", 0), gs=args.gs, groups=args.groups)
+                       gs=args.gs, groups=args.groups)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,7 +129,7 @@ def cmd_bench(args) -> int:
     blocks = [b.strip() for b in args.block.split(",") if b.strip()]
     results, _ = bench_mod.run_benchmark(
         blocks, [(args.h, args.w)], layer, repeats=args.repeats, warmup=args.warmup,
-        dtype=args.dtype,
+        dtype=args.dtype, seed=args.seed,
     )
     for r in results:
         print(f"{r.block}: median {r.median_ms:.2f} ms (iqr {r.iqr_ms:.2f}), "

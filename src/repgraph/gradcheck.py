@@ -174,7 +174,7 @@ def _layer_case(**overrides):
             _assert_off_integer(collect["positions"])
         return y
 
-    return _record_case(init_layer_params(cfg), block, cfg.c)
+    return _record_case(init_layer_params(cfg, Rng(0)), block, cfg.c)
 
 
 CASES = {

@@ -47,7 +47,6 @@ class LayerConfig:
     fusion: str = "sum"
     init_mode: str = "fresh"
     offset_source: str = "input"
-    seed: int = 0
     gs: int = 1
     groups: int = 1
 
@@ -165,9 +164,8 @@ def _proj(rng: Rng, c_out: int, c_in: int, dtype, zero: bool = False) -> Project
     )
 
 
-def init_layer_params(cfg: LayerConfig, rng: Optional[Rng] = None, dtype=np.float64):
-    """A new parameter record for ``cfg``'s variant, drawn from ``rng`` or ``Rng(cfg.seed)``."""
-    rng = rng if rng is not None else Rng(cfg.seed)
+def init_layer_params(cfg: LayerConfig, rng: Rng, dtype=np.float64):
+    """A new parameter record for ``cfg``'s variant, drawn from ``rng``."""
     zero_out = cfg.init_mode == "pretrained_insert"
     if cfg.variant != "bottleneck":
         c_fuse_in = cfg.cp if cfg.fusion == "sum" else cfg.c + cfg.cp
@@ -314,9 +312,9 @@ def _sample_node(branch: Node, py: Node, px: Node) -> Node:
     return ops.bilinear_node(branch, py, px, np.arange(n)[:, None, None])
 
 
-# The sparse core runs its queries in blocks of whole group rows, each holding
-# at most this many bytes of sampled [n, rows, S, C'] sets: two when key and
-# value come from separate branches, one when they share it.  At 128x64,
+# A no-grad sparse core runs its queries in blocks of whole group rows, each
+# holding at most this many bytes of sampled [n, rows, S, C'] sets: two when key
+# and value come from separate branches, one when they share it.  At 128x64,
 # c=256, C'=64, S=9, f32 (18 MiB per full set), 4-16 MiB all kept the simple
 # layer's forward peak at 24 MiB and the bottleneck's at 20 MiB, where 24 MiB
 # blocks let it rise to 29 and 24; 16 MiB runs the fewest blocks (3 and 2).
@@ -373,12 +371,12 @@ def _repgraph_core(
     source, one sampled set is anchored at each group's left-top pixel, and
     every position in a group shares that set while keeping its own query row.
 
-    The queries run in blocks of :func:`_sparse_block_rows` group rows.  Each
-    block narrows its positions and θ rows, samples its sets and attends, and
-    the block outputs are concatenated; a map whose sets fit in one block
-    runs with no narrow or concat.  On a tape without gradients a block's sets
-    are freed before the next block samples, so the forward never holds every
-    query's sets.
+    On a tape without gradients the queries run in blocks of
+    :func:`_sparse_block_rows` group rows; each block narrows its positions
+    and θ rows and samples its own sets, which are freed before the next
+    block samples, so the forward never holds every query's sets.  A tape
+    with gradients keeps every block's sets for the backward anyway, so it
+    runs the whole map as one block, with no narrow or concat.
     """
     n, _, h, w = theta_map.value.shape
     dtype = theta_map.value.dtype
@@ -406,7 +404,8 @@ def _repgraph_core(
     hg, wg = off.value.shape[2], off.value.shape[3]
     ay, ax = _anchor_grid(hg, wg, gs, dtype)
     py, px = _positions_node(off, ay, ax)
-    rows = _sparse_block_rows(cfg, n, h, w, 1 if g_map is phi_map else 2, dtype.itemsize)
+    rows = hg if theta_map.tape.grad else _sparse_block_rows(
+        cfg, n, h, w, 1 if g_map is phi_map else 2, dtype.itemsize)
     weights = None if collect is None else np.empty((n, h * w, cfg.groups, cfg.s), dtype)
     outs = []
     for r0 in range(0, hg, rows):
@@ -435,8 +434,8 @@ def _repgraph_core(
     return _unflatten_map(x_tilde, h, w)
 
 
-# The dense block runs its queries in blocks of rows, each holding about this
-# many bytes of [n, rows, N] logits and at least _DENSE_MIN_ROWS rows.  At
+# A no-grad dense block runs its queries in blocks of rows, each holding about
+# this many bytes of [n, rows, N] logits and at least _DENSE_MIN_ROWS rows.  At
 # c=256, C'=64, f32, 2 MiB ran fastest of 0.25-40 MiB at 64x32 and kept the
 # peak at 6 MiB; blocks under 64 rows ran 1.2-1.7x slower at 128x64 and
 # 256x128 (scripts/bench_dense_vs_sparse.py geometry).
@@ -453,12 +452,12 @@ def _dense_block_rows(n: int, n_nodes: int, itemsize: int) -> int:
 def _dense_core(theta: Node, phi: Node, g: Node, collect: Optional[dict]) -> Node:
     """Every query attends over all N positions; returns x_tilde as an [n, C', h, w] map.
 
-    The queries run in blocks of :func:`_dense_block_rows` rows.  Each block
-    forms its [n, rows, N] logits, softmax and aggregate, and the block
-    outputs are concatenated.  On a tape without gradients a block's logits
-    and weights are freed before the next block starts, so the forward never
-    holds the N x N affinity.  On a tape with gradients the graph keeps every
-    block's logits and weights for the backward, N^2 values per map in all.
+    On a tape without gradients the queries run in blocks of
+    :func:`_dense_block_rows` rows; each block forms its [n, rows, N] logits,
+    softmax and aggregate and frees them before the next block starts, so the
+    forward never holds the N x N affinity.  A tape with gradients keeps all
+    N^2 logits and weights per map for the backward anyway, so it runs every
+    query in one block, with no narrow or concat.
 
     ``collect`` receives the affinity as [n, N, 1, N] weights: one group whose
     N samples are the grid positions in row-major order.
@@ -466,7 +465,7 @@ def _dense_core(theta: Node, phi: Node, g: Node, collect: Optional[dict]) -> Nod
     n, _, h, w = theta.value.shape
     n_nodes = h * w
     queries, keys, vals = _flatten_map(theta), _flatten_map(phi), _flatten_map(g)
-    rows = _dense_block_rows(n, n_nodes, theta.value.itemsize)
+    rows = n_nodes if theta.tape.grad else _dense_block_rows(n, n_nodes, theta.value.itemsize)
     weights = None if collect is None else np.empty((n, n_nodes, 1, n_nodes), theta.value.dtype)
     outs = []
     for lo in range(0, n_nodes, rows):

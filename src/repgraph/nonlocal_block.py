@@ -20,9 +20,8 @@ from .layer import LayerConfig, NonLocalParams, init_layer_params, repgraph_forw
 from .tensor import Rng, Tensor4
 
 
-def init_nonlocal_params(c: int, cp: int, fusion: str = "sum",
-                         rng: Optional[Rng] = None, dtype=np.float64,
-                         zero_out: bool = False) -> NonLocalParams:
+def init_nonlocal_params(c: int, cp: int, fusion: str = "sum", *, rng: Rng,
+                         dtype=np.float64, zero_out: bool = False) -> NonLocalParams:
     """``zero_out`` is the insertion mode: a zero output projection makes the block the identity."""
     cfg = LayerConfig(c=c, cp=cp, variant="nonlocal", fusion=fusion,
                       init_mode="pretrained_insert" if zero_out else "fresh")

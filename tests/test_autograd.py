@@ -67,7 +67,7 @@ class TestBackward:
 
         def forward():
             cfg = LayerConfig(c=4, cp=2, s=2, variant="bottleneck", gs=2, groups=2)
-            repgraph_forward(Rng(0).tensor((1, 4, 4, 4)), init_layer_params(cfg), cfg,
+            repgraph_forward(Rng(0).tensor((1, 4, 4, 4)), init_layer_params(cfg, Rng(0)), cfg,
                              training=True)
 
         def eval_pass():

@@ -73,7 +73,7 @@ class TestMemoryEstimate:
         # At 128x64 the sparse blocks run their queries in more than one block.
         for block in BLOCKS:
             cfg = _block_config(block, self.LAYER)
-            forward = _make_forward(cfg, h, w, np.float32)
+            forward = _make_forward(cfg, h, w, np.float32, 0)
             forward()
             peak = peak_mib(forward) * 2**20
             ratio = _estimate_bytes(cfg, h, w, 4) / peak

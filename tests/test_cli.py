@@ -207,10 +207,10 @@ class TestBenchCommand:
         monkeypatch.setattr(bench, "init_layer_params", spy)
         blocks = ["--block", "srg,brg,grid,group", "--h", "4", "--w", "4"]
         path = tmp_path / "layer.cfg"
-        path.write_text("c=8\ncp=4\ns=2\nfusion=concat\nseed=3\ngs=2\ngroups=2\n")
+        path.write_text("c=8\ncp=4\ns=2\nfusion=concat\ngs=2\ngroups=2\n")
         assert main(["bench", *blocks, "--c", "8", "--cp", "4", "--nodes", "2",
                      "--fusion", "concat", "--seed", "3", "--gs", "2", "--groups", "2"]) == 0
-        assert main(["bench", *blocks, "--config", str(path)]) == 0
+        assert main(["bench", *blocks, "--config", str(path), "--seed", "3"]) == 0
         assert len(cfgs) == 8
         assert cfgs[:4] == cfgs[4:]
         assert [(c.variant, c.gs, c.groups) for c in cfgs[:4]] == [
@@ -226,17 +226,43 @@ class TestBenchCommand:
             cfgs.append(cfg)
             return real(cfg, *args, **kwargs)
 
+        seeds = []
+
+        def run_spy(*args, real=bench.run_benchmark, **kwargs):
+            seeds.append(kwargs["seed"])
+            return real(*args, **kwargs)
+
         monkeypatch.setattr(bench, "init_layer_params", spy)
+        monkeypatch.setattr(bench, "run_benchmark", run_spy)
         path = tmp_path / "layer.cfg"
         path.write_text("c=8\ncp=4\ns=2\nvariant=bottleneck\ninit_mode=pretrained_insert\n"
-                        "offset_source=theta\nseed=5\n")
+                        "offset_source=theta\n")
         assert main(["bench", "--block", "srg,brg", "--h", "4", "--w", "4",
-                     "--config", str(path)]) == 0
+                     "--config", str(path), "--seed", "5"]) == 0
         srg, brg = cfgs
         assert (srg.variant, brg.variant) == ("simple", "bottleneck")
         for cfg in cfgs:
-            assert (cfg.init_mode, cfg.offset_source, cfg.seed) == ("pretrained_insert",
-                                                                    "theta", 5)
+            assert (cfg.init_mode, cfg.offset_source) == ("pretrained_insert", "theta")
+        assert seeds == [5]
+
+    @pytest.mark.parametrize("layer", [[], ["--config", "{cfg}"]], ids=["flags", "config"])
+    def test_seed_draws_the_input_and_every_block(self, layer, tmp_path, monkeypatch,
+                                                   capsys):
+        from repgraph import bench
+
+        path = tmp_path / "layer.cfg"
+        path.write_text("c=8\ncp=4\ns=2\n")
+        drawn = []
+
+        def spy(seed, real=bench.Rng):
+            drawn.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(bench, "Rng", spy)
+        assert main(["bench", "--block", "nl,srg", "--h", "4", "--w", "4", "--c", "8",
+                     "--cp", "4", "--nodes", "2", "--seed", "5",
+                     *[arg.format(cfg=path) for arg in layer]]) == 0
+        assert drawn == [5, 5]
 
 
 class TestFailures:
@@ -279,13 +305,28 @@ class TestFailures:
                      "--config", str(path)]) == 1
         assert "line 3: duplicate key 'cp'" in self._one_line_error(capsys)
 
-    @pytest.mark.parametrize("text", ["c=8\ncp=0\n", "c=8\ncp=4\nfoo=1\n"],
-                             ids=["bad-value", "unknown-key"])
+    # A layer carries no seed, so a file written when it did fails on that line.
+    @pytest.mark.parametrize("text", ["c=8\ncp=0\n", "c=8\ncp=4\nfoo=1\n",
+                                      "c=8\ncp=4\nseed=0\n"],
+                             ids=["bad-value", "unknown-key", "seed"])
     def test_config_file_error_names_the_file(self, text, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text(text)
         assert main(["flops", "--config", str(path)]) == 1
         assert self._one_line_error(capsys).startswith(f"error: {path}: ")
+
+    def test_checkpoint_layer_file_with_a_seed_names_the_file(self, tmp_path, capsys):
+        from repgraph import LayerConfig
+        from repgraph.train import TrainConfig, init_toy_model, save_checkpoint
+
+        ckpt = tmp_path / "ck"
+        cfg = TrainConfig(width=8, layer=LayerConfig(c=8, cp=4, s=2))
+        save_checkpoint(init_toy_model(cfg), cfg, str(ckpt))
+        layer_txt = ckpt / "layer.txt"
+        layer_txt.write_text(layer_txt.read_text() + "seed=0\n")
+        assert main(["affinity", "--ckpt", str(ckpt), "--out", str(tmp_path / "a")]) == 1
+        assert self._one_line_error(capsys) == (
+            f"error: {layer_txt}: unknown config key 'seed'\n")
 
     def test_old_format_checkpoint_is_validation_failure(self, tmp_path, capsys):
         from repgraph import LayerConfig

@@ -89,7 +89,8 @@ def test_init_nonlocal_params_is_init_layer_params(fusion, zero_out, dtype):
     cfg = LayerConfig(c=6, cp=4, variant="nonlocal", fusion=fusion,
                       init_mode="pretrained_insert" if zero_out else "fresh")
     got = param_arrays(
-        nonlocal_block.init_nonlocal_params(6, 4, fusion, Rng(33), dtype, zero_out))
+        nonlocal_block.init_nonlocal_params(6, 4, fusion, rng=Rng(33), dtype=dtype,
+                                            zero_out=zero_out))
     want = param_arrays(init_layer_params(cfg, Rng(33), dtype=dtype))
     assert got.keys() == want.keys()
     for name in want:

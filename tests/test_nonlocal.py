@@ -16,7 +16,7 @@ from repgraph import (
     softmax_rows,
 )
 from repgraph import layer, ops
-from repgraph.autograd import Tape, backward, weighted_sum
+from repgraph.autograd import Tape
 from repgraph.bench import peak_mib
 from repgraph.layer import layer_forward_node
 from repgraph.nonlocal_block import affinity_matrix
@@ -129,35 +129,32 @@ class TestQueryBlocks:
     SHAPE = (2, 5, 13, 16)
     ROW_BYTES = 2 * 208 * 8
 
-    @pytest.mark.parametrize("fusion", ["sum", "concat"])
-    @pytest.mark.parametrize("block_bytes,rows", [(1, 64), (100 * ROW_BYTES, 100)])
-    def test_result_does_not_depend_on_the_block_size(self, monkeypatch, fusion,
-                                                      block_bytes, rows):
-        cfg, params = dense_block(5, 3, Rng(31), fusion=fusion)
-        x = Rng(32).tensor(self.SHAPE)
-        probe = Rng(33).uniform(-1, 1, self.SHAPE)
+    @pytest.fixture
+    def forward(self, monkeypatch):
+        """``forward(cfg, params, x, block_bytes, grad)`` -> (blocks, output, weights)."""
         softmax = ops.softmax_node
         calls = []
         monkeypatch.setattr(ops, "softmax_node", lambda a: calls.append(a.shape) or softmax(a))
 
-        def run():
+        def run(cfg, params, x, block_bytes, grad=False):
+            monkeypatch.setattr(layer, "_DENSE_BLOCK_BYTES", block_bytes)
             calls.clear()
-            collect = {}
-            out = repgraph_forward(x, params, cfg, collect=collect).data
-            blocks = len(calls)
-            tape = Tape()
-            y = layer_forward_node(tape, tape.leaf(x.data), params, cfg)
-            backward(weighted_sum(y, probe))
-            return blocks, out, collect["weights"].data, [leaf.grad for leaf in tape.leaves]
+            tape, collect = Tape(grad=grad), {}
+            out = layer_forward_node(tape, tape.leaf(x.data), params, cfg, collect=collect)
+            return len(calls), out.value, collect["weights"].data
+        return run
 
-        monkeypatch.setattr(layer, "_DENSE_BLOCK_BYTES", 1 << 40)
-        blocks, *want = run()
+    @pytest.mark.parametrize("fusion", ["sum", "concat"])
+    @pytest.mark.parametrize("block_bytes,rows", [(1, 64), (100 * ROW_BYTES, 100)])
+    def test_result_does_not_depend_on_the_block_size(self, forward, fusion, block_bytes,
+                                                      rows):
+        cfg, params = dense_block(5, 3, Rng(31), fusion=fusion)
+        x = Rng(32).tensor(self.SHAPE)
+        blocks, want_out, want_weights = forward(cfg, params, x, 1 << 40)
         assert blocks == 1
-        monkeypatch.setattr(layer, "_DENSE_BLOCK_BYTES", block_bytes)
-        blocks, *got = run()
+        blocks, out, weights = forward(cfg, params, x, block_bytes)
         # Several blocks, the last one short.
         assert blocks == math.ceil(208 / rows) and 208 % rows
-        (out, weights, grads), (want_out, want_weights, want_grads) = got, want
         assert np.abs(out - want_out).max() < 1e-12
         assert weights.shape == (2, 208, 1, 208)
         assert np.abs(weights - want_weights).max() < 1e-12
@@ -165,9 +162,21 @@ class TestQueryBlocks:
             theta, phi = (project_1x1(x, proj).data[i].reshape(3, 208).T
                           for proj in (params.theta, params.phi))
             assert np.abs(weights[i, :, 0] - affinity_matrix(theta, phi)).max() < 1e-12
-        assert len(grads) == len(want_grads) == 1 + 2 * 4
-        for g, want_g in zip(grads, want_grads):
-            assert np.abs(g - want_g).max() < 1e-12
+
+    @pytest.mark.parametrize("fusion", ["sum", "concat"])
+    def test_a_grad_tape_runs_one_block(self, forward, fusion):
+        # The backward keeps every block's logits anyway, so blocks would only
+        # add narrows and a concat.  A block's matmuls may round differently
+        # from the whole map's (one ulp at 4 x 1024 positions), so the values
+        # agree as the block sizes above do.
+        cfg, params = dense_block(5, 3, Rng(31), fusion=fusion)
+        x = Rng(32).tensor(self.SHAPE)
+        blocks, want_out, want_weights = forward(cfg, params, x, 1)
+        assert blocks == 4
+        blocks, out, weights = forward(cfg, params, x, 1, grad=True)
+        assert blocks == 1
+        assert np.abs(out - want_out).max() < 1e-12
+        assert np.abs(weights - want_weights).max() < 1e-12
 
     def test_forward_never_holds_the_n_by_n_affinity(self):
         cfg = LayerConfig(c=256, cp=64, variant="nonlocal")

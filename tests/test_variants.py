@@ -9,58 +9,12 @@ from repgraph import (
     Rng,
     Tensor4,
     init_layer_params,
-    project_1x1,
     repgraph_forward,
-    softmax_rows,
 )
 from repgraph.autograd import Tape
-from repgraph.layer import _attention, _positions_node, _sample_node, layer_forward_node
-from repgraph.ops import avg_pool_node, bilinear_node
+from repgraph.layer import layer_forward_node
 
-
-def bilinear_sample(x, positions):
-    """Sample fractional positions [(batch, y, x), ...] through ``bilinear_node``; [len, c]."""
-    pos = np.asarray(positions, dtype=np.float64)
-    tape = Tape()
-    return bilinear_node(tape.constant(x.data), tape.constant(pos[:, 1]),
-                         tape.constant(pos[:, 2]), pos[:, 0].astype(np.int64)).value
-
-
-def naive_grid_forward(x, params, cfg, gs):
-    """Loop-based reference for the grid variant of the simple layer (sum fusion).
-
-    Materializes each group's sampled key/value set explicitly and runs the
-    per-position attention with plain matrix code.
-    """
-    n, c, h, w = x.shape
-    theta = project_1x1(x, params.theta).data
-    phi = project_1x1(x, params.phi)
-    g = project_1x1(x, params.g)
-    tape = Tape()
-    pooled = Tensor4(avg_pool_node(tape.constant(x.data), gs).value)
-    off = project_1x1(pooled, params.w_off).data
-    hg, wg = off.shape[2], off.shape[3]
-    s = cfg.s
-    out = np.zeros((n, cfg.cp, h, w))
-    for b in range(n):
-        for gi in range(hg):
-            for gj in range(wg):
-                ay, ax = gi * gs, gj * gs
-                positions = [
-                    (b, ay + off[b, 2 * k, gi, gj], ax + off[b, 2 * k + 1, gi, gj])
-                    for k in range(s)
-                ]
-                keys = bilinear_sample(phi, positions)  # [s, cp]
-                vals = bilinear_sample(g, positions)
-                for i in range(ay, min(ay + gs, h)):
-                    for j in range(ax, min(ax + gs, w)):
-                        q = theta[b, :, i, j]
-                        weights = softmax_rows(keys @ q)
-                        out[b, :, i, j] = weights @ vals
-    y = project_1x1(
-        __import__("repgraph").Tensor4(out), params.w_out
-    ).data + x.data
-    return y
+from layer_oracles import naive_grid_forward, slice_dispatch_oracle
 
 
 class TestGridRepGraph:
@@ -131,39 +85,8 @@ class TestGroupRepGraph:
         params = init_layer_params(cfg, rng)
         x = rng.tensor((1, 5, 3, 4))
         got = repgraph_forward(x, params, replace(cfg, groups=1))
-        want, _ = self._slice_dispatch_oracle(x, params, cfg, 1)
+        want, _ = slice_dispatch_oracle(x, params, cfg, 1)
         assert np.abs(got.data - want).max() < 1e-12
-
-    def _slice_dispatch_oracle(self, x, params, cfg, groups):
-        """Slice channels and call the attention per slice.
-
-        Returns the layer output and each slice's [n, N, 1, S] weights.
-        """
-        theta_map = project_1x1(x, params.theta)
-        phi_map = project_1x1(x, params.phi)
-        g_map = project_1x1(x, params.g)
-        off = project_1x1(x, params.w_off).data
-        n, c, h, w = x.shape
-        tape = Tape()
-        py, px = _positions_node(tape.constant(off), np.repeat(np.arange(h, dtype=float), w),
-                                 np.tile(np.arange(w, dtype=float), h))
-        key = _sample_node(tape.constant(phi_map.data), py, px).value
-        val = _sample_node(tape.constant(g_map.data), py, px).value
-        theta = theta_map.data.reshape(n, cfg.cp, h * w).transpose(0, 2, 1)
-        width = cfg.cp // groups
-        parts = []
-        slice_weights = []
-        for gi in range(groups):
-            sl = slice(gi * width, (gi + 1) * width)
-            xt, weights = _attention(tape.constant(theta[:, :, sl]), tape.constant(key[..., sl]),
-                                     tape.constant(val[..., sl]), groups=1)
-            assert np.abs(weights.value.sum(axis=-1) - 1.0).max() < 1e-10
-            parts.append(xt.value)
-            slice_weights.append(weights.value)
-        xt_full = np.concatenate(parts, axis=2)
-        xt_map = xt_full.transpose(0, 2, 1).reshape(n, cfg.cp, h, w)
-        out = project_1x1(Tensor4(xt_map), params.w_out).data + x.data
-        return out, slice_weights
 
     def test_matches_slice_dispatch_oracle(self):
         rng = Rng(5)
@@ -172,7 +95,7 @@ class TestGroupRepGraph:
         x = rng.tensor((2, 6, 3, 3))
         collect = {}
         got = repgraph_forward(x, params, replace(cfg, groups=4), collect=collect)
-        want, slice_weights = self._slice_dispatch_oracle(x, params, cfg, 4)
+        want, slice_weights = slice_dispatch_oracle(x, params, cfg, 4)
         assert np.abs(got.data - want).max() < 1e-12
         for g, weights in enumerate(slice_weights):
             assert np.abs(collect["weights"].data[:, :, g] - weights[:, :, 0]).max() < 1e-12
@@ -183,7 +106,7 @@ class TestGroupRepGraph:
         params = init_layer_params(cfg, rng)
         x = rng.tensor((1, 4, 3, 3))
         got = repgraph_forward(x, params, replace(cfg, groups=4))
-        want, _ = self._slice_dispatch_oracle(x, params, cfg, 4)
+        want, _ = slice_dispatch_oracle(x, params, cfg, 4)
         assert np.abs(got.data - want).max() < 1e-12
 
     def test_per_group_rows_sum_to_one(self):
