@@ -19,9 +19,11 @@ from . import ops
 from .errors import ContractError
 from .flops import BLOCKS
 from .layer import (
+    _DENSE_BLOCK_BYTES,
+    _DENSE_MIN_ROWS,
+    _SPARSE_BLOCK_BYTES,
     LayerConfig,
-    _dense_block_rows,
-    _sparse_block_rows,
+    _query_spans,
     init_layer_params,
     repgraph_forward,
 )
@@ -64,17 +66,22 @@ def _block_config(block: str, layer: LayerConfig) -> LayerConfig:
 
 def _estimate_bytes(cfg: LayerConfig, h: int, w: int, itemsize: int) -> int:
     """Upper bound on the peak of one forward: four [N, C] maps, two sampler blocks
-    of slack, and the logits and softmax of one [rows, N] query block (dense) or
-    the [rows, S, C'] sampled sets of one query block (two in the simple layer,
-    one shared in the bottleneck)."""
+    of slack, and the working set of the longest query span: its [rows, N]
+    logits and softmax (dense) or its [rows, S, C'] sampled sets (two in the
+    simple layer, one shared in the bottleneck)."""
     n_nodes = h * w
+    # The first span, (0, rows), is the longest.
     if cfg.variant == "nonlocal":
-        work = 2 * _dense_block_rows(1, n_nodes, itemsize) * n_nodes
+        row_bytes = n_nodes * itemsize
+        _, rows = _query_spans(False, n_nodes, row_bytes, _DENSE_BLOCK_BYTES,
+                               _DENSE_MIN_ROWS)[0]
+        work = 2 * rows * row_bytes
     else:
         n_sets = 2 if cfg.variant == "simple" else 1
-        rows = _sparse_block_rows(cfg, 1, h, w, n_sets, itemsize)
-        work = n_sets * rows * cfg.gs * w * cfg.s * cfg.cp
-    return (work + 4 * n_nodes * max(cfg.c, cfg.cp)) * itemsize + 2 * ops._BLOCK_BYTES
+        row_bytes = n_sets * cfg.gs * w * cfg.s * cfg.cp * itemsize
+        _, rows = _query_spans(False, -(-h // cfg.gs), row_bytes, _SPARSE_BLOCK_BYTES)[0]
+        work = rows * row_bytes
+    return work + 4 * n_nodes * max(cfg.c, cfg.cp) * itemsize + 2 * ops._BLOCK_BYTES
 
 
 def _make_forward(cfg: LayerConfig, h: int, w: int, dtype, seed: int):

@@ -117,6 +117,7 @@ def cmd_flops(args) -> int:
     report = flops_mod.count_flops(
         args.block, args.h, args.w, layer.c, layer.cp, s=layer.s,
         gs=layer.gs, groups=layer.groups, fusion=layer.fusion,
+        offset_source=layer.offset_source,
     )
     print(report)
     if args.out:

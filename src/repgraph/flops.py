@@ -50,22 +50,25 @@ class FlopsReport:
 
 def count_flops(block: str, h: int, w: int, c: int, cp: int, s: int = 9,
                 gs: int = 1, groups: int = 1, fusion: str = "sum",
-                n: int = 1) -> FlopsReport:
+                n: int = 1, offset_source: str = "input") -> FlopsReport:
     """Exact MAC counts per suboperation for one forward pass.
 
     Projections cost n*h*w*c_in*c_out; dense attention 2*N^2*C'; sparse
-    attention 2*N*S*C'; offset regression N*C_src*2S; bilinear sampling
-    4 MACs per sampled value channel.  ``grid`` and ``group`` count the
-    bottleneck-based variants.
+    attention 2*N*S*C'; offset regression N*C_src*2S, where the simple
+    layer's C_src is C, or C' when ``offset_source`` is ``"theta"``; bilinear
+    sampling 4 MACs per sampled value channel.  ``grid`` and ``group`` count
+    the bottleneck-based variants.
     """
     if min(h, w, c, cp, s, gs, groups, n) < 1:
         raise ContractError("geometry fields must be positive")
     if fusion not in ("sum", "concat"):
         raise ContractError(f"unknown fusion {fusion!r}")
+    if offset_source not in ("input", "theta"):
+        raise ContractError(f"unknown offset_source {offset_source!r}")
     block = block.lower()
     N = h * w
     geometry = dict(h=h, w=w, c=c, cp=cp, s=s, gs=gs, groups=groups,
-                    fusion=fusion, n=n)
+                    fusion=fusion, n=n, offset_source=offset_source)
 
     if block in ("nl", "srg"):
         # The dense block is the simple layer with every query attending over
@@ -75,7 +78,7 @@ def count_flops(block: str, h: int, w: int, c: int, cp: int, s: int = 9,
         parts = [(f"{name}_proj", n * N * c * cp) for name in ("theta", "phi", "g")]
         if block == "srg":
             parts += [
-                ("offset_conv", n * N * c * 2 * s),
+                ("offset_conv", n * N * (c if offset_source == "input" else cp) * 2 * s),
                 ("sample_key", 4 * n * N * s * cp),
                 ("sample_value", 4 * n * N * s * cp),
             ]

@@ -68,25 +68,6 @@ def _op_case(draw, op):
     return _case(draw, forward)
 
 
-def _record_case(params, block, c: int):
-    """A case of ``block(tape, x, record)`` for an input of ``c`` channels on a 4x4 map.
-
-    Each run probes one copy of the parameter record ``params``; every
-    evaluation writes the probed arrays into it, so any record
-    :func:`param_arrays` names works.
-    """
-    def draw(rng):
-        return _record_arrays(rng, params, c), copy.deepcopy(params)
-
-    def forward(arrays, record):
-        for name, arr in param_arrays(record).items():
-            arr[...] = arrays[name]
-        tape = Tape()
-        x = tape.leaf(arrays["x"])
-        return block(tape, x, record), {"x": x, **tape.params}
-    return _case(draw, forward)
-
-
 def _assert_off_integer(positions: np.ndarray, margin: float = 0.1) -> None:
     frac = np.abs(positions - np.round(positions))
     if positions.size and frac.min() < margin:
@@ -164,17 +145,28 @@ def _draw_batch_norm(rng: Rng):
 
 
 def _layer_case(**overrides):
-    """The layer at C=6, C'=4, S=3 on a 4x4 map, in training mode, with ``overrides``."""
-    cfg = LayerConfig(c=6, cp=4, s=3, **overrides)
+    """The layer at C=6, C'=4, S=3 on a 4x4 map, in training mode, with ``overrides``.
 
-    def block(tape, x, record):
+    Each run probes one copy of a template parameter record; every evaluation
+    writes the probed arrays into it.
+    """
+    cfg = LayerConfig(c=6, cp=4, s=3, **overrides)
+    params = init_layer_params(cfg, Rng(0))
+
+    def draw(rng):
+        return _record_arrays(rng, params, cfg.c), copy.deepcopy(params)
+
+    def forward(arrays, record):
+        for name, arr in param_arrays(record).items():
+            arr[...] = arrays[name]
+        tape = Tape()
+        x = tape.leaf(arrays["x"])
         collect: dict = {}
         y = layer_forward_node(tape, x, record, cfg, training=True, collect=collect)
         if "positions" in collect:
             _assert_off_integer(collect["positions"])
-        return y
-
-    return _record_case(init_layer_params(cfg, Rng(0)), block, cfg.c)
+        return y, {"x": x, **tape.params}
+    return _case(draw, forward)
 
 
 CASES = {

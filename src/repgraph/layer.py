@@ -306,53 +306,46 @@ def _positions_node(off: Node, anchor_y: np.ndarray, anchor_x: np.ndarray) -> tu
     return ag.add_const(dy, anchor_y[None, :, None]), ag.add_const(dx, anchor_x[None, :, None])
 
 
-def _sample_node(branch: Node, py: Node, px: Node) -> Node:
-    """Bilinear-sample a branch map into the [n, P, S, C] representative layout."""
-    n = branch.value.shape[0]
-    return ops.bilinear_node(branch, py, px, np.arange(n)[:, None, None])
-
-
-# A no-grad sparse core runs its queries in blocks of whole group rows, each
-# holding at most this many bytes of sampled [n, rows, S, C'] sets: two when key
-# and value come from separate branches, one when they share it.  At 128x64,
-# c=256, C'=64, S=9, f32 (18 MiB per full set), 4-16 MiB all kept the simple
-# layer's forward peak at 24 MiB and the bottleneck's at 20 MiB, where 24 MiB
-# blocks let it rise to 29 and 24; 16 MiB runs the fewest blocks (3 and 2).
+# A no-grad sparse core holds at most this many bytes of sampled [n, rows, S, C']
+# sets per span of group rows: two when key and value come from separate
+# branches, one when they share it.  At 128x64, c=256, C'=64, S=9, f32 (18 MiB
+# per full set), 4-16 MiB all kept the simple layer's forward peak at 24 MiB
+# and the bottleneck's at 20 MiB, where 24 MiB blocks let it rise to 29 and 24;
+# 16 MiB runs the fewest blocks (3 and 2).
 _SPARSE_BLOCK_BYTES = 16 << 20
 
+# A no-grad dense block holds about this many bytes of [n, rows, N] logits per
+# span of query rows, and at least _DENSE_MIN_ROWS rows.  At c=256, C'=64, f32,
+# 2 MiB ran fastest of 0.25-40 MiB at 64x32 and kept the peak at 6 MiB; blocks
+# under 64 rows ran 1.2-1.7x slower at 128x64 and 256x128
+# (scripts/bench_dense_vs_sparse.py geometry).
+_DENSE_BLOCK_BYTES = 2 << 20
+_DENSE_MIN_ROWS = 64
 
-def _sparse_block_rows(cfg: LayerConfig, n: int, h: int, w: int, n_sets: int,
-                       itemsize: int) -> int:
-    """Group rows per block of the sparse core over n maps of h x w with ``n_sets`` sets.
 
-    The fewest blocks of at most ``_SPARSE_BLOCK_BYTES`` of [n, rows, S, C']
-    sets (one group row at least), each as short as that many blocks allow.
+def _query_spans(grad: bool, units: int, unit_bytes: int, budget: int,
+                 min_units: int = 1) -> list[tuple[int, int]]:
+    """The (lo, hi) spans an attention core runs its ``units`` query units in.
+
+    A tape with gradients keeps every span's working set for the backward
+    anyway, so it gets one span.  Otherwise the spans are the fewest of at
+    most ``budget`` bytes at ``unit_bytes`` per unit, as even as that many
+    allow, and none but the last is shorter than ``min_units``.
     """
-    n_rows = -(-h // cfg.gs)
-    row_bytes = n * n_sets * cfg.gs * w * cfg.s * cfg.cp * itemsize
-    fit = max(1, _SPARSE_BLOCK_BYTES // max(1, row_bytes))
-    blocks = -(-n_rows // fit)
-    return -(-n_rows // blocks)
+    fit = units if grad else max(1, budget // max(1, unit_bytes))
+    count = -(-units // fit)
+    size = max(min_units, -(-units // count))
+    return [(lo, min(units, lo + size)) for lo in range(0, units, size)]
 
 
-def _attend_block(theta_map: Node, phi_map: Node, g_map: Node, py: Node, px: Node,
-                  gidx: Optional[np.ndarray], groups: int,
-                  span: Optional[tuple[int, int]]) -> tuple[Node, Node]:
-    """Sample one block's node sets and attend over them; see :func:`_attention`.
+def _rows(x: Node, lo: int, hi: int) -> Node:
+    """Rows [lo, hi) of ``x``'s axis 1; a whole-axis span is ``x`` itself."""
+    return x if hi - lo == x.value.shape[1] else ag.narrow(x, 1, lo, hi - lo)
 
-    ``gidx`` maps each query to its group's set in grid mode, and ``span``,
-    a (start, length) pair, narrows the flattened queries to the block's.
-    The sets are locals, so a tape without gradients frees them on return.
-    """
-    key_feats = _sample_node(phi_map, py, px)
-    val_feats = key_feats if g_map is phi_map else _sample_node(g_map, py, px)
-    if gidx is not None:
-        key_feats = ag.gather_last(key_feats, gidx, axis=1)
-        val_feats = key_feats if g_map is phi_map else ag.gather_last(val_feats, gidx, axis=1)
-    queries = _flatten_map(theta_map)
-    if span is not None:
-        queries = ag.narrow(queries, 1, *span)
-    return _attention(queries, key_feats, val_feats, groups)
+
+def _join(outs: list[Node]) -> Node:
+    """The spans' outputs joined along axis 1; one span's output is itself."""
+    return outs[0] if len(outs) == 1 else ag.concat(outs, axis=1)
 
 
 def _repgraph_core(
@@ -371,12 +364,9 @@ def _repgraph_core(
     source, one sampled set is anchored at each group's left-top pixel, and
     every position in a group shares that set while keeping its own query row.
 
-    On a tape without gradients the queries run in blocks of
-    :func:`_sparse_block_rows` group rows; each block narrows its positions
-    and θ rows and samples its own sets, which are freed before the next
-    block samples, so the forward never holds every query's sets.  A tape
-    with gradients keeps every block's sets for the backward anyway, so it
-    runs the whole map as one block, with no narrow or concat.
+    The queries run in :func:`_query_spans` of group rows; each span samples
+    its own sets and frees them before the next span samples, so a forward
+    without gradients never holds every query's sets.
     """
     n, _, h, w = theta_map.value.shape
     dtype = theta_map.value.dtype
@@ -404,24 +394,25 @@ def _repgraph_core(
     hg, wg = off.value.shape[2], off.value.shape[3]
     ay, ax = _anchor_grid(hg, wg, gs, dtype)
     py, px = _positions_node(off, ay, ax)
-    rows = hg if theta_map.tape.grad else _sparse_block_rows(
-        cfg, n, h, w, 1 if g_map is phi_map else 2, dtype.itemsize)
+    shared = g_map is phi_map
+    batch = np.arange(n)[:, None, None]
+    row_bytes = n * (1 if shared else 2) * gs * w * cfg.s * cfg.cp * dtype.itemsize
     weights = None if collect is None else np.empty((n, h * w, cfg.groups, cfg.s), dtype)
     outs = []
-    for r0 in range(0, hg, rows):
-        r1 = min(hg, r0 + rows)
+    for r0, r1 in _query_spans(theta_map.tape.grad, hg, row_bytes, _SPARSE_BLOCK_BYTES):
         y0, y1 = r0 * gs, min(h, r1 * gs)
-        gidx = None
+        py_b, px_b = _rows(py, r0 * wg, r1 * wg), _rows(px, r0 * wg, r1 * wg)
+        key_feats = ops.bilinear_node(phi_map, py_b, px_b, batch)
+        val_feats = key_feats if shared else ops.bilinear_node(g_map, py_b, px_b, batch)
         if gs > 1:
+            # Each query of the span reads its group's set.
             gidx = ((np.arange(y0, y1) // gs - r0)[:, None] * wg
                     + np.arange(w)[None, :] // gs).reshape(-1)
-        if rows == hg:
-            x_b, w_b = _attend_block(theta_map, phi_map, g_map, py, px, gidx, cfg.groups, None)
-        else:
-            x_b, w_b = _attend_block(
-                theta_map, phi_map, g_map, ag.narrow(py, 1, r0 * wg, (r1 - r0) * wg),
-                ag.narrow(px, 1, r0 * wg, (r1 - r0) * wg), gidx, cfg.groups,
-                (y0 * w, (y1 - y0) * w))
+            key_feats = ag.gather_last(key_feats, gidx, axis=1)
+            val_feats = key_feats if shared else ag.gather_last(val_feats, gidx, axis=1)
+        x_b, w_b = _attention(_rows(_flatten_map(theta_map), y0 * w, y1 * w),
+                              key_feats, val_feats, cfg.groups)
+        del py_b, px_b, key_feats, val_feats  # freed before the next span samples
         if weights is not None:
             weights[:, y0 * w:y1 * w] = w_b.value
         outs.append(x_b)
@@ -430,34 +421,16 @@ def _repgraph_core(
         collect["positions"] = np.stack([py.value.transpose(0, 2, 1),
                                          px.value.transpose(0, 2, 1)], axis=2)
         collect["weights"] = AttentionWeights(weights)
-    x_tilde = outs[0] if len(outs) == 1 else ag.concat(outs, axis=1)
-    return _unflatten_map(x_tilde, h, w)
-
-
-# A no-grad dense block runs its queries in blocks of rows, each holding about
-# this many bytes of [n, rows, N] logits and at least _DENSE_MIN_ROWS rows.  At
-# c=256, C'=64, f32, 2 MiB ran fastest of 0.25-40 MiB at 64x32 and kept the
-# peak at 6 MiB; blocks under 64 rows ran 1.2-1.7x slower at 128x64 and
-# 256x128 (scripts/bench_dense_vs_sparse.py geometry).
-_DENSE_BLOCK_BYTES = 2 << 20
-_DENSE_MIN_ROWS = 64
-
-
-def _dense_block_rows(n: int, n_nodes: int, itemsize: int) -> int:
-    """Query rows per block of the dense block over n maps of ``n_nodes`` positions."""
-    fit = _DENSE_BLOCK_BYTES // max(1, n * n_nodes * itemsize)
-    return min(n_nodes, max(_DENSE_MIN_ROWS, fit))
+    return _unflatten_map(_join(outs), h, w)
 
 
 def _dense_core(theta: Node, phi: Node, g: Node, collect: Optional[dict]) -> Node:
     """Every query attends over all N positions; returns x_tilde as an [n, C', h, w] map.
 
-    On a tape without gradients the queries run in blocks of
-    :func:`_dense_block_rows` rows; each block forms its [n, rows, N] logits,
-    softmax and aggregate and frees them before the next block starts, so the
-    forward never holds the N x N affinity.  A tape with gradients keeps all
-    N^2 logits and weights per map for the backward anyway, so it runs every
-    query in one block, with no narrow or concat.
+    The queries run in :func:`_query_spans` of rows; each span forms its
+    [n, rows, N] logits, softmax and aggregate and frees them before the next
+    span starts, so a forward without gradients never holds the N x N
+    affinity.
 
     ``collect`` receives the affinity as [n, N, 1, N] weights: one group whose
     N samples are the grid positions in row-major order.
@@ -465,20 +438,19 @@ def _dense_core(theta: Node, phi: Node, g: Node, collect: Optional[dict]) -> Nod
     n, _, h, w = theta.value.shape
     n_nodes = h * w
     queries, keys, vals = _flatten_map(theta), _flatten_map(phi), _flatten_map(g)
-    rows = n_nodes if theta.tape.grad else _dense_block_rows(n, n_nodes, theta.value.itemsize)
     weights = None if collect is None else np.empty((n, n_nodes, 1, n_nodes), theta.value.dtype)
     outs = []
-    for lo in range(0, n_nodes, rows):
-        q = queries if rows == n_nodes else ag.narrow(queries, 1, lo, min(rows, n_nodes - lo))
+    for lo, hi in _query_spans(theta.tape.grad, n_nodes, n * n_nodes * theta.value.itemsize,
+                               _DENSE_BLOCK_BYTES, _DENSE_MIN_ROWS):
+        q = _rows(queries, lo, hi)
         affinity = ops.softmax_node(ag.einsum2("bnc,bmc->bnm", q, keys))
         if weights is not None:
-            weights[:, lo:lo + rows, 0] = affinity.value
+            weights[:, lo:hi, 0] = affinity.value
         outs.append(ag.einsum2("bnm,bmc->bnc", affinity, vals))
-        del affinity  # freed before the next block's logits
+        del affinity  # freed before the next span's logits
     if weights is not None:
         collect["weights"] = AttentionWeights(weights)
-    x_tilde = outs[0] if len(outs) == 1 else ag.concat(outs, axis=1)
-    return _unflatten_map(x_tilde, h, w)
+    return _unflatten_map(_join(outs), h, w)
 
 
 def _bind_params(tape: Tape, params, prefix: str) -> dict[str, Node]:

@@ -11,7 +11,7 @@ import numpy as np
 
 from repgraph import Tensor4, project_1x1, softmax_rows
 from repgraph.autograd import Tape
-from repgraph.layer import _attention, _positions_node, _sample_node
+from repgraph.layer import _attention, _positions_node
 from repgraph.ops import avg_pool_node, bilinear_node
 
 
@@ -95,8 +95,9 @@ def slice_dispatch_oracle(x, params, cfg, groups):
     tape = Tape()
     py, px = _positions_node(tape.constant(off), np.repeat(np.arange(h, dtype=float), w),
                              np.tile(np.arange(w, dtype=float), h))
-    key = _sample_node(tape.constant(phi_map), py, px).value
-    val = _sample_node(tape.constant(g_map), py, px).value
+    batch = np.arange(n)[:, None, None]
+    key = bilinear_node(tape.constant(phi_map), py, px, batch).value
+    val = bilinear_node(tape.constant(g_map), py, px, batch).value
     theta = theta_map.reshape(n, cfg.cp, h * w).transpose(0, 2, 1)
     width = cfg.cp // groups
     parts = []

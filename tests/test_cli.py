@@ -46,6 +46,16 @@ class TestFlopsCommand:
         out = capsys.readouterr().out
         assert "offset_conv" in out
 
+    @pytest.mark.parametrize("offset_source,macs", [("input", "1,536"), ("theta", "768")])
+    def test_config_file_sets_the_offset_source(self, tmp_path, capsys, offset_source, macs):
+        # The simple layer's w_off maps C=16 (input) or C'=8 (theta) to 2S=6.
+        cfg = tmp_path / "layer.cfg"
+        cfg.write_text(f"c=16\ncp=8\ns=3\noffset_source={offset_source}\n")
+        assert main(["flops", "--block", "srg", "--h", "4", "--w", "4",
+                     "--config", str(cfg)]) == 0
+        line, = (ln for ln in capsys.readouterr().out.splitlines() if "offset_conv" in ln)
+        assert line.split() == ["offset_conv", macs]
+
 
 class TestOracleCommand:
     def test_passes_and_writes_csv(self, tmp_path, capsys):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from repgraph import ContractError, count_flops, fit_scaling_exponent
+from repgraph import ContractError, LayerConfig, Rng, count_flops, fit_scaling_exponent
+from repgraph.layer import init_layer_params
 
 TABLE_GEOMETRY = dict(h=256, w=128, c=2048, cp=256, s=9)
 
@@ -104,6 +105,19 @@ class TestReportShape:
         b = count_flops("brg", 8, 8, 16, 4, s=2, n=3)
         assert b.total_macs == 3 * a.total_macs
 
+    @pytest.mark.parametrize("block,variant", [("srg", "simple"), ("brg", "bottleneck")])
+    @pytest.mark.parametrize("offset_source", ["input", "theta"])
+    def test_offset_conv_is_the_layers_offset_projection(self, block, variant, offset_source):
+        cfg = LayerConfig(c=16, cp=8, s=3, variant=variant, offset_source=offset_source)
+        params = init_layer_params(cfg, Rng(0))
+        report = count_flops(block, 4, 4, cfg.c, cfg.cp, s=cfg.s,
+                             offset_source=cfg.offset_source)
+        assert dict(report.parts)["offset_conv"] == 4 * 4 * params.w_off.weight.size
+
+    def test_unknown_offset_source_rejected(self):
+        with pytest.raises(ContractError, match="unknown offset_source"):
+            count_flops("srg", 8, 8, 16, 4, offset_source="phi")
+
     def test_unknown_block_rejected(self):
         with pytest.raises(ContractError, match="unknown block"):
             count_flops("danet", 8, 8, 16, 4)
@@ -122,3 +136,24 @@ class TestReportShape:
         assert lines[0] == "block,suboperation,macs"
         assert len(lines) == 1 + len(report.parts)
         assert lines[1].startswith("brg,reduce_proj,")
+
+
+def test_flops_table_script_prints_the_totals_its_docstring_claims(capsys):
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).parent.parent / "scripts" / "reproduce_flops_table.py"
+    spec = importlib.util.spec_from_file_location("reproduce_flops_table", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.main()
+    lines = capsys.readouterr().out.splitlines()
+    totals = {line.split(":")[0]: float(line.split()[1]) for line in lines
+              if line.endswith("pooling excluded)")}
+    assert sorted(totals) == ["brg", "nl", "srg"]
+    # "around 618 GFLOPs" dense, "~35 GFLOPs" bottleneck, "a ~17x reduction".
+    assert abs(totals["nl"] - 618) < 1
+    assert abs(totals["brg"] - 35) < 0.5
+    ratio = float(lines[-1].removeprefix("dense / sparse ratio: ").removesuffix("x"))
+    assert 17 <= ratio < 18
+    assert abs(ratio - totals["nl"] / totals["brg"]) < 0.1

@@ -26,8 +26,7 @@ from repgraph.bench import peak_mib
 from repgraph.layer import (
     _attention,
     _positions_node,
-    _sample_node,
-    _sparse_block_rows,
+    _query_spans,
     buffer_arrays,
     layer_forward_node,
 )
@@ -51,7 +50,8 @@ def sample_representative(x, off):
     py, px = _positions_node(tape.constant(off.data), np.repeat(np.arange(h, dtype=float), w),
                              np.tile(np.arange(w, dtype=float), h))
     # The layer samples node-major, [n, P, S, c] and positions [n, P, S].
-    features = _sample_node(tape.constant(x.data), py, px).value.transpose(0, 2, 3, 1)
+    batch = np.arange(n)[:, None, None]
+    features = bilinear_node(tape.constant(x.data), py, px, batch).value.transpose(0, 2, 3, 1)
     return features, np.stack([py.value, px.value], axis=-1).transpose(0, 2, 3, 1)
 
 
@@ -431,6 +431,39 @@ class TestForwardWithoutGradients:
         assert without < 0.6 * with_graph
 
 
+class TestQuerySpans:
+    """The span rule both attention cores run their queries in."""
+
+    # 13 units of 10 bytes.  (units that fit, units per span): 6 fit give 3
+    # spans of 5, 5, 3; 8 or 12 give 2 spans of 7 and 6.
+    @pytest.mark.parametrize("fit,size", [(1, 1), (4, 4), (6, 5), (8, 7), (12, 7), (13, 13),
+                                          (99, 13)])
+    def test_spans_are_the_fewest_that_fit_with_the_fewest_units(self, fit, size):
+        want = [(lo, min(13, lo + size)) for lo in range(0, 13, size)]
+        assert len(want) == -(-13 // fit)
+        for budget in (fit * 10, fit * 10 + 9):
+            assert _query_spans(False, 13, 10, budget) == want
+
+    def test_a_span_takes_one_unit_at_least(self):
+        assert _query_spans(False, 13, 10, 1) == [(i, i + 1) for i in range(13)]
+        assert _query_spans(False, 13, 10, 0) == [(i, i + 1) for i in range(13)]
+
+    def test_min_units_floor_keeps_a_short_last_span(self):
+        # The dense block's floor: below 64 rows a span takes 64, and so does
+        # the first of 65 rows that two spans would otherwise split evenly.
+        assert _query_spans(False, 208, 10, 1, 64) == [(0, 64), (64, 128), (128, 192),
+                                                        (192, 208)]
+        assert _query_spans(False, 65, 10, 640, 64) == [(0, 64), (64, 65)]
+        assert _query_spans(False, 208, 10, 1000, 64) == [(0, 70), (70, 140), (140, 208)]
+        assert _query_spans(False, 13, 10, 1, 64) == [(0, 13)]
+
+    @pytest.mark.parametrize("min_units", [1, 64])
+    def test_a_grad_tape_gets_one_span(self, min_units):
+        # Its backward keeps every span's working set anyway.
+        assert _query_spans(True, 208, 10, 1, min_units) == [(0, 208)]
+        assert _query_spans(True, 13, 1 << 40, 1, min_units) == [(0, 13)]
+
+
 class TestSparseQueryBlocks:
     # (variant, gs, groups, input shape); gs=2 over 13 rows and gs=3 over 37
     # rows both end in a partial group row.
@@ -487,19 +520,17 @@ class TestSparseQueryBlocks:
             for key in collected:
                 assert grad_collected[key].tobytes() == collected[key].tobytes(), key
 
-    def test_blocks_are_the_fewest_that_fit_with_the_fewest_rows(self, monkeypatch):
-        cfg = LayerConfig(c=8, cp=4, s=2, gs=3)
-        # Per map and set, a group row of 3 x 10 queries holds 3 * 10 * S * C' * 8
-        # bytes; two maps with two sets each hold four times that.
-        row_bytes = 4 * 3 * 10 * 2 * 4 * 8
-        # 37 rows are 13 group rows.  (rows that fit, rows per block): 6 fit
-        # give 3 blocks of 5, 5, 3; 8 or 12 give 2 blocks of 7 and 6.
-        for fit, rows in [(1, 1), (4, 4), (6, 5), (8, 7), (12, 7), (13, 13), (99, 13)]:
-            monkeypatch.setattr(layer, "_SPARSE_BLOCK_BYTES", fit * row_bytes)
-            assert _sparse_block_rows(cfg, 2, 37, 10, 2, 8) == rows, fit
-        # Below one group row a block still takes one.
-        monkeypatch.setattr(layer, "_SPARSE_BLOCK_BYTES", 1)
-        assert _sparse_block_rows(cfg, 2, 37, 10, 2, 8) == 1
+    @pytest.mark.parametrize("variant,n_sets", [("simple", 2), ("bottleneck", 1)])
+    def test_a_block_holds_at_most_its_budget_of_sets(self, forward, variant, n_sets):
+        cfg = LayerConfig(c=8, cp=4, s=2, variant=variant, gs=3)
+        params = init_layer_params(cfg, Rng(45))
+        data = Rng(46).uniform(-1, 1, (2, 8, 37, 10))
+        # 37 rows are 13 group rows.  A group row's sets hold 3 x 10 queries'
+        # S x C' values per map and set, in f64.
+        row_bytes = 2 * n_sets * 3 * 10 * 2 * 4 * 8
+        for fit in (4, 7, 13):
+            assert forward(cfg, params, data, fit * row_bytes)[0] == -(-13 // fit)
+            assert forward(cfg, params, data, fit * row_bytes - 1)[0] == -(-13 // (fit - 1))
 
     def test_forward_never_holds_every_querys_sampled_set(self):
         # At c=256 the bottleneck's tail holds 20 MiB of [C, N] maps, so the

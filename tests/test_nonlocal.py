@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -131,7 +129,8 @@ class TestQueryBlocks:
 
     @pytest.fixture
     def forward(self, monkeypatch):
-        """``forward(cfg, params, x, block_bytes, grad)`` -> (blocks, output, weights)."""
+        """``forward(cfg, params, x, block_bytes, grad)`` -> (query rows of each block,
+        output, weights)."""
         softmax = ops.softmax_node
         calls = []
         monkeypatch.setattr(ops, "softmax_node", lambda a: calls.append(a.shape) or softmax(a))
@@ -141,20 +140,24 @@ class TestQueryBlocks:
             calls.clear()
             tape, collect = Tape(grad=grad), {}
             out = layer_forward_node(tape, tape.leaf(x.data), params, cfg, collect=collect)
-            return len(calls), out.value, collect["weights"].data
+            return [shape[1] for shape in calls], out.value, collect["weights"].data
         return run
 
+    # Several blocks, the last one short: below _DENSE_MIN_ROWS a block takes
+    # 64 rows, and room for 100 rows runs the fewest blocks, 3, as even as
+    # they can be.
     @pytest.mark.parametrize("fusion", ["sum", "concat"])
-    @pytest.mark.parametrize("block_bytes,rows", [(1, 64), (100 * ROW_BYTES, 100)])
+    @pytest.mark.parametrize("block_bytes,rows", [(1, [64, 64, 64, 16]),
+                                                  (100 * ROW_BYTES, [70, 70, 68])],
+                             ids=["min-rows", "room-for-100"])
     def test_result_does_not_depend_on_the_block_size(self, forward, fusion, block_bytes,
                                                       rows):
         cfg, params = dense_block(5, 3, Rng(31), fusion=fusion)
         x = Rng(32).tensor(self.SHAPE)
         blocks, want_out, want_weights = forward(cfg, params, x, 1 << 40)
-        assert blocks == 1
+        assert blocks == [208]
         blocks, out, weights = forward(cfg, params, x, block_bytes)
-        # Several blocks, the last one short.
-        assert blocks == math.ceil(208 / rows) and 208 % rows
+        assert blocks == rows
         assert np.abs(out - want_out).max() < 1e-12
         assert weights.shape == (2, 208, 1, 208)
         assert np.abs(weights - want_weights).max() < 1e-12
@@ -172,9 +175,9 @@ class TestQueryBlocks:
         cfg, params = dense_block(5, 3, Rng(31), fusion=fusion)
         x = Rng(32).tensor(self.SHAPE)
         blocks, want_out, want_weights = forward(cfg, params, x, 1)
-        assert blocks == 4
+        assert len(blocks) == 4
         blocks, out, weights = forward(cfg, params, x, 1, grad=True)
-        assert blocks == 1
+        assert blocks == [208]
         assert np.abs(out - want_out).max() < 1e-12
         assert np.abs(weights - want_weights).max() < 1e-12
 
