@@ -18,15 +18,7 @@ import numpy as np
 from . import ops
 from .errors import ContractError
 from .flops import BLOCKS
-from .layer import (
-    _DENSE_BLOCK_BYTES,
-    _DENSE_MIN_ROWS,
-    _SPARSE_BLOCK_BYTES,
-    LayerConfig,
-    _query_spans,
-    init_layer_params,
-    repgraph_forward,
-)
+from .layer import LayerConfig, _query_spans, _span_plan, init_layer_params, repgraph_forward
 from .tensor import Rng
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
@@ -66,22 +58,13 @@ def _block_config(block: str, layer: LayerConfig) -> LayerConfig:
 
 def _estimate_bytes(cfg: LayerConfig, h: int, w: int, itemsize: int) -> int:
     """Upper bound on the peak of one forward: four [N, C] maps, two sampler blocks
-    of slack, and the working set of the longest query span: its [rows, N]
-    logits and softmax (dense) or its [rows, S, C'] sampled sets (two in the
-    simple layer, one shared in the bottleneck)."""
-    n_nodes = h * w
+    of slack, and the working set of the longest query span the core runs: its
+    logits and softmax (dense) or its sampled sets (sparse)."""
+    units, unit_bytes, budget, min_units = _span_plan(cfg, 1, h, w, itemsize)
     # The first span, (0, rows), is the longest.
-    if cfg.variant == "nonlocal":
-        row_bytes = n_nodes * itemsize
-        _, rows = _query_spans(False, n_nodes, row_bytes, _DENSE_BLOCK_BYTES,
-                               _DENSE_MIN_ROWS)[0]
-        work = 2 * rows * row_bytes
-    else:
-        n_sets = 2 if cfg.variant == "simple" else 1
-        row_bytes = n_sets * cfg.gs * w * cfg.s * cfg.cp * itemsize
-        _, rows = _query_spans(False, -(-h // cfg.gs), row_bytes, _SPARSE_BLOCK_BYTES)[0]
-        work = rows * row_bytes
-    return work + 4 * n_nodes * max(cfg.c, cfg.cp) * itemsize + 2 * ops._BLOCK_BYTES
+    _, rows = _query_spans(False, units, unit_bytes, budget, min_units)[0]
+    work = (2 if cfg.variant == "nonlocal" else 1) * rows * unit_bytes
+    return work + 4 * h * w * max(cfg.c, cfg.cp) * itemsize + 2 * ops._BLOCK_BYTES
 
 
 def _make_forward(cfg: LayerConfig, h: int, w: int, dtype, seed: int):

@@ -306,19 +306,18 @@ def _positions_node(off: Node, anchor_y: np.ndarray, anchor_x: np.ndarray) -> tu
     return ag.add_const(dy, anchor_y[None, :, None]), ag.add_const(dx, anchor_x[None, :, None])
 
 
-# A no-grad sparse core holds at most this many bytes of sampled [n, rows, S, C']
-# sets per span of group rows: two when key and value come from separate
-# branches, one when they share it.  At 128x64, c=256, C'=64, S=9, f32 (18 MiB
-# per full set), 4-16 MiB all kept the simple layer's forward peak at 24 MiB
-# and the bottleneck's at 20 MiB, where 24 MiB blocks let it rise to 29 and 24;
-# 16 MiB runs the fewest blocks (3 and 2).
+# A no-grad sparse core holds at most this many bytes of sampled sets per span
+# (:func:`_span_plan`).  At 128x64, c=256, C'=64, S=9, f32 (18 MiB per full
+# set), 4-16 MiB all kept the simple layer's forward peak at 24 MiB and the
+# bottleneck's at 20 MiB, where 24 MiB blocks let it rise to 29 and 24; 16 MiB
+# runs the fewest blocks (3 and 2).
 _SPARSE_BLOCK_BYTES = 16 << 20
 
-# A no-grad dense block holds about this many bytes of [n, rows, N] logits per
-# span of query rows, and at least _DENSE_MIN_ROWS rows.  At c=256, C'=64, f32,
-# 2 MiB ran fastest of 0.25-40 MiB at 64x32 and kept the peak at 6 MiB; blocks
-# under 64 rows ran 1.2-1.7x slower at 128x64 and 256x128
-# (scripts/bench_dense_vs_sparse.py geometry).
+# A no-grad dense block holds about this many bytes of logits per span, and at
+# least _DENSE_MIN_ROWS rows.  At c=256, C'=64, f32, 2 MiB ran fastest of
+# 0.25-40 MiB at 64x32 and kept the peak at 6 MiB; blocks under 64 rows ran
+# 1.2-1.7x slower at 128x64 and 256x128 (scripts/bench_dense_vs_sparse.py
+# geometry).
 _DENSE_BLOCK_BYTES = 2 << 20
 _DENSE_MIN_ROWS = 64
 
@@ -336,6 +335,22 @@ def _query_spans(grad: bool, units: int, unit_bytes: int, budget: int,
     count = -(-units // fit)
     size = max(min_units, -(-units // count))
     return [(lo, min(units, lo + size)) for lo in range(0, units, size)]
+
+
+def _span_plan(cfg: LayerConfig, n: int, h: int, w: int,
+               itemsize: int) -> tuple[int, int, int, int]:
+    """``(units, unit_bytes, budget, min_units)``: what ``cfg``'s attention core
+    spans on an [n, *, h, w] map, for :func:`_query_spans`.
+
+    A dense unit is one query row of the [n, rows, N] logits.  A sparse unit is
+    one row of gs x gs groups and its sampled [n, gs * w, S, C'] sets: two
+    in the simple layer, one shared by key and value in the bottleneck.
+    """
+    if cfg.variant == "nonlocal":
+        return h * w, n * h * w * itemsize, _DENSE_BLOCK_BYTES, _DENSE_MIN_ROWS
+    n_sets = 2 if cfg.variant == "simple" else 1
+    return (-(-h // cfg.gs), n * n_sets * cfg.gs * w * cfg.s * cfg.cp * itemsize,
+            _SPARSE_BLOCK_BYTES, 1)
 
 
 def _rows(x: Node, lo: int, hi: int) -> Node:
@@ -396,10 +411,9 @@ def _repgraph_core(
     py, px = _positions_node(off, ay, ax)
     shared = g_map is phi_map
     batch = np.arange(n)[:, None, None]
-    row_bytes = n * (1 if shared else 2) * gs * w * cfg.s * cfg.cp * dtype.itemsize
     weights = None if collect is None else np.empty((n, h * w, cfg.groups, cfg.s), dtype)
     outs = []
-    for r0, r1 in _query_spans(theta_map.tape.grad, hg, row_bytes, _SPARSE_BLOCK_BYTES):
+    for r0, r1 in _query_spans(theta_map.tape.grad, *_span_plan(cfg, n, h, w, dtype.itemsize)):
         y0, y1 = r0 * gs, min(h, r1 * gs)
         py_b, px_b = _rows(py, r0 * wg, r1 * wg), _rows(px, r0 * wg, r1 * wg)
         key_feats = ops.bilinear_node(phi_map, py_b, px_b, batch)
@@ -424,7 +438,8 @@ def _repgraph_core(
     return _unflatten_map(_join(outs), h, w)
 
 
-def _dense_core(theta: Node, phi: Node, g: Node, collect: Optional[dict]) -> Node:
+def _dense_core(theta: Node, phi: Node, g: Node, cfg: LayerConfig,
+                collect: Optional[dict]) -> Node:
     """Every query attends over all N positions; returns x_tilde as an [n, C', h, w] map.
 
     The queries run in :func:`_query_spans` of rows; each span forms its
@@ -440,8 +455,8 @@ def _dense_core(theta: Node, phi: Node, g: Node, collect: Optional[dict]) -> Nod
     queries, keys, vals = _flatten_map(theta), _flatten_map(phi), _flatten_map(g)
     weights = None if collect is None else np.empty((n, n_nodes, 1, n_nodes), theta.value.dtype)
     outs = []
-    for lo, hi in _query_spans(theta.tape.grad, n_nodes, n * n_nodes * theta.value.itemsize,
-                               _DENSE_BLOCK_BYTES, _DENSE_MIN_ROWS):
+    for lo, hi in _query_spans(theta.tape.grad,
+                               *_span_plan(cfg, n, h, w, theta.value.itemsize)):
         q = _rows(queries, lo, hi)
         affinity = ops.softmax_node(ag.einsum2("bnc,bmc->bnm", q, keys))
         if weights is not None:
@@ -484,7 +499,7 @@ def layer_forward_node(tape: Tape, x: Node, params, cfg: LayerConfig, *,
         phi = _project(x, p, "phi")
         g = _project(x, p, "g")
         if cfg.variant == "nonlocal":
-            x_tilde = _dense_core(theta, phi, g, collect)
+            x_tilde = _dense_core(theta, phi, g, cfg, collect)
         else:
             offset_src = x if cfg.offset_source == "input" else theta
             x_tilde = _repgraph_core(offset_src, theta, phi, g, p, cfg, offsets, collect)
@@ -529,15 +544,11 @@ def repgraph_forward(x: Tensor4, params, cfg: LayerConfig, *, training: bool = F
 # repgraph_forward itself; every other caller uses repgraph_forward.
 
 
-def simple_repgraph_forward(x: Tensor4, params: SimpleRepGraphParams, cfg: LayerConfig,
-                            offsets: Optional[OffsetField] = None,
-                            collect: Optional[dict] = None) -> Tensor4:
-    return repgraph_forward(x, params, cfg, offsets=offsets, collect=collect)
+def simple_repgraph_forward(x: Tensor4, params: SimpleRepGraphParams,
+                            cfg: LayerConfig) -> Tensor4:
+    return repgraph_forward(x, params, cfg)
 
 
 def bottleneck_repgraph_forward(x: Tensor4, params: BottleneckRepGraphParams,
-                                cfg: LayerConfig, training: bool = False,
-                                offsets: Optional[OffsetField] = None,
-                                collect: Optional[dict] = None) -> Tensor4:
-    return repgraph_forward(x, params, cfg, training=training, offsets=offsets,
-                            collect=collect)
+                                cfg: LayerConfig) -> Tensor4:
+    return repgraph_forward(x, params, cfg)

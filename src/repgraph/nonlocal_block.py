@@ -10,8 +10,6 @@ and reference that perfbench reads, kept until it no longer does.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from . import ops
@@ -20,12 +18,8 @@ from .layer import LayerConfig, NonLocalParams, init_layer_params, repgraph_forw
 from .tensor import Rng, Tensor4
 
 
-def init_nonlocal_params(c: int, cp: int, fusion: str = "sum", *, rng: Rng,
-                         dtype=np.float64, zero_out: bool = False) -> NonLocalParams:
-    """``zero_out`` is the insertion mode: a zero output projection makes the block the identity."""
-    cfg = LayerConfig(c=c, cp=cp, variant="nonlocal", fusion=fusion,
-                      init_mode="pretrained_insert" if zero_out else "fresh")
-    return init_layer_params(cfg, rng=rng, dtype=dtype)
+def init_nonlocal_params(c: int, cp: int, *, rng: Rng, dtype) -> NonLocalParams:
+    return init_layer_params(LayerConfig(c=c, cp=cp, variant="nonlocal"), rng=rng, dtype=dtype)
 
 
 def affinity_matrix(x_theta: np.ndarray, x_phi: np.ndarray) -> np.ndarray:
@@ -43,9 +37,7 @@ def affinity_matrix(x_theta: np.ndarray, x_phi: np.ndarray) -> np.ndarray:
     return ops.softmax_rows(x_theta @ x_phi.T)
 
 
-def nonlocal_forward(x: Tensor4, params: NonLocalParams,
-                     collect: Optional[dict] = None) -> Tensor4:
-    """The block described by ``params``; its ``w_out`` width tells sum from concat fusion."""
-    cfg = LayerConfig(c=params.theta.c_in, cp=params.theta.c_out, variant="nonlocal",
-                      fusion="sum" if params.w_out.c_in == params.theta.c_out else "concat")
-    return repgraph_forward(x, params, cfg, collect=collect)
+def nonlocal_forward(x: Tensor4, params: NonLocalParams) -> Tensor4:
+    """The sum-fusion block at ``params``' widths."""
+    cfg = LayerConfig(c=params.theta.c_in, cp=params.theta.c_out, variant="nonlocal")
+    return repgraph_forward(x, params, cfg)

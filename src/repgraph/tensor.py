@@ -72,6 +72,8 @@ class Rng:
     _gen: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ContractError(f"seed must be non-negative, got {self.seed}")
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def uniform(self, lo: float, hi: float, shape, dtype=np.float64) -> np.ndarray:

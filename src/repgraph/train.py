@@ -180,6 +180,10 @@ class TrainConfig:
             raise ContractError("iters and batch sizes must be positive")
         if self.lr <= 0:
             raise ContractError(f"learning rate must be positive, got {self.lr}")
+        if self.width < 1:
+            raise ContractError(f"model width must be positive, got {self.width}")
+        if self.seed < 0:
+            raise ContractError(f"seed must be non-negative, got {self.seed}")
         if self.layer is not None and self.layer.c != self.width:
             raise ContractError(f"layer C={self.layer.c} is not the model width {self.width}")
 

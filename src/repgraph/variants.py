@@ -12,9 +12,8 @@ nothing else calls, set one of them on a base config.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
-from .layer import LayerConfig, OffsetField, repgraph_forward
+from .layer import LayerConfig, repgraph_forward
 from .tensor import Tensor4
 
 
@@ -32,15 +31,9 @@ class GroupConfig:
     groups: int
 
 
-def grid_repgraph_forward(x: Tensor4, params, cfg: LayerConfig, grid: GridConfig,
-                          training: bool = False, offsets: Optional[OffsetField] = None,
-                          collect: Optional[dict] = None) -> Tensor4:
-    return repgraph_forward(x, params, replace(cfg, gs=grid.gs), training=training,
-                            offsets=offsets, collect=collect)
+def grid_repgraph_forward(x: Tensor4, params, cfg: LayerConfig, grid: GridConfig) -> Tensor4:
+    return repgraph_forward(x, params, replace(cfg, gs=grid.gs))
 
 
-def group_repgraph_forward(x: Tensor4, params, cfg: LayerConfig, grp: GroupConfig,
-                           training: bool = False, offsets: Optional[OffsetField] = None,
-                           collect: Optional[dict] = None) -> Tensor4:
-    return repgraph_forward(x, params, replace(cfg, groups=grp.groups), training=training,
-                            offsets=offsets, collect=collect)
+def group_repgraph_forward(x: Tensor4, params, cfg: LayerConfig, grp: GroupConfig) -> Tensor4:
+    return repgraph_forward(x, params, replace(cfg, groups=grp.groups))

@@ -1,10 +1,12 @@
+import importlib.util
 import inspect
+import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from repgraph import ContractError, LayerConfig
+from repgraph import ContractError, LayerConfig, layer, ops
 from repgraph.bench import (
     _block_config,
     _estimate_bytes,
@@ -79,6 +81,27 @@ class TestMemoryEstimate:
             ratio = _estimate_bytes(cfg, h, w, 4) / peak
             assert 1.0 <= ratio <= 3.0, f"{block} at {h}x{w}: estimate is {ratio:.2f}x the peak"
 
+    # The cores read the budgets at call time, and so does the estimate.  At
+    # 4 MiB srg runs 10 spans of 13 group rows (the last 11) at 128x64, where
+    # 16 MiB runs 3 of 43; at 1 MiB nl runs 16 spans of 128 query rows at
+    # 64x32, where 2 MiB runs 8 of 256.
+    @pytest.mark.parametrize("block,h,w,rows,want", [
+        ("srg", 128, 64, [13 * 64] * 9 + [11 * 64], 38_436_864),
+        ("nl", 64, 32, [128] * 16, 11_534_336),
+    ], ids=["srg", "nl"])
+    def test_estimate_is_sized_from_the_spans_the_cores_run(self, monkeypatch, block, h, w,
+                                                            rows, want):
+        monkeypatch.setattr(layer, "_SPARSE_BLOCK_BYTES", 4 << 20)
+        monkeypatch.setattr(layer, "_DENSE_BLOCK_BYTES", 1 << 20)
+        softmax = ops.softmax_node
+        queries = []
+        monkeypatch.setattr(ops, "softmax_node",
+                            lambda a: queries.append(a.shape[1]) or softmax(a))
+        cfg = _block_config(block, self.LAYER)
+        _make_forward(cfg, h, w, np.float32, 0)()
+        assert queries == rows
+        assert _estimate_bytes(cfg, h, w, 4) == want
+
     def test_dense_block_at_256x128_fits_the_default_budget(self):
         budget = inspect.signature(run_benchmark).parameters["mem_budget_bytes"].default
         assert _estimate_bytes(_block_config("nl", self.LAYER), 256, 128, 4) <= budget
@@ -112,16 +135,16 @@ class TestRuns:
         assert float(lines[1].split(",")[9]) == round(results[0].peak_mib, 2) > 0
 
 
-def test_sampler_bench_script_sweeps_and_restores_the_block(monkeypatch, capsys):
-    import importlib.util
-    import pathlib
-
-    from repgraph import ops
-
-    path = pathlib.Path(__file__).parent.parent / "scripts" / "bench_sampler.py"
-    spec = importlib.util.spec_from_file_location("bench_sampler", path)
+def _load_script(name):
+    path = pathlib.Path(__file__).parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_sampler_bench_script_sweeps_and_restores_the_block(monkeypatch, capsys):
+    script = _load_script("bench_sampler")
     monkeypatch.setattr(script, "GEOMETRIES", {"tiny": (2, 3, 5, 4, 3, np.float64)})
     before = ops._BLOCK_BYTES
     script.main(["--kib", "1", "64", "--repeats", "2"])
@@ -132,3 +155,20 @@ def test_sampler_bench_script_sweeps_and_restores_the_block(monkeypatch, capsys)
         assert line.split()[0] == "tiny" and f"block {kib:5d} KiB" in line
         fwd, bwd = (float(part.split()[1]) for part in line.split(": ")[1].split(", "))
         assert fwd > 0 and bwd > 0
+
+
+def test_dense_vs_sparse_script_prints_every_block_against_nl(monkeypatch, tmp_path, capsys):
+    script = _load_script("bench_dense_vs_sparse")
+    monkeypatch.setattr(script, "SIZES", [(8, 8)])
+    monkeypatch.setattr(script, "LAYER", LayerConfig(c=8, cp=4, s=3, gs=2, groups=2))
+    # The CSV goes next to the script, so the script is moved into tmp_path.
+    monkeypatch.setattr(script, "__file__", str(tmp_path / "bench_dense_vs_sparse.py"))
+    script.main()
+    lines = capsys.readouterr().out.splitlines()
+    out = tmp_path / "bench_results.csv"
+    assert lines[-1] == f"wrote {out}"
+    assert [line.split()[0] for line in lines[:-1]] == script.BLOCKS
+    for line in lines[1:-1]:
+        assert f"{line.split()[0]}/nl = " in line
+    assert out.read_text().splitlines()[0] == (
+        "block,h,w,c,cp,s,dtype,median_ms,iqr_ms,peak_mib,repeats")

@@ -304,6 +304,18 @@ class TestFailures:
         assert main([arg.format(**paths) for arg in argv]) == 1
         self._one_line_error(capsys)
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--iters", "1"],
+        ["bench", "--block", "srg", "--h", "4", "--w", "4", "--c", "8", "--cp", "4",
+         "--nodes", "2"],
+        ["oracle", "--n", "4"],
+        ["affinity", "--n", "4", "--out", "{tmp}/a"],
+        ["gradcheck"],
+    ], ids=["train", "bench", "oracle", "affinity", "gradcheck"])
+    def test_negative_seed_is_one_line_validation_failure(self, argv, tmp_path, capsys):
+        assert main([arg.format(tmp=tmp_path) for arg in argv] + ["--seed", "-1"]) == 1
+        assert "seed must be non-negative, got -1" in self._one_line_error(capsys)
+
     def test_missing_config_file_is_validation_failure(self, tmp_path, capsys):
         assert main(["bench", "--config", str(tmp_path / "missing.cfg")]) == 1
         self._one_line_error(capsys)

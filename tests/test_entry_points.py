@@ -3,12 +3,14 @@
 perfbench times ``layer.simple_repgraph_forward``,
 ``layer.bottleneck_repgraph_forward``, ``variants.grid_repgraph_forward``,
 ``variants.group_repgraph_forward`` and ``nonlocal_block.nonlocal_forward``
-by name.  Each must be ``repgraph_forward`` on the ``LayerConfig`` it stands
-for, byte for byte.  Every other caller builds a block through
-``LayerConfig`` + ``init_layer_params`` and runs it through
-``repgraph_forward``, so only the wrappers' own modules name them.
+by name.  Each takes exactly the arguments perfbench passes and must be
+``repgraph_forward`` on the ``LayerConfig`` it stands for, byte for byte.
+Every other caller builds a block through ``LayerConfig`` +
+``init_layer_params`` and runs it through ``repgraph_forward``, so only the
+wrappers' own modules name them.
 """
 
+import inspect
 import pathlib
 import re
 from dataclasses import replace
@@ -41,32 +43,17 @@ SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 SIMPLE = LayerConfig(c=6, cp=4, s=3, variant="simple")
 BOTTLENECK = LayerConfig(c=6, cp=4, s=3, variant="bottleneck")
 
-
-def _nonlocal(fusion):
-    return LayerConfig(c=6, cp=4, variant="nonlocal", fusion=fusion)
-
-
 # (case, config the entry point stands for, call of the entry point)
 _CASES = [
-    ("simple", SIMPLE,
-     lambda x, p, col: layer.simple_repgraph_forward(x, p, SIMPLE, collect=col)),
-    ("bottleneck", BOTTLENECK,
-     lambda x, p, col: layer.bottleneck_repgraph_forward(x, p, BOTTLENECK, collect=col)),
+    ("simple", SIMPLE, lambda x, p: layer.simple_repgraph_forward(x, p, SIMPLE)),
+    ("bottleneck", BOTTLENECK, lambda x, p: layer.bottleneck_repgraph_forward(x, p, BOTTLENECK)),
     ("grid", replace(BOTTLENECK, gs=2),
-     lambda x, p, col: variants.grid_repgraph_forward(
-         x, p, BOTTLENECK, variants.GridConfig(2), collect=col)),
+     lambda x, p: variants.grid_repgraph_forward(x, p, BOTTLENECK, variants.GridConfig(2))),
     ("group", replace(BOTTLENECK, groups=2),
-     lambda x, p, col: variants.group_repgraph_forward(
-         x, p, BOTTLENECK, variants.GroupConfig(2), collect=col)),
-    ("nonlocal-sum", _nonlocal("sum"),
-     lambda x, p, col: nonlocal_block.nonlocal_forward(x, p, collect=col)),
-    ("nonlocal-concat", _nonlocal("concat"),
-     lambda x, p, col: nonlocal_block.nonlocal_forward(x, p, collect=col)),
+     lambda x, p: variants.group_repgraph_forward(x, p, BOTTLENECK, variants.GroupConfig(2))),
+    ("nonlocal-sum", LayerConfig(c=6, cp=4, variant="nonlocal"),
+     lambda x, p: nonlocal_block.nonlocal_forward(x, p)),
 ]
-
-
-def _bytes(collect):
-    return {k: np.asarray(getattr(v, "data", v)).tobytes() for k, v in collect.items()}
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
@@ -75,27 +62,35 @@ def _bytes(collect):
 def test_named_entry_point_is_repgraph_forward_on_its_config(cfg, entry, dtype):
     x = Rng(31).tensor((2, 6, 5, 4), dtype=dtype)
     params = init_layer_params(cfg, Rng(32), dtype=dtype)
-    want_c, got_c = {}, {}
-    want = repgraph_forward(x, params, cfg, collect=want_c).data
-    got = entry(x, params, got_c).data
+    want = repgraph_forward(x, params, cfg).data
+    got = entry(x, params).data
     assert got.dtype == want.dtype == dtype
     assert got.tobytes() == want.tobytes()
-    assert _bytes(got_c) == _bytes(want_c)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
-@pytest.mark.parametrize("fusion,zero_out", [("sum", False), ("sum", True), ("concat", False)])
-def test_init_nonlocal_params_is_init_layer_params(fusion, zero_out, dtype):
-    cfg = LayerConfig(c=6, cp=4, variant="nonlocal", fusion=fusion,
-                      init_mode="pretrained_insert" if zero_out else "fresh")
-    got = param_arrays(
-        nonlocal_block.init_nonlocal_params(6, 4, fusion, rng=Rng(33), dtype=dtype,
-                                            zero_out=zero_out))
+def test_init_nonlocal_params_is_init_layer_params(dtype):
+    cfg = LayerConfig(c=6, cp=4, variant="nonlocal")
+    got = param_arrays(nonlocal_block.init_nonlocal_params(6, 4, rng=Rng(33), dtype=dtype))
     want = param_arrays(init_layer_params(cfg, Rng(33), dtype=dtype))
     assert got.keys() == want.keys()
     for name in want:
         assert got[name].dtype == want[name].dtype == dtype
         assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_entry_points_take_only_the_arguments_perfbench_passes():
+    entries = (layer.simple_repgraph_forward, layer.bottleneck_repgraph_forward,
+               variants.grid_repgraph_forward, variants.group_repgraph_forward,
+               nonlocal_block.nonlocal_forward, nonlocal_block.init_nonlocal_params)
+    assert {f.__name__: list(inspect.signature(f).parameters) for f in entries} == {
+        "simple_repgraph_forward": ["x", "params", "cfg"],
+        "bottleneck_repgraph_forward": ["x", "params", "cfg"],
+        "grid_repgraph_forward": ["x", "params", "cfg", "grid"],
+        "group_repgraph_forward": ["x", "params", "cfg", "grp"],
+        "nonlocal_forward": ["x", "params"],
+        "init_nonlocal_params": ["c", "cp", "rng", "dtype"],
+    }
 
 
 def test_package_exports_one_block_entry_point():

@@ -334,6 +334,23 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="cls.b"):
             load_checkpoint(str(ckpt))
 
+    # A value the model cannot be built from fails in validate, naming the file.
+    @pytest.mark.parametrize("layer", [SMALL, None], ids=["layer", "ablated"])
+    @pytest.mark.parametrize("line,message", [
+        ("width=-1", "model width must be positive, got -1"),
+        ("width=0", "model width must be positive, got 0"),
+        ("seed=-1", "seed must be non-negative, got -1"),
+    ], ids=["negative-width", "zero-width", "negative-seed"])
+    def test_bad_config_value_rejected_naming_the_file(self, tmp_path, layer, line, message):
+        cfg = TrainConfig(width=8, layer=layer)
+        save_checkpoint(init_toy_model(cfg), cfg, str(tmp_path / "ck"))
+        path = tmp_path / "ck" / "config.txt"
+        key = line.partition("=")[0]
+        kept = [old for old in path.read_text().splitlines() if not old.startswith(key + "=")]
+        path.write_text("\n".join(kept + [line]) + "\n")
+        with pytest.raises(CheckpointError, match=rf"config\.txt: {message}"):
+            load_checkpoint(str(tmp_path / "ck"))
+
     def test_num_classes_comes_from_the_config(self, tmp_path):
         cfg = TrainConfig(width=8, layer=SMALL, task=ToyTaskConfig(num_classes=3))
         model = init_toy_model(cfg)
