@@ -175,6 +175,8 @@ def cmd_affinity(args) -> int:
     if min(args.n, args.cp) < 1:
         raise ContractError(f"--n and --cp must be >= 1, got {args.n} and {args.cp}")
     if args.ckpt:
+        if args.seed < 0:  # before the offset that draws the images
+            raise ContractError(f"seed must be non-negative, got {args.seed}")
         model, tcfg = train_mod.load_checkpoint(args.ckpt)
         if model.layer is None:
             raise ContractError(

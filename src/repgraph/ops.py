@@ -178,13 +178,13 @@ def _bilinear_taps(shape, b: np.ndarray, py: np.ndarray, px: np.ndarray):
     signs of their derivatives and the tap's index into the flat (b, y, x)
     axis of the map with a ``_PAD`` zero border (:func:`_pixel_major`).  A
     tap off the map reads the border, so it samples zero and gets zero
-    gradients.  Positions are clamped to [-2, size] first and NaN becomes -2:
-    beyond that range every tap is off the map either way, and the clamp
-    keeps the int64 cast defined for far-off, infinite and NaN positions.
+    gradients.  Positions are clamped to [-2, size] first (``fmax`` maps NaN
+    to -2): beyond that range every tap is off the map either way, and the
+    clamp keeps the int64 cast defined for far-off, infinite and NaN positions.
     """
     h, w = shape[2:]
-    ty = np.nan_to_num(np.clip(py, -2, h), copy=False, nan=-2.0)
-    tx = np.nan_to_num(np.clip(px, -2, w), copy=False, nan=-2.0)
+    ty = np.fmin(np.fmax(py, -2), h)
+    tx = np.fmin(np.fmax(px, -2), w)
     y0 = np.floor(ty)
     x0 = np.floor(tx)
     ty -= y0

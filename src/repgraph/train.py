@@ -49,42 +49,35 @@ def _im2col3x3(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * 9, h * w)
 
 
-def _col2im3x3(cols: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Adjoint of :func:`_im2col3x3`: [n, c, 3, 3, h, w] patch gradients -> [n, c, h, w].
-
-    Pixel (y, x) collects tap (ky, kx) of patch (y + 1 - ky, x + 1 - kx), so
-    tap (ky, kx) of every patch adds into a one-pixel-bordered map shifted by
-    (ky, kx), and the border is cropped.  The taps add in the order 2, 1, 0,
-    which gives the bytes of summing the nine contributions of a pixel in
-    that order.
-    """
-    n, c = cols.shape[:2]
-    out = np.zeros((n, c, h + 2, w + 2), dtype=cols.dtype)
-    for ky in (2, 1, 0):
-        for kx in (2, 1, 0):
-            out[:, :, ky:ky + h, kx:kx + w] += cols[:, :, ky, kx]
-    return out[:, :, 1:-1, 1:-1]
-
-
 def conv3x3_node(x: Node, weight: Node, bias: Node) -> Node:
-    """Stride-1, pad-1 3x3 convolution; weight is [c_out, c_in, 3, 3]."""
+    """Stride-1, pad-1 3x3 convolution; weight is [c_out, c_in, 3, 3].
+
+    The tape keeps no im2col columns; the backward rebuilds them for ``dw``.
+    """
     n, c, h, w = x.value.shape
     c_out = weight.value.shape[0]
     if weight.value.shape[1] != c:
         raise ContractError(
             f"conv weight expects {weight.value.shape[1]} input channels, map has {c}"
         )
-    cols = _im2col3x3(x.value)
     w2d = weight.value.reshape(c_out, c * 9)
-    out = matmul(w2d, cols).reshape(n, c_out, h, w)
+    out = matmul(w2d, _im2col3x3(x.value)).reshape(n, c_out, h, w)
     out = out + bias.value[None, :, None, None]
 
     def bwd(g):
         g2 = g.reshape(n, c_out, h * w)
-        dw = matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.value.shape)
+        dw = matmul(g2, _im2col3x3(x.value).transpose(0, 2, 1))
+        dw = dw.sum(axis=0).reshape(weight.value.shape)
         db = g2.sum(axis=(0, 2))
-        dcols = matmul(w2d.T, g2).reshape(n, c, 3, 3, h, w)
-        return _col2im3x3(dcols, h, w), dw, db
+        # Tap (ky, kx)'s patch gradient adds into a bordered map shifted by
+        # (ky, kx), taps in the order 2, 1, 0: the bytes of w2d.T @ g2 summed
+        # per pixel in that order.  Contiguous taps keep each matmul on BLAS.
+        taps = np.ascontiguousarray(weight.value.transpose(2, 3, 0, 1))
+        dx = np.zeros((n, c, h + 2, w + 2), dtype=np.result_type(taps, g2))
+        for ky in (2, 1, 0):
+            for kx in (2, 1, 0):
+                dx[:, :, ky:ky + h, kx:kx + w] += matmul(taps[ky, kx].T, g2).reshape(n, c, h, w)
+        return dx[:, :, 1:-1, 1:-1], dw, db
 
     return x.tape.record(out, (x, weight, bias), bwd, op="conv3x3")
 

@@ -172,3 +172,27 @@ def test_dense_vs_sparse_script_prints_every_block_against_nl(monkeypatch, tmp_p
         assert f"{line.split()[0]}/nl = " in line
     assert out.read_text().splitlines()[0] == (
         "block,h,w,c,cp,s,dtype,median_ms,iqr_ms,peak_mib,repeats")
+
+
+def test_train_step_script_prints_time_peak_and_faults(monkeypatch, capsys):
+    from repgraph.toytask import ToyTaskConfig
+    from repgraph.train import TrainConfig
+
+    script = _load_script("bench_train_step")
+
+    monkeypatch.setattr(script, "CONFIG", TrainConfig(
+        width=4, layer=LayerConfig(c=4, cp=2, s=2), batch=1,
+        task=ToyTaskConfig(size=8, min_side=2, max_side=4)))
+    monkeypatch.setattr(script, "STEPS", 3)
+    monkeypatch.setattr(script, "WARMUP", 1)
+    script.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith("train step, batch 1 x 8x8, width 4, layer simple S=2: median ")
+    assert lines[0].endswith(" ms over 3 steps")
+    assert float(lines[0].split("median ")[1].split()[0]) > 0
+    assert lines[1].startswith("tracemalloc peak of one step: ") and lines[1].endswith(" MiB")
+    assert float(lines[1].split(": ")[1].split()[0]) > 0
+    assert lines[2].startswith("minor page faults per step: ")
+    assert float(lines[2].split(": ")[1]) >= 0
+    assert not tracemalloc.is_tracing()

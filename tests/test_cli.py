@@ -104,6 +104,20 @@ class TestAffinityCommand:
         # A batch of four 32x32 images through the layer's single group.
         assert "4096 rows of 2" in capsys.readouterr().out
 
+    # The images are drawn from seed + 10 000, so the check must come first:
+    # -5 would draw seed 9995, and -10001 would name a seed of -1.
+    @pytest.mark.parametrize("seed", [-5, -10001])
+    def test_checkpoint_refuses_the_negative_seed_it_was_given(self, seed, tmp_path, capsys):
+        from repgraph import LayerConfig
+        from repgraph.train import TrainConfig, init_toy_model, save_checkpoint
+
+        cfg = TrainConfig(width=8, layer=LayerConfig(c=8, cp=4, s=2))
+        save_checkpoint(init_toy_model(cfg), cfg, str(tmp_path / "ck"))
+        assert main(["affinity", "--ckpt", str(tmp_path / "ck"), "--seed", str(seed),
+                     "--out", str(tmp_path / "a")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: seed must be non-negative, got {seed}\n"
+
 
 class TestTrainCommand:
     def test_smoke_run_writes_log_and_checkpoint(self, tmp_path, capsys):

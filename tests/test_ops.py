@@ -262,6 +262,42 @@ class TestBilinearSample:
         assert np.array_equal(py.grad, np.zeros(2 * k))
         assert np.array_equal(px.grad, np.zeros(2 * k))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_taps_match_the_clip_then_nan_to_num_clamp_bit_for_bit(self, dtype):
+        def former_taps(shape, b, py, px):
+            # The taps as computed with the former five-ufunc clamp.
+            h, w = shape[2:]
+            ty = np.nan_to_num(np.clip(py, -2, h), copy=False, nan=-2.0)
+            tx = np.nan_to_num(np.clip(px, -2, w), copy=False, nan=-2.0)
+            y0 = np.floor(ty)
+            x0 = np.floor(tx)
+            ty -= y0
+            tx -= x0
+            pw = w + 2 * ops._PAD
+            flat = (b * (h + 2 * ops._PAD) + y0.astype(np.int64) + ops._PAD) * pw
+            flat += x0.astype(np.int64) + ops._PAD
+            uy, ux = 1.0 - ty, 1.0 - tx
+            return [(uy, ux, flat), (uy, tx, flat + 1), (ty, ux, flat + pw),
+                    (ty, tx, flat + (pw + 1))]
+
+        shape = (2, 3, 5, 7)
+        big = np.finfo(dtype).max
+        special = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, big, -big,
+                            -2.5, -2.0, -1.0, 4.0, 5.0, 5.5, 7.0, 7.5], dtype=dtype)
+        if dtype == np.float64:
+            special = np.concatenate([special, [1e300, -1e300]])
+        in_range = Rng(16).uniform(-3, 9, 40, dtype=dtype)
+        py = np.concatenate([special, in_range, special[::-1]])
+        px = np.concatenate([special[::-1], special, in_range])
+        b = Rng(17).integers(0, shape[0], py.size)
+        got = list(ops._bilinear_taps(shape, b, py, px))
+        want = former_taps(shape, b, py.copy(), px.copy())
+        assert len(got) == len(want)
+        for (wy, wx, _, _, flat), ref in zip(got, want):
+            for have, expect in zip((wy, wx, flat), ref):
+                assert have.dtype == expect.dtype
+                assert have.tobytes() == expect.tobytes()
+
     def test_f64_output_matches_reference_bit_for_bit(self):
         rng = Rng(12)
         for n, c, h, w in ((3, 4, 5, 6), (2, 1, 1, 3), (1, 8, 7, 2)):

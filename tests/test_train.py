@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 import warnings
 from dataclasses import MISSING, fields, replace
 
@@ -11,7 +12,7 @@ from repgraph.autograd import Tape, backward, weighted_sum
 from repgraph.toytask import ToyTaskConfig, make_batch
 from repgraph.train import (
     TrainConfig,
-    _col2im3x3,
+    _im2col3x3,
     conv3x3_node,
     init_toy_model,
     load_checkpoint,
@@ -97,14 +98,29 @@ class TestTrainerOps:
                     want[bi, :, yy, xx] += w[o, :, ky, kx] * probe[bi, o, i, j]
         assert np.abs(xn.grad - want).max() < 1e-12
 
+    @staticmethod
+    def _conv_case(shape, dtype, c_out=4):
+        """A grad-tape conv3x3 on ``shape`` with its output gradient and bwd results."""
+        n, c, h, w = shape
+        rng = Rng(5)
+        x = rng.uniform(-1, 1, shape, dtype=dtype)
+        weight = rng.uniform(-1, 1, (c_out, c, 3, 3), dtype=dtype)
+        bias = rng.uniform(-1, 1, c_out, dtype=dtype)
+        g = rng.uniform(-1, 1, (n, c_out, h, w), dtype=dtype)
+        tape = Tape()
+        out = conv3x3_node(tape.leaf(x), tape.leaf(weight), tape.leaf(bias))
+        return x, weight, g, out.backward_fn(g)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(4, 16, 32, 32), (2, 3, 5, 4), (1, 1, 1, 1),
                                        (3, 5, 7, 2)])
-    def test_col2im_bytes_match_the_strided_sum(self, shape, dtype):
-        # Reference: the nine taps lined up by one strided view of the patch
-        # gradients zero-padded by one, added by a single sum.
+    def test_input_gradient_bytes_match_the_strided_sum(self, shape, dtype):
+        # Reference: the patch gradients w2d.T @ g, their nine taps lined up
+        # by one strided view of them zero-padded by one, added by a single sum.
         n, c, h, w = shape
-        cols = Rng(5).uniform(-1, 1, (n, c, 3, 3, h, w), dtype=dtype)
+        x, weight, g, (dx, _, _) = self._conv_case(shape, dtype)
+        w2d = weight.reshape(len(weight), c * 9)
+        cols = np.matmul(w2d.T, g.reshape(n, -1, h * w)).reshape(n, c, 3, 3, h, w)
         pad = np.zeros((n, c, 3, 3, h + 2, w + 2), dtype=dtype)
         pad[..., 1:-1, 1:-1] = cols
         flip = pad[:, :, ::-1, ::-1]
@@ -112,9 +128,36 @@ class TestTrainerOps:
         taps = np.lib.stride_tricks.as_strided(
             flip, (n, c, 3, 3, h, w), (sn, sc, sj + sy, si + sx, sy, sx), writeable=False)
         want = taps.sum(axis=(2, 3))
-        got = _col2im3x3(cols, h, w)
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
+        assert dx.shape == want.shape and dx.dtype == want.dtype
+        assert dx.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(4, 16, 32, 32), (2, 3, 5, 4), (1, 1, 1, 1),
+                                       (3, 5, 7, 2)])
+    def test_weight_and_bias_gradient_bytes_match_the_im2col_formula(self, shape, dtype):
+        n, c, h, w = shape
+        x, weight, g, (_, dw, db) = self._conv_case(shape, dtype)
+        g2 = g.reshape(n, -1, h * w)
+        want_dw = np.matmul(g2, _im2col3x3(x).transpose(0, 2, 1)).sum(axis=0)
+        want_db = g2.sum(axis=(0, 2))
+        assert dw.shape == weight.shape and dw.dtype == dtype and db.dtype == dtype
+        assert dw.tobytes() == want_dw.tobytes()
+        assert db.tobytes() == want_db.tobytes()
+
+    def test_forward_keeps_no_patch_matrix_on_the_tape(self):
+        # The columns of this map are 2.25 MiB; the output is 256 KiB.
+        rng = Rng(6)
+        tape = Tape()
+        x = tape.leaf(rng.uniform(-1, 1, (2, 16, 32, 32)))
+        weight = tape.leaf(rng.uniform(-1, 1, (16, 16, 3, 3)))
+        bias = tape.leaf(rng.uniform(-1, 1, 16))
+        tracemalloc.start()
+        try:
+            out = conv3x3_node(x, weight, bias)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= out.value.nbytes + 16 * 1024
 
     def test_softmax_xent_matches_manual(self):
         rng = Rng(1)
