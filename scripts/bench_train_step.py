@@ -6,8 +6,9 @@
 A step is what ``toy_train`` does per iteration: draw a batch, run the
 default toy model's forward on a tape with gradients, the per-pixel
 cross-entropy, ``backward`` and the momentum-SGD update.  After ``WARMUP``
-steps, ``STEPS`` steps are timed; then one more step runs under
-``tracemalloc``.  Prints three lines:
+steps, ``STEPS`` steps are timed with ``repgraph.bench.time_callable``;
+then one more step runs under ``tracemalloc`` (``repgraph.bench.peak_mib``).
+Prints three lines:
 
 * the median step time in ms;
 * the tracemalloc peak of the traced step in MiB;
@@ -21,13 +22,11 @@ the peak does not show; the fault count shows it.
 from __future__ import annotations
 
 import resource
-import statistics
-import time
-import tracemalloc
 
 import numpy as np
 
 from repgraph.autograd import Tape, backward
+from repgraph.bench import peak_mib, time_callable
 from repgraph.tensor import Rng
 from repgraph.toytask import make_batch
 from repgraph.train import (
@@ -74,24 +73,14 @@ def main() -> None:
     step = make_stepper(cfg)
     for _ in range(WARMUP):
         step()
-    times = []
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(STEPS):
-        t0 = time.perf_counter()
-        step()
-        times.append(time.perf_counter() - t0)
+    median_ms, _ = time_callable(step, STEPS, 0)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    tracemalloc.start()
-    try:
-        step()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_mib(step)
     task, layer = cfg.task, cfg.layer
     print(f"train step, batch {cfg.batch} x {task.size}x{task.size}, width {cfg.width}, "
-          f"layer {layer.variant} S={layer.s}: median {statistics.median(times) * 1e3:.2f} ms "
-          f"over {STEPS} steps")
-    print(f"tracemalloc peak of one step: {peak / 2**20:.2f} MiB")
+          f"layer {layer.variant} S={layer.s}: median {median_ms:.2f} ms over {STEPS} steps")
+    print(f"tracemalloc peak of one step: {peak:.2f} MiB")
     print(f"minor page faults per step: {faults / STEPS:.0f}")
 
 

@@ -3,11 +3,11 @@
 Every forward op returns a :class:`Node` that holds its value, its parent
 nodes and its backward rule, so the nodes own the graph: a graph nobody
 refers to any more is freed by reference counting, with its closures and
-intermediates.  A :class:`Tape` only numbers the nodes it records and keeps
-its leaves, so that ``backward`` can give untouched leaves zero gradients.
-``backward`` visits the nodes the loss depends on in decreasing id order, so
-gradient accumulation order is fixed and runs are bit-stable.  One tape per
-training context; independent tapes may run concurrently.
+intermediates.  A :class:`Tape` only numbers the nodes it records and owns
+its named parameters, so that ``backward`` can give untouched ones zero
+gradients.  ``backward`` visits the nodes the loss depends on in decreasing
+id order, so gradient accumulation order is fixed and runs are bit-stable.
+One tape per training context; independent tapes may run concurrently.
 
 A tape built with ``grad=False`` records no graph: its nodes keep their value
 but no parents and no backward rule, so each intermediate is freed as soon as
@@ -33,10 +33,10 @@ class Node:
 
     def __init__(self, nid, tape, value, parents, backward_fn, op):
         self.id = nid
-        # The tape owns its leaves, so a leaf refers to it weakly; every other
-        # node keeps its tape alive.  Nothing forms a reference cycle.  Every
-        # node of a tape without gradients has no parents, so it too refers
-        # to its tape weakly.
+        # The tape owns its named parameters, so every leaf refers to it
+        # weakly; every other node keeps its tape alive.  Nothing forms a
+        # reference cycle.  Every node of a tape without gradients has no
+        # parents, so it too refers to its tape weakly.
         self._tape = tape if parents else weakref.ref(tape)
         self.value = value
         self.parents = parents
@@ -57,13 +57,13 @@ class Node:
 
 
 class Tape:
-    """Numbers recorded nodes and keeps the leaves and named parameters.
+    """Numbers recorded nodes and keeps the named parameters.
 
     ``grad=False`` makes a tape that records no backward graph: every node it
-    records has no parents and no backward rule, none lands in ``leaves``,
-    and ``backward`` refuses its nodes.  The ops are the same on both kinds
-    of tape and compute the same bytes.  Its nodes refer to the tape weakly,
-    so keep the tape in a variable for the whole forward.
+    records has no parents and no backward rule, and ``backward`` refuses its
+    nodes.  The ops are the same on both kinds of tape and compute the same
+    bytes.  Its nodes refer to the tape weakly, so keep the tape in a
+    variable for the whole forward.
     ``layer.repgraph_forward`` (and so every array-level block forward),
     ``ops.project_1x1``, ``toy_train``'s held-out pass, ``repgraph affinity
     --ckpt`` and ``scripts/train_toy.py`` run on such a tape.
@@ -72,16 +72,12 @@ class Tape:
     def __init__(self, grad: bool = True) -> None:
         self.grad = grad
         self.next_id = 0
-        self.leaves: list[Node] = []
         self.params: dict[str, Node] = {}
 
     def record(self, value, parents=(), backward_fn=None, op="op") -> Node:
-        if self.grad:
-            node = Node(self.next_id, self, np.asarray(value), tuple(parents), backward_fn, op)
-            if not node.parents:
-                self.leaves.append(node)
-        else:
-            node = Node(self.next_id, self, np.asarray(value), (), None, op)
+        if not self.grad:
+            parents, backward_fn = (), None
+        node = Node(self.next_id, self, np.asarray(value), tuple(parents), backward_fn, op)
         self.next_id += 1
         return node
 
@@ -93,17 +89,13 @@ class Tape:
             self.params[name] = node
         return node
 
-    def constant(self, value) -> Node:
-        """A node gradients never propagate into."""
-        return self.record(value, (), None, op="const")
-
 
 def backward(loss: Node) -> dict[int, np.ndarray]:
     """Accumulate d(loss)/d(node) for every node ``loss`` depends on.
 
     Returns {node id -> gradient array} and stores the same arrays on
-    ``node.grad``.  Leaves of the loss's tape that the loss never touched get
-    zero gradients.
+    ``node.grad``.  Named parameters of the loss's tape that the loss never
+    touched get zero gradients; any other untouched leaf keeps ``grad = None``.
     """
     if loss.value.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.value.shape}")
@@ -141,9 +133,9 @@ def backward(loss: Node) -> dict[int, np.ndarray]:
     for node in nodes:
         if node.id in grads:
             node.grad = grads[node.id]
-    for leaf in tape.leaves:
-        if leaf.id not in grads:
-            leaf.grad = grads[leaf.id] = np.zeros_like(leaf.value)
+    for param in tape.params.values():
+        if param.id not in grads:
+            param.grad = grads[param.id] = np.zeros_like(param.value)
     return grads
 
 
@@ -156,18 +148,6 @@ def add(a: Node, b: Node) -> Node:
     if a.value.shape != b.value.shape:
         raise ShapeError(f"add requires equal shapes, got {a.value.shape} and {b.value.shape}")
     return a.tape.record(a.value + b.value, (a, b), lambda g: (g, g), op="add")
-
-
-def mul(a: Node, b: Node) -> Node:
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"mul requires equal shapes, got {a.value.shape} and {b.value.shape}")
-    return a.tape.record(
-        a.value * b.value, (a, b), lambda g: (g * b.value, g * a.value), op="mul"
-    )
-
-
-def scale(a: Node, k: float) -> Node:
-    return a.tape.record(a.value * k, (a,), lambda g: (g * k,), op="scale")
 
 
 def add_const(a: Node, const: np.ndarray) -> Node:

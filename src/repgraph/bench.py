@@ -22,6 +22,8 @@ from .layer import LayerConfig, _query_spans, _span_plan, init_layer_params, rep
 from .tensor import Rng
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
+# Sizes whose estimated working set exceeds this are skipped, not run.
+_MEM_BUDGET_BYTES = 8 << 30
 _BLOCK_VARIANTS = {"nl": "nonlocal", "srg": "simple", "brg": "bottleneck",
                    "grid": "bottleneck", "group": "bottleneck"}
 
@@ -75,7 +77,7 @@ def _make_forward(cfg: LayerConfig, h: int, w: int, dtype, seed: int):
 
 
 def run_benchmark(blocks, sizes, layer: LayerConfig, repeats: int = 5, warmup: int = 2,
-                  dtype: str = "f32", mem_budget_bytes: int = 8 << 30, seed: int = 0,
+                  dtype: str = "f32", seed: int = 0,
                   ) -> tuple[list[BenchResult], list[BenchSkip]]:
     """Time forward passes of ``layer`` per block and (h, w) size.
 
@@ -83,9 +85,11 @@ def run_benchmark(blocks, sizes, layer: LayerConfig, repeats: int = 5, warmup: i
     ``Rng(seed)`` before the block's parameters.  The block name decides the
     variant; ``layer.gs`` reaches only ``grid`` and ``layer.groups`` only
     ``group``.  After timing, one more call measures the block's peak memory.
-    Sizes whose estimated working set exceeds ``mem_budget_bytes`` are
+    Sizes whose estimated working set exceeds ``_MEM_BUDGET_BYTES`` are
     skipped with the reason recorded.
     """
+    if not blocks:
+        raise ContractError(f"no block to run; expected one or more of {BLOCKS}")
     if repeats < 5:
         raise ContractError(f"repeats must be >= 5, got {repeats}")
     if warmup < 2:
@@ -103,7 +107,7 @@ def run_benchmark(blocks, sizes, layer: LayerConfig, repeats: int = 5, warmup: i
                 raise ContractError(f"unknown block {block!r}; expected one of {BLOCKS}")
             cfg = _block_config(block, layer)
             need = _estimate_bytes(cfg, h, w, np.dtype(np_dtype).itemsize)
-            if need > mem_budget_bytes:
+            if need > _MEM_BUDGET_BYTES:
                 reason = f"estimated {need / 2**30:.2f} GiB exceeds budget"
                 skips.append(BenchSkip(block, h, w, reason))
                 print(f"skip {block} at {h}x{w}: {reason}", file=sys.stderr)

@@ -115,8 +115,8 @@ class AttentionWeights:
         if arr.ndim != 4:
             raise ShapeError(f"attention weights must be [n, N, G, S], got {arr.shape}")
         tol = 1e-10 if arr.dtype == np.float64 else 1e-5
-        sums = arr.sum(axis=-1)
-        if arr.size and (np.any(arr < 0) or np.any(np.abs(sums - 1.0) > tol)):
+        # NaN fails both tests and -inf the first, so the sum sees at most +inf.
+        if arr.size and not (np.all(arr >= 0) and np.all(np.abs(arr.sum(axis=-1) - 1.0) <= tol)):
             raise ContractError("attention rows must be distributions summing to 1")
         self.data = arr
 
@@ -396,7 +396,7 @@ def _repgraph_core(
                 f"offset field spatial shape {offsets.data.shape[2:]} does not match "
                 f"the query grid {expected}"
             )
-        off = offset_src.tape.constant(offsets.data.astype(dtype, copy=False))
+        off = offset_src.tape.leaf(offsets.data.astype(dtype, copy=False))
     else:
         src = ops.avg_pool_node(offset_src, gs) if gs > 1 else offset_src
         off = _project(src, p, "w_off")

@@ -77,8 +77,8 @@ class BatchNormParams:
 def project_1x1(x: Tensor4, proj: Projection1x1) -> Tensor4:
     """y[b, :, i, j] = W @ x[b, :, i, j] + bias, through :func:`project_node`."""
     tape = Tape(grad=False)
-    bias = None if proj.bias is None else tape.constant(proj.bias)
-    return Tensor4(project_node(tape.constant(x.data), tape.constant(proj.weight), bias).value)
+    bias = None if proj.bias is None else tape.leaf(proj.bias)
+    return Tensor4(project_node(tape.leaf(x.data), tape.leaf(proj.weight), bias).value)
 
 
 def project_node(x: Node, weight: Node, bias: Optional[Node]) -> Node:

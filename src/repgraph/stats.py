@@ -14,10 +14,9 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Fixed log-spaced bin range so histograms from different runs are comparable;
-# weights below the range land in an explicit underflow bin starting at 0.
-_HIST_LO = 1e-8
-_HIST_HI = 1.0
+# Fixed log-spaced bins from 1e-8 to 1 so histograms from different runs are
+# comparable; weights below the range land in an underflow bin starting at 0.
+_HIST_EDGES = np.concatenate([[0.0], np.logspace(-8, 0, 24)])
 
 
 @dataclass
@@ -34,18 +33,21 @@ class AffinityStats:
         return float(self.imbalance.mean()) if self.imbalance.size else 0.0
 
 
-def affinity_stats(a: np.ndarray, bins: int = 24, source: str = "") -> AffinityStats:
+def affinity_stats(a: np.ndarray, source: str = "") -> AffinityStats:
     """Analyze rows of attention weights: an [N, N] affinity, or [..., S] sampled weights.
 
     Every axis but the last indexes rows, so the layer's [n, N, G, S] weights
     give n * N * G rows.  Every row must be a probability distribution; rows
-    off by more than 1e-6 are rejected.
+    with a non-finite weight or off by more than 1e-6 are rejected.
     """
     rows = np.asarray(a, dtype=np.float64)
     if rows.ndim > 2:
         rows = rows.reshape(-1, rows.shape[-1])
     if rows.ndim != 2 or rows.size == 0:
-        raise ValidationError(f"expected a non-empty matrix of weight rows, got shape {a.shape}")
+        raise ValidationError(f"expected a non-empty matrix of weight rows, got shape {np.shape(a)}")
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise ValidationError(f"row {bad[0]} holds a non-finite weight, not a distribution")
     sums = rows.sum(axis=1)
     bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-6)
     if bad.size:
@@ -57,8 +59,7 @@ def affinity_stats(a: np.ndarray, bins: int = 24, source: str = "") -> AffinityS
     rows = np.clip(rows, 0.0, None)
     r, k = rows.shape
 
-    edges = np.concatenate([[0.0], np.logspace(np.log10(_HIST_LO), np.log10(_HIST_HI), bins)])
-    counts, _ = np.histogram(rows, bins=edges)
+    counts, edges = np.histogram(rows, bins=_HIST_EDGES)
     histogram = [
         (float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(len(counts))
     ]

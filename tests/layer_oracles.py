@@ -19,8 +19,8 @@ def bilinear_sample(x, positions):
     """Sample fractional positions [(batch, y, x), ...] through ``bilinear_node``; [len, c]."""
     pos = np.asarray(positions, dtype=np.float64)
     tape = Tape()
-    return bilinear_node(tape.constant(x), tape.constant(pos[:, 1]),
-                         tape.constant(pos[:, 2]), pos[:, 0].astype(np.int64)).value
+    return bilinear_node(tape.leaf(x), tape.leaf(pos[:, 1]),
+                         tape.leaf(pos[:, 2]), pos[:, 0].astype(np.int64)).value
 
 
 def _project(x, proj):
@@ -64,7 +64,7 @@ def naive_grid_forward(x, params, cfg, gs):
     n, c, h, w = x.shape
     theta, phi, g, src = layer_maps(x, params, cfg)
     tape = Tape()
-    off = _project(avg_pool_node(tape.constant(src), gs).value, params.w_off)
+    off = _project(avg_pool_node(tape.leaf(src), gs).value, params.w_off)
     hg, wg = off.shape[2], off.shape[3]
     out = np.zeros((n, cfg.cp, h, w))
     for b in range(n):
@@ -93,19 +93,19 @@ def slice_dispatch_oracle(x, params, cfg, groups):
     off = _project(src, params.w_off)
     n, c, h, w = x.shape
     tape = Tape()
-    py, px = _positions_node(tape.constant(off), np.repeat(np.arange(h, dtype=float), w),
+    py, px = _positions_node(tape.leaf(off), np.repeat(np.arange(h, dtype=float), w),
                              np.tile(np.arange(w, dtype=float), h))
     batch = np.arange(n)[:, None, None]
-    key = bilinear_node(tape.constant(phi_map), py, px, batch).value
-    val = bilinear_node(tape.constant(g_map), py, px, batch).value
+    key = bilinear_node(tape.leaf(phi_map), py, px, batch).value
+    val = bilinear_node(tape.leaf(g_map), py, px, batch).value
     theta = theta_map.reshape(n, cfg.cp, h * w).transpose(0, 2, 1)
     width = cfg.cp // groups
     parts = []
     slice_weights = []
     for gi in range(groups):
         sl = slice(gi * width, (gi + 1) * width)
-        xt, weights = _attention(tape.constant(theta[:, :, sl]), tape.constant(key[..., sl]),
-                                 tape.constant(val[..., sl]), groups=1)
+        xt, weights = _attention(tape.leaf(theta[:, :, sl]), tape.leaf(key[..., sl]),
+                                 tape.leaf(val[..., sl]), groups=1)
         assert np.abs(weights.value.sum(axis=-1) - 1.0).max() < 1e-10
         parts.append(xt.value)
         slice_weights.append(weights.value)

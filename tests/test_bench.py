@@ -1,12 +1,11 @@
 import importlib.util
-import inspect
 import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from repgraph import ContractError, LayerConfig, layer, ops
+from repgraph import ContractError, LayerConfig, bench, layer, ops
 from repgraph.bench import (
     _block_config,
     _estimate_bytes,
@@ -34,6 +33,10 @@ class TestContracts:
     def test_unknown_block_rejected(self):
         with pytest.raises(ContractError):
             run_benchmark(["danet"], TINY, LAYER)
+
+    def test_empty_block_list_rejected(self):
+        with pytest.raises(ContractError, match="no block to run"):
+            run_benchmark([], TINY, LAYER)
 
     def test_bad_dtype_rejected(self):
         with pytest.raises(ContractError):
@@ -103,8 +106,8 @@ class TestMemoryEstimate:
         assert _estimate_bytes(cfg, h, w, 4) == want
 
     def test_dense_block_at_256x128_fits_the_default_budget(self):
-        budget = inspect.signature(run_benchmark).parameters["mem_budget_bytes"].default
-        assert _estimate_bytes(_block_config("nl", self.LAYER), 256, 128, 4) <= budget
+        assert (_estimate_bytes(_block_config("nl", self.LAYER), 256, 128, 4)
+                <= bench._MEM_BUDGET_BYTES)
 
 
 class TestRuns:
@@ -118,9 +121,9 @@ class TestRuns:
             assert r.dtype == "f32"
             assert r.peak_mib > 0
 
-    def test_memory_budget_skips_gracefully(self, capsys):
-        results, skips = run_benchmark(["nl", "brg"], [(64, 64)], LAYER,
-                                       mem_budget_bytes=1 << 20)
+    def test_memory_budget_skips_gracefully(self, monkeypatch, capsys):
+        monkeypatch.setattr(bench, "_MEM_BUDGET_BYTES", 1 << 20)
+        results, skips = run_benchmark(["nl", "brg"], [(64, 64)], LAYER)
         assert [s.block for s in skips] == ["nl", "brg"]
         assert results == []
         assert "exceeds budget" in capsys.readouterr().err

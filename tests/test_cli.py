@@ -311,8 +311,11 @@ class TestFailures:
         ["flops", "--block", "srg", "--cp", "6", "--groups", "4"],
         ["bench", "--block", "brg", "--gs", "0", "--h", "4", "--w", "4", "--c", "8",
          "--cp", "4", "--nodes", "2"],
+        ["bench", "--block", ""],
+        ["bench", "--block", " , "],
     ], ids=["flops-out", "bench-out", "oracle-out", "affinity-out", "train-out", "oracle-n0",
-            "affinity-n0", "affinity-cp", "bench-h", "flops-groups", "bench-gs"])
+            "affinity-n0", "affinity-cp", "bench-h", "flops-groups", "bench-gs",
+            "bench-no-block", "bench-blank-blocks"])
     def test_bad_input_is_one_line_validation_failure(self, argv, tmp_path, capsys):
         paths = {"missing": tmp_path / "missing" / "x.csv", "tmp": tmp_path}
         assert main([arg.format(**paths) for arg in argv]) == 1

@@ -47,11 +47,11 @@ def sample_representative(x, off):
     """Sample ``x`` at (query position + offset): features [n, S, c, P], positions [n, S, 2, P]."""
     n, _, h, w = off.data.shape
     tape = Tape()
-    py, px = _positions_node(tape.constant(off.data), np.repeat(np.arange(h, dtype=float), w),
+    py, px = _positions_node(tape.leaf(off.data), np.repeat(np.arange(h, dtype=float), w),
                              np.tile(np.arange(w, dtype=float), h))
     # The layer samples node-major, [n, P, S, c] and positions [n, P, S].
     batch = np.arange(n)[:, None, None]
-    features = bilinear_node(tape.constant(x.data), py, px, batch).value.transpose(0, 2, 3, 1)
+    features = bilinear_node(tape.leaf(x.data), py, px, batch).value.transpose(0, 2, 3, 1)
     return features, np.stack([py.value, px.value], axis=-1).transpose(0, 2, 3, 1)
 
 
@@ -62,9 +62,9 @@ def attention(theta, key_features, value_features):
     """
     tape = Tape()
     # The layer attends over node-major [n, N, S, C'] sets.
-    xt, w = _attention(tape.constant(theta[None]),
-                       tape.constant(key_features.transpose(0, 3, 1, 2)),
-                       tape.constant(value_features.transpose(0, 3, 1, 2)), groups=1)
+    xt, w = _attention(tape.leaf(theta[None]),
+                       tape.leaf(key_features.transpose(0, 3, 1, 2)),
+                       tape.leaf(value_features.transpose(0, 3, 1, 2)), groups=1)
     return xt.value[0], AttentionWeights(w.value)
 
 
@@ -162,13 +162,13 @@ class TestSampleRepresentative:
         off = OffsetField(rng.uniform(-2.0, 2.0, (1, 4, 4, 5)))
         features, positions = sample_representative(x, off)
         tape = Tape()
-        x_node = tape.constant(x.data)
+        x_node = tape.leaf(x.data)
         for s in range(2):
             for p in range(20):
                 i, j = divmod(p, 5)
                 py = i + off.data[0, 2 * s, i, j]
                 px = j + off.data[0, 2 * s + 1, i, j]
-                want = bilinear_node(x_node, tape.constant([py]), tape.constant([px]), 0).value[0]
+                want = bilinear_node(x_node, tape.leaf([py]), tape.leaf([px]), 0).value[0]
                 assert np.abs(features[0, s, :, p] - want).max() < 1e-12
                 assert positions[0, s, 0, p] == py
                 assert positions[0, s, 1, p] == px
@@ -209,6 +209,15 @@ class TestRepGraphAttention:
     def test_attention_weights_validation(self):
         with pytest.raises(ContractError):
             AttentionWeights(np.full((1, 2, 1, 2), 0.9))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("row", [
+        [np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0], [-np.inf, 1.0], [np.inf, -np.inf],
+    ], ids=["all-nan", "nan-and-one", "inf", "minus-inf", "inf-minus-inf"])
+    def test_attention_weights_reject_non_finite_rows(self, row, dtype):
+        data = np.array([[0.5, 0.5], row], dtype=dtype).reshape(1, 2, 1, 2)
+        with pytest.raises(ContractError, match="distributions summing to 1"):
+            AttentionWeights(data)
 
     def test_attention_weights_need_a_group_axis(self):
         with pytest.raises(ShapeError, match=r"\[n, N, G, S\]"):

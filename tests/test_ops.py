@@ -27,8 +27,8 @@ def bilinear_sample(x, positions):
     """Sample fractional positions [(batch, y, x), ...] through ``bilinear_node``; [len, c]."""
     pos = np.asarray(positions, dtype=np.float64)
     tape = Tape()
-    return bilinear_node(tape.constant(x.data), tape.constant(pos[:, 1]),
-                         tape.constant(pos[:, 2]), pos[:, 0].astype(np.int64)).value
+    return bilinear_node(tape.leaf(x.data), tape.leaf(pos[:, 1]),
+                         tape.leaf(pos[:, 2]), pos[:, 0].astype(np.int64)).value
 
 
 def reference_bilinear(data, b, py, px):
@@ -101,13 +101,13 @@ def hard_positions(rng, n, h, w, k):
 
 def avg_pool(x, g):
     tape = Tape()
-    return avg_pool_node(tape.constant(x.data), g).value
+    return avg_pool_node(tape.leaf(x.data), g).value
 
 
 def batch_norm(x, params, training):
     tape = Tape()
-    return batch_norm_node(tape.constant(x.data), tape.constant(params.gamma),
-                           tape.constant(params.beta), params, training).value
+    return batch_norm_node(tape.leaf(x.data), tape.leaf(params.gamma),
+                           tape.leaf(params.beta), params, training).value
 
 
 class TestProject1x1:
@@ -373,7 +373,7 @@ class TestBilinearSample:
         px = rng.uniform(-1, 5, (2, 20, 9))
         self._small_blocks(monkeypatch, 11, 3, np.float64)
         tape = Tape()
-        out = bilinear_node(tape.constant(data), tape.constant(py), tape.constant(px),
+        out = bilinear_node(tape.leaf(data), tape.leaf(py), tape.leaf(px),
                             np.arange(2)[:, None, None]).value
         assert out.shape == (2, 20, 9, 3)
         assert out.flags.c_contiguous
@@ -408,8 +408,8 @@ class TestBilinearSample:
         pos = np.zeros((4, 2))
         tape = Tape()
         with pytest.raises(ShapeError):
-            bilinear_node(tape.constant(self.grid.data), tape.constant(pos[:, 0]),
-                          tape.constant(pos), np.zeros(4, dtype=np.int64))
+            bilinear_node(tape.leaf(self.grid.data), tape.leaf(pos[:, 0]),
+                          tape.leaf(pos), np.zeros(4, dtype=np.int64))
 
 
 class TestAvgPoolGrid:
@@ -577,8 +577,8 @@ class TestReluAndBatchNorm:
             x, g, b = tape.leaf(data), tape.leaf(gamma), tape.leaf(beta)
             out = batch_norm_node(x, g, b, params, training)
             if update_between:
-                batch_norm_node(tape.constant(3 * data + 1), tape.constant(gamma),
-                                tape.constant(beta), params, training=True)
+                batch_norm_node(tape.leaf(3 * data + 1), tape.leaf(gamma),
+                                tape.leaf(beta), params, training=True)
             backward(weighted_sum(out, probe))
             return out.value, x.grad, g.grad, b.grad
 

@@ -75,9 +75,22 @@ class TestValidation:
         with pytest.raises(ValidationError):
             affinity_stats(bad)
 
-    def test_rejects_empty(self):
-        with pytest.raises(ValidationError):
-            affinity_stats(np.zeros((0, 4)))
+    @pytest.mark.parametrize("rows,bad", [
+        ([[np.nan, 1.0], [0.5, 0.5]], 0),
+        ([[0.5, 0.5], [np.nan, np.nan]], 1),
+        ([[0.5, 0.5], [np.inf, 0.0]], 1),
+        ([[-np.inf, 1.0]], 0),
+        ([[np.inf, -np.inf]], 0),
+    ], ids=["nan-and-one", "all-nan", "inf", "minus-inf", "inf-minus-inf"])
+    def test_rejects_non_finite_rows(self, rows, bad):
+        with pytest.raises(ValidationError, match=f"row {bad} holds a non-finite weight"):
+            affinity_stats(np.array(rows))
+
+    @pytest.mark.parametrize("a", [np.zeros((0, 4)), [], [0.5, 0.5], [[]]],
+                             ids=["no-rows", "empty-list", "flat-list", "empty-row"])
+    def test_rejects_empty(self, a):
+        with pytest.raises(ValidationError, match=r"got shape \("):
+            affinity_stats(a)
 
 
 class TestHistogram:

@@ -20,7 +20,7 @@ from repgraph.tensor import MAGIC
 def matmul(a, b):
     """2-D matrix product through ``einsum2``, the one contraction kernel."""
     tape = Tape()
-    return einsum2("ij,jk->ik", tape.constant(a), tape.constant(b)).value
+    return einsum2("ij,jk->ik", tape.leaf(a), tape.leaf(b)).value
 
 
 def naive_matmul(a, b):
