@@ -228,14 +228,14 @@ def weighted_sum(a: Node, weights: np.ndarray) -> Node:
     )
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def matmul(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """``np.matmul`` that lets overflow give inf and NaN without a warning.
 
     ``np.einsum`` never warned, and a diverging run must reach the trainer's
     non-finite-loss check rather than stop on a ``RuntimeWarning``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.matmul(a, b)
+        return np.matmul(a, b, out=out)
 
 
 def _blas_ready(x: np.ndarray) -> np.ndarray:

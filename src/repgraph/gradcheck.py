@@ -189,6 +189,10 @@ CASES = {
     "project_1x1": _op_case(
         lambda rng: (_uniform(rng, -1, 1, x=(2, 3, 4, 5), w=(4, 3), b=4),),
         ops.project_node),
+    # The sum fusion's tail: the residual adds into the product with the bias.
+    "project_1x1_residual": _op_case(
+        lambda rng: (_uniform(rng, -1, 1, x=(2, 3, 4, 5), w=(4, 3), b=4, r=(2, 4, 4, 5)),),
+        lambda x, w, b, r: ops.project_node(x, w, b, residual=r)),
     "softmax": _op_case(lambda rng: (_uniform(rng, -2, 2, x=(5, 7)),), ops.softmax_node),
     "relu": _op_case(_draw_relu, ops.relu_node),
     "bilinear_sample": _op_case(_draw_bilinear, ops.bilinear_node),

@@ -473,8 +473,8 @@ def _bind_params(tape: Tape, params, prefix: str) -> dict[str, Node]:
     return {name: tape.leaf(arr, prefix + name) for name, arr in param_arrays(params).items()}
 
 
-def _project(x: Node, p: dict[str, Node], name: str) -> Node:
-    return ops.project_node(x, p[f"{name}.w"], p.get(f"{name}.b"))
+def _project(x: Node, p: dict[str, Node], name: str, residual: Optional[Node] = None) -> Node:
+    return ops.project_node(x, p[f"{name}.w"], p.get(f"{name}.b"), residual)
 
 
 def layer_forward_node(tape: Tape, x: Node, params, cfg: LayerConfig, *,
@@ -504,7 +504,9 @@ def layer_forward_node(tape: Tape, x: Node, params, cfg: LayerConfig, *,
             offset_src = x if cfg.offset_source == "input" else theta
             x_tilde = _repgraph_core(offset_src, theta, phi, g, p, cfg, offsets, collect)
         if cfg.fusion == "sum":
-            return ag.add(_project(x_tilde, p, "w_out"), x)
+            # The residual adds into the output projection's product, so the
+            # tail holds one full-width array.
+            return _project(x_tilde, p, "w_out", residual=x)
         return _project(ag.concat([x_tilde, x], axis=1), p, "w_out")
 
     # Bottleneck: reduce -> sparse attention on the reduced map -> expand ->

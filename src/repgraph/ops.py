@@ -81,23 +81,59 @@ def project_1x1(x: Tensor4, proj: Projection1x1) -> Tensor4:
     return Tensor4(project_node(tape.leaf(x.data), tape.leaf(proj.weight), bias).value)
 
 
-def project_node(x: Node, weight: Node, bias: Optional[Node]) -> Node:
+def project_node(x: Node, weight: Node, bias: Optional[Node],
+                 residual: Optional[Node] = None) -> Node:
+    """W @ x per position, plus ``bias`` per channel, plus ``residual``.
+
+    The bias and the residual add into the GEMM's fresh product
+    (:func:`add_channel_bias`), so the projection holds one output-sized
+    buffer and the tape keeps no pre-bias copy.
+    """
     if weight.value.shape[1] != x.value.shape[1]:
         raise ShapeError(
             f"projection expects {weight.value.shape[1]} input channels, "
             f"feature map has {x.value.shape[1]}"
         )
     out = einsum2("oc,bchw->bohw", weight, x)
-    if bias is not None:
-        out = add_channel_bias(out, bias)
-    return out
+    if bias is None and residual is None:
+        return out
+    return add_channel_bias(out, bias, residual)
 
 
-def add_channel_bias(x: Node, bias: Node) -> Node:
-    value = x.value + bias.value[None, :, None, None]
-    return x.tape.record(
-        value, (x, bias), lambda g: (g, g.sum(axis=(0, 2, 3))), op="channel_bias"
-    )
+def add_in_place(value: np.ndarray, *terms: np.ndarray) -> np.ndarray:
+    """``value`` plus each term in turn, added into ``value`` itself unless a
+    term's dtype promotes it; the bytes of the out-of-place sum either way."""
+    dtype = np.result_type(value, *terms)
+    value = value if dtype == value.dtype else value.astype(dtype)
+    for term in terms:
+        value += term
+    return value
+
+
+def add_channel_bias(x: Node, bias: Optional[Node],
+                     residual: Optional[Node] = None) -> Node:
+    """``x`` plus a per-channel ``bias`` and a same-shaped ``residual``, either optional.
+
+    Both add into ``x``'s own buffer, so ``x`` must be a fresh product that
+    nothing else reads, as :func:`project_node`'s GEMM output is; neither
+    backward reads the value before the add.
+    """
+    shape = x.value.shape
+    if bias is not None and bias.value.shape != shape[1:2]:
+        raise ShapeError(f"bias has shape {bias.value.shape}, the output has {shape[1]} channels")
+    if residual is not None and residual.value.shape != shape:
+        raise ShapeError(
+            f"residual has shape {residual.value.shape}, the output has shape {shape}"
+        )
+    terms = ([] if bias is None else [bias.value[:, None, None]]) + (
+        [] if residual is None else [residual.value])
+
+    def bwd(g):
+        return ([g] + ([] if bias is None else [g.sum(axis=(0, 2, 3))])
+                + ([] if residual is None else [g]))
+
+    parents = [node for node in (x, bias, residual) if node is not None]
+    return x.tape.record(add_in_place(x.value, *terms), parents, bwd, op="channel_bias")
 
 
 # ---------------------------------------------------------------------------

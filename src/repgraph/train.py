@@ -23,7 +23,7 @@ import numpy as np
 from . import ops
 from .autograd import Node, Tape, backward, matmul
 from .config import layer_config_to_text, load_config_file, read_entries
-from .errors import CheckpointError, ContractError, DivergenceError
+from .errors import CheckpointError, ContractError, DivergenceError, ShapeError
 from .layer import (
     LayerConfig,
     buffer_arrays,
@@ -52,7 +52,12 @@ def _im2col3x3(x: np.ndarray) -> np.ndarray:
 def conv3x3_node(x: Node, weight: Node, bias: Node) -> Node:
     """Stride-1, pad-1 3x3 convolution; weight is [c_out, c_in, 3, 3].
 
-    The tape keeps no im2col columns; the backward rebuilds them for ``dw``.
+    Forward and backward build one image's im2col columns at a time, so no
+    whole-batch patch matrix exists; the tape keeps none, and the backward
+    rebuilds them for ``dw``.  Each image's GEMM has the shapes of one batch
+    entry of the whole-batch matmul, and the per-image ``dw`` products are
+    summed over the batch axis as its products were, so the bytes are the
+    whole-batch formulas'.
     """
     n, c, h, w = x.value.shape
     c_out = weight.value.shape[0]
@@ -60,14 +65,25 @@ def conv3x3_node(x: Node, weight: Node, bias: Node) -> Node:
         raise ContractError(
             f"conv weight expects {weight.value.shape[1]} input channels, map has {c}"
         )
+    if bias.value.shape != (c_out,):
+        raise ShapeError(f"conv bias has shape {bias.value.shape}, the conv has {c_out} outputs")
     w2d = weight.value.reshape(c_out, c * 9)
-    out = matmul(w2d, _im2col3x3(x.value)).reshape(n, c_out, h, w)
-    out = out + bias.value[None, :, None, None]
+
+    def cols(i: int) -> np.ndarray:
+        """Image ``i``'s [9c, h*w] patch matrix."""
+        return _im2col3x3(x.value[i:i + 1])[0]
+
+    out = np.empty((n, c_out, h * w), dtype=np.result_type(w2d, x.value))
+    for i in range(n):
+        matmul(w2d, cols(i), out=out[i])
+    out = ops.add_in_place(out.reshape(n, c_out, h, w), bias.value[None, :, None, None])
 
     def bwd(g):
         g2 = g.reshape(n, c_out, h * w)
-        dw = matmul(g2, _im2col3x3(x.value).transpose(0, 2, 1))
-        dw = dw.sum(axis=0).reshape(weight.value.shape)
+        dws = np.empty((n, c_out, c * 9), dtype=np.result_type(g2, x.value))
+        for i in range(n):
+            matmul(g2[i], cols(i).T, out=dws[i])
+        dw = dws.sum(axis=0).reshape(weight.value.shape)
         db = g2.sum(axis=(0, 2))
         # Tap (ky, kx)'s patch gradient adds into a bordered map shifted by
         # (ky, kx), taps in the order 2, 1, 0: the bytes of w2d.T @ g2 summed

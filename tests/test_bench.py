@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repgraph import ContractError, LayerConfig, bench, layer, ops
+from repgraph import ContractError, LayerConfig, bench, count_flops, layer, ops
 from repgraph.bench import (
     _block_config,
     _estimate_bytes,
@@ -198,4 +198,19 @@ def test_train_step_script_prints_time_peak_and_faults(monkeypatch, capsys):
     assert float(lines[1].split(": ")[1].split()[0]) > 0
     assert lines[2].startswith("minor page faults per step: ")
     assert float(lines[2].split(": ")[1]) >= 0
+    assert not tracemalloc.is_tracing()
+
+
+def test_paper_geometry_script_prints_every_block_with_its_macs(monkeypatch, capsys):
+    script = _load_script("bench_paper_geometry")
+    geometry = dict(h=8, w=6, c=8, cp=4, s=3)
+    monkeypatch.setattr(script, "GEOMETRY", geometry)
+    script.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "8x6, C=8, C'=4, S=3, float32, one no-grad forward per block"
+    assert [line.split(":")[0].strip() for line in lines[1:]] == list(script.BLOCKS)
+    for block, line in zip(script.BLOCKS, lines[1:]):
+        ms, peak, macs, rate = (part.split()[-2] for part in line.split(", "))
+        assert float(ms) > 0 and float(peak) >= 0 and float(rate) >= 0
+        assert int(macs.replace(",", "")) == count_flops(block, **geometry).total_macs
     assert not tracemalloc.is_tracing()

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from repgraph import (
     project_1x1,
     softmax_rows,
 )
+from repgraph import autograd as ag
 from repgraph import ops
 from repgraph.autograd import Tape, backward, weighted_sum
 from repgraph.ops import avg_pool_node, batch_norm_node, bilinear_node, relu_node
@@ -140,6 +142,87 @@ class TestProject1x1:
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             project_1x1(Rng(0).tensor((1, 3, 2, 2)), Projection1x1(np.eye(4)))
+
+    @staticmethod
+    def _arrays(dtype):
+        """Input [2, 3, 4, 5], weight [6, 3], bias [6] and residual [2, 6, 4, 5]."""
+        rng = Rng(3)
+        return tuple(rng.uniform(-1, 1, shape, dtype=dtype)
+                     for shape in ((2, 3, 4, 5), (6, 3), 6, (2, 6, 4, 5)))
+
+    def test_bias_adds_into_the_products_buffer_on_a_grad_tape(self):
+        x, w, b, r = self._arrays(np.float64)
+        for residual in (None, r):
+            tape = Tape()
+            out = ops.project_node(tape.leaf(x), tape.leaf(w), tape.leaf(b),
+                                   None if residual is None else tape.leaf(residual))
+            product = out.parents[0]
+            assert out.op == "channel_bias" and product.op.startswith("einsum[")
+            assert np.shares_memory(out.value, product.value)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("with_bias,with_residual", [(True, False), (True, True),
+                                                        (False, True)])
+    def test_bytes_match_the_product_plus_bias_plus_residual(self, with_bias, with_residual,
+                                                             dtype):
+        x, w, b, r = self._arrays(dtype)
+        tape = Tape()
+        want = ag.einsum2("oc,bchw->bohw", tape.leaf(w), tape.leaf(x)).value
+        if with_bias:
+            want = want + b[None, :, None, None]
+        if with_residual:
+            want = want + r
+        for grad in (True, False):
+            tape = Tape(grad=grad)
+            got = ops.project_node(tape.leaf(x), tape.leaf(w),
+                                   tape.leaf(b) if with_bias else None,
+                                   tape.leaf(r) if with_residual else None).value
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+    def test_a_wider_bias_widens_the_output_as_a_separate_add_did(self):
+        x, w, b, _ = self._arrays(np.float32)
+        out = project_1x1(Tensor4(x), Projection1x1(w, b.astype(np.float64))).data
+        tape = Tape()
+        want = ag.einsum2("oc,bchw->bohw", tape.leaf(w), tape.leaf(x)).value
+        want = want + b.astype(np.float64)[None, :, None, None]
+        assert out.dtype == np.float64 and out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_residual_gradients_match_a_separate_add(self, dtype):
+        # The layers' sum fusion recorded project_node, then ag.add.
+        x, w, b, r = self._arrays(dtype)
+        probe = Rng(4).uniform(-1, 1, r.shape)
+        grads = []
+        for fold in (True, False):
+            tape = Tape()
+            leaves = [tape.leaf(a) for a in (x, w, b, r)]
+            if fold:
+                out = ops.project_node(*leaves[:3], residual=leaves[3])
+            else:
+                out = ag.add(ops.project_node(*leaves[:3]), leaves[3])
+            backward(weighted_sum(out, probe))
+            grads.append([leaf.grad.tobytes() for leaf in leaves])
+        assert grads[0] == grads[1]
+
+    @pytest.mark.parametrize("length", [5, 7])
+    def test_bias_of_the_wrong_length_is_a_shape_error(self, length):
+        x, w, _, _ = self._arrays(np.float64)
+        message = re.escape(f"bias has shape ({length},), the output has 6 channels")
+        tape = Tape()
+        with pytest.raises(ShapeError, match=message):
+            ops.project_node(tape.leaf(x), tape.leaf(w), tape.leaf(np.zeros(length)))
+
+    # Shapes an in-place add would broadcast, and one it would refuse.
+    @pytest.mark.parametrize("shape", [(1, 6, 4, 5), (2, 6, 1, 1), (6, 4, 5), (2, 6, 4, 6)])
+    def test_residual_of_another_shape_is_a_shape_error(self, shape):
+        x, w, b, _ = self._arrays(np.float64)
+        message = re.escape(f"residual has shape {shape}, the output has shape (2, 6, 4, 5)")
+        for bias in (b, None):
+            tape = Tape()
+            with pytest.raises(ShapeError, match=message):
+                ops.project_node(tape.leaf(x), tape.leaf(w),
+                                 None if bias is None else tape.leaf(bias),
+                                 tape.leaf(np.zeros(shape)))
 
 
 class TestSoftmaxRows:

@@ -6,7 +6,7 @@ from dataclasses import MISSING, fields, replace
 import numpy as np
 import pytest
 
-from repgraph import CheckpointError, ContractError, DivergenceError, LayerConfig, Rng
+from repgraph import CheckpointError, ContractError, DivergenceError, LayerConfig, Rng, ShapeError
 from repgraph import layer as layer_module
 from repgraph.autograd import Tape, backward, weighted_sum
 from repgraph.toytask import ToyTaskConfig, make_batch
@@ -133,7 +133,7 @@ class TestTrainerOps:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(4, 16, 32, 32), (2, 3, 5, 4), (1, 1, 1, 1),
-                                       (3, 5, 7, 2)])
+                                       (3, 5, 7, 2), (9, 2, 6, 5)])
     def test_weight_and_bias_gradient_bytes_match_the_im2col_formula(self, shape, dtype):
         n, c, h, w = shape
         x, weight, g, (_, dw, db) = self._conv_case(shape, dtype)
@@ -158,6 +158,42 @@ class TestTrainerOps:
         finally:
             tracemalloc.stop()
         assert held <= out.value.nbytes + 16 * 1024
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(4, 16, 32, 32), (1, 1, 1, 1), (9, 2, 6, 5)])
+    def test_forward_bytes_match_the_whole_batch_formula(self, shape, dtype):
+        rng = Rng(7)
+        x = rng.uniform(-1, 1, shape, dtype=dtype)
+        weight = rng.uniform(-1, 1, (5, shape[1], 3, 3), dtype=dtype)
+        bias = rng.uniform(-1, 1, 5, dtype=dtype)
+        tape = Tape()
+        out = conv3x3_node(tape.leaf(x), tape.leaf(weight), tape.leaf(bias)).value
+        want = np.matmul(weight.reshape(5, -1), _im2col3x3(x)).reshape(out.shape)
+        want = want + bias[None, :, None, None]
+        assert out.dtype == dtype and out.tobytes() == want.tobytes()
+
+    def test_backward_builds_one_images_patches_at_a_time(self):
+        # At 4x16x32x32 f64 the whole batch's columns are 4.5 MiB and one
+        # image's 1.1 MiB.  The rest of the backward holds the bordered input
+        # gradient (0.6 MiB) and one tap's product (0.5 MiB) at a time.
+        x, weight, g, _ = self._conv_case((4, 16, 32, 32), np.float64, c_out=16)
+        tape = Tape()
+        out = conv3x3_node(tape.leaf(x), tape.leaf(weight), tape.leaf(np.zeros(16)))
+        tracemalloc.start()
+        try:
+            out.backward_fn(g)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held < 2 << 20
+
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_bias_of_the_wrong_length_is_a_shape_error(self, length):
+        tape = Tape()
+        x = tape.leaf(np.zeros((1, 2, 3, 3)))
+        weight = tape.leaf(np.zeros((4, 2, 3, 3)))
+        with pytest.raises(ShapeError, match=rf"bias has shape \({length},\), .* 4 outputs"):
+            conv3x3_node(x, weight, tape.leaf(np.zeros(length)))
 
     def test_softmax_xent_matches_manual(self):
         rng = Rng(1)
