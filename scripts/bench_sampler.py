@@ -10,8 +10,13 @@ f64).  Positions scatter up to two pixels around every map position, as a
 layer's regressed offsets do, so a few land off the map.  The block size
 ``ops._BLOCK_BYTES`` is set to every size in ``--kib`` in turn within each
 repeat, so a drift in the machine's speed spreads over all sizes alike; the
-sampler's output does not depend on it.  Prints one line per geometry and
-block size.
+sampler's output does not depend on it.
+
+A block is a run of positions whose sampler rows fill ``_BLOCK_BYTES``.  The
+forward gathers four taps per position, so its blocks hold a quarter of the
+positions the backward's do, whose rows are one output-gradient row each.
+Prints one line per geometry and block size, with the positions per forward
+and per backward block and the two medians.
 """
 
 from __future__ import annotations
@@ -78,8 +83,12 @@ def main(argv=None) -> None:
                         times[kib].append(t)
             for kib, ts in times.items():
                 fwd, bwd = (statistics.median(col) for col in zip(*ts))
+                ops._BLOCK_BYTES = kib * 1024
+                fwd_len = ops._block_len(ops._TAPS * c, dtype)
+                bwd_len = ops._block_len(c, dtype)
                 print(f"{name:>10} {n}x{c}x{h}x{w} S={s} {np.dtype(dtype).name}"
-                      f"  block {kib:5d} KiB: forward {fwd:7.2f} ms, backward {bwd:7.2f} ms")
+                      f"  block {kib:5d} KiB, {fwd_len} fwd / {bwd_len} bwd positions:"
+                      f" forward {fwd:7.2f} ms, backward {bwd:7.2f} ms")
     finally:
         ops._BLOCK_BYTES = saved
 

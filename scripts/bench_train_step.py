@@ -8,15 +8,17 @@ default toy model's forward on a tape with gradients, the per-pixel
 cross-entropy, ``backward`` and the momentum-SGD update.  After ``WARMUP``
 steps, ``STEPS`` steps are timed with ``repgraph.bench.time_callable``;
 then one more step runs under ``tracemalloc`` (``repgraph.bench.peak_mib``).
-Prints three lines:
+Prints four lines:
 
 * the median step time in ms;
 * the tracemalloc peak of the traced step in MiB;
-* the minor page faults per timed step, from ``getrusage(RUSAGE_SELF)``.
+* the minor page faults per timed step, from ``getrusage(RUSAGE_SELF)``;
+* the system CPU ms per timed step, from the same call's ``ru_stime``.
 
 A change that lowers the peak can make the allocator hand memory back to the
 system and fault it in again on the next step, which costs system time that
-the peak does not show; the fault count shows it.
+the peak does not show; the fault count shows it, and the system time what
+it costs.
 """
 
 from __future__ import annotations
@@ -73,15 +75,16 @@ def main() -> None:
     step = make_stepper(cfg)
     for _ in range(WARMUP):
         step()
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    before = resource.getrusage(resource.RUSAGE_SELF)
     median_ms, _ = time_callable(step, STEPS, 0)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    after = resource.getrusage(resource.RUSAGE_SELF)
     peak = peak_mib(step)
     task, layer = cfg.task, cfg.layer
     print(f"train step, batch {cfg.batch} x {task.size}x{task.size}, width {cfg.width}, "
           f"layer {layer.variant} S={layer.s}: median {median_ms:.2f} ms over {STEPS} steps")
     print(f"tracemalloc peak of one step: {peak:.2f} MiB")
-    print(f"minor page faults per step: {faults / STEPS:.0f}")
+    print(f"minor page faults per step: {(after.ru_minflt - before.ru_minflt) / STEPS:.0f}")
+    print(f"system CPU per step: {(after.ru_stime - before.ru_stime) / STEPS * 1e3:.2f} ms")
 
 
 if __name__ == "__main__":

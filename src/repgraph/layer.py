@@ -411,13 +411,18 @@ def _repgraph_core(
     py, px = _positions_node(off, ay, ax)
     shared = g_map is phi_map
     batch = np.arange(n)[:, None, None]
+    # Each sampled map's bordered copy, in the dtype the sampler outputs, is
+    # built once for every span to read.
+    bordered = [ops._pixel_major(m.value, np.result_type(m.value.dtype, py.value.dtype))
+                for m in ((phi_map,) if shared else (phi_map, g_map))]
     weights = None if collect is None else np.empty((n, h * w, cfg.groups, cfg.s), dtype)
     outs = []
     for r0, r1 in _query_spans(theta_map.tape.grad, *_span_plan(cfg, n, h, w, dtype.itemsize)):
         y0, y1 = r0 * gs, min(h, r1 * gs)
         py_b, px_b = _rows(py, r0 * wg, r1 * wg), _rows(px, r0 * wg, r1 * wg)
-        key_feats = ops.bilinear_node(phi_map, py_b, px_b, batch)
-        val_feats = key_feats if shared else ops.bilinear_node(g_map, py_b, px_b, batch)
+        key_feats = ops.bilinear_node(phi_map, py_b, px_b, batch, bordered=bordered[0])
+        val_feats = key_feats if shared else ops.bilinear_node(g_map, py_b, px_b, batch,
+                                                               bordered=bordered[1])
         if gs > 1:
             # Each query of the span reads its group's set.
             gidx = ((np.arange(y0, y1) // gs - r0)[:, None] * wg
@@ -430,6 +435,7 @@ def _repgraph_core(
         if weights is not None:
             weights[:, y0 * w:y1 * w] = w_b.value
         outs.append(x_b)
+    del bordered  # freed before the span outputs are joined
     if collect is not None:
         collect["offsets"] = OffsetField(off.value)
         collect["positions"] = np.stack([py.value.transpose(0, 2, 1),

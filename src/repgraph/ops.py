@@ -201,10 +201,20 @@ def relu_node(x: Node) -> Node:
 # Width of the zero border around the map copies the sampler reads.  Positions
 # are clamped to [-2, size], so every tap lands inside the border or the map.
 _PAD = 2
-# Bytes of sampler output per block of positions.  The block, one tap buffer
-# and the block's indices and weights fit in a core's L2 cache; 512 KiB
-# measured fastest at both benchmark geometries (scripts/bench_sampler.py).
+# Bytes of sampler rows per block of positions: the forward's four [len, c]
+# taps together, the backward's one [len, c] output gradient.  A block, its
+# indices and its weights fit in a core's L2 cache; 512 KiB measured fastest
+# at both benchmark geometries (scripts/bench_sampler.py) and keeps the
+# forward peaks of tests/test_layer.py within their bounds.
 _BLOCK_BYTES = 512 * 1024
+# Taps of the bilinear kernel; the forward gathers them into one buffer.
+_TAPS = 4
+# The forward computes the tap indices and weights for whole gather blocks, at
+# least this many positions at a time.  Computing them takes about twenty
+# numpy calls whatever the length, and at C = 64 in f32 a gather block is only
+# 512 positions; each position's indices and weights hold about 60 bytes
+# while they wait for their gather block.
+_INDEX_ROWS = 2048
 
 
 def _bilinear_taps(shape, b: np.ndarray, py: np.ndarray, px: np.ndarray):
@@ -236,14 +246,15 @@ def _bilinear_taps(shape, b: np.ndarray, py: np.ndarray, px: np.ndarray):
     yield ty, tx, 1.0, 1.0, flat + (pw + 1)
 
 
-def _block_len(c: int, dtype) -> int:
-    """Positions per block: ``_BLOCK_BYTES`` of [len, c] output rows."""
-    return max(1, _BLOCK_BYTES // max(1, c * np.dtype(dtype).itemsize))
+def _block_len(width: int, dtype) -> int:
+    """Positions per block: ``_BLOCK_BYTES`` of [len, width] rows.  The
+    backward's rows are ``c`` wide, the forward's ``_TAPS * c``."""
+    return max(1, _BLOCK_BYTES // max(1, width * np.dtype(dtype).itemsize))
 
 
-def _blocks(length: int, c: int, dtype):
+def _blocks(length: int, width: int, dtype):
     """Slices of ``range(length)`` of :func:`_block_len` positions each."""
-    step = _block_len(c, dtype)
+    step = _block_len(width, dtype)
     return [slice(lo, min(lo + step, length)) for lo in range(0, length, step)]
 
 
@@ -267,8 +278,9 @@ def _bilinear_backward(data, b, py, px, g):
     """Map and position gradients of the truncated bilinear kernel.
 
     ``g`` is the output gradient as a node-major [len, c] array.  Positions
-    run in the forward's blocks, and each block of ``g`` is transposed to
-    channel-major, so the channel sums and the scatter read contiguous rows.
+    run in blocks of ``_BLOCK_BYTES`` of ``g`` rows, and each block of ``g``
+    is transposed to channel-major, so the channel sums and the scatter read
+    contiguous rows.
     Each tap's map gradient is scattered with one ``np.bincount`` per channel
     over the span of the map the block touches.  Bincount adds in index
     order and the blocks and taps add in a fixed order, so the result is the
@@ -298,7 +310,8 @@ def _bilinear_backward(data, b, py, px, g):
     return dmap.transpose(1, 0, 2, 3), dpy, dpx
 
 
-def bilinear_node(x: Node, py: Node, px: Node, b: np.ndarray) -> Node:
+def bilinear_node(x: Node, py: Node, px: Node, b: np.ndarray, *,
+                  bordered: Optional[np.ndarray] = None) -> Node:
     """Sample map ``x`` at (py, px) with the 4-neighbour triangular kernel.
 
     ``py``/``px`` may carry any shape; the output appends the channel axis,
@@ -309,8 +322,15 @@ def bilinear_node(x: Node, py: Node, px: Node, b: np.ndarray) -> Node:
 
     The kernel works pixel-major: every tap is one ``np.take`` of whole
     channel rows from a zero-bordered [n*(h+4)*(w+4), c] copy of the map.
-    Positions run in blocks of ``_BLOCK_BYTES`` of output, so a block's taps
-    and weights stay in cache while its four taps add up.
+    ``bordered`` is that copy (:func:`_pixel_major` of ``x`` in the output
+    dtype), built once by a caller that samples one map in several calls;
+    without it the call builds its own.  Positions run in gather blocks
+    whose four taps fill ``_BLOCK_BYTES``: each block gathers its taps into
+    one [4, len, c] buffer, takes its weights as a [4, len] slice, and one
+    ``np.einsum`` writes the block's output.  The indices and weights are
+    computed for ``_INDEX_ROWS`` positions or more at a time.  The einsum
+    adds the weighted taps from zero in tap order, so the bytes are those of
+    four multiply-adds into a zeroed output, and four -0.0 taps sum to +0.0.
     """
     if py.value.shape != px.value.shape:
         raise ShapeError("py and px must share a shape")
@@ -322,21 +342,38 @@ def bilinear_node(x: Node, py: Node, px: Node, b: np.ndarray) -> Node:
     py_flat = py.value.reshape(-1)
     px_flat = px.value.reshape(-1)
     dtype = np.result_type(x.value.dtype, py_flat.dtype)
-    xp = _pixel_major(x.value, dtype)
-    # Zero-filled so that every tap adds to 0, as a sum of four taps from 0
-    # does: a first tap of -0.0 then reads +0.0.
-    out = np.zeros((py_flat.size, c), dtype=dtype)
-    buf = np.empty((min(_block_len(c, dtype), out.shape[0]), c), dtype=dtype)
-    for blk in _blocks(out.shape[0], c, dtype):
-        o = out[blk]
-        t = buf[:o.shape[0]]
-        for wy, wx, _, _, flat in _bilinear_taps(x.value.shape, b[blk], py_flat[blk],
-                                                 px_flat[blk]):
-            # Every index is in range; unlike "raise", "wrap" lets take write
-            # straight into the block buffer.
-            np.take(xp, flat, axis=0, out=t, mode="wrap")
-            t *= (wy * wx)[:, None]
-            o += t
+    if bordered is None:
+        xp = _pixel_major(x.value, dtype)
+    else:
+        h, w = x.value.shape[2:]
+        want = (n * (h + 2 * _PAD) * (w + 2 * _PAD), c)
+        if bordered.shape != want or bordered.dtype != dtype:
+            raise ShapeError(f"bordered copy is {bordered.dtype} {bordered.shape}, "
+                             f"the map needs {np.dtype(dtype)} {want}")
+        xp = bordered
+    length = py_flat.size
+    step = _block_len(_TAPS * c, dtype)
+    span = step * max(1, _INDEX_ROWS // step)
+    out = np.empty((length, c), dtype=dtype)
+    taps = np.empty((_TAPS, min(step, length), c), dtype=dtype)
+    # At least two columns, so the weights are never contiguous along the tap
+    # axis: einsum would sum one position's four contiguous taps with a SIMD
+    # reduction, which adds them in another order.
+    weights = np.empty((_TAPS, max(2, min(span, length))), dtype=dtype)
+    for lo in range(0, length, span):
+        blk = slice(lo, min(lo + span, length))
+        flats = []
+        for k, (wy, wx, _, _, flat) in enumerate(
+                _bilinear_taps(x.value.shape, b[blk], py_flat[blk], px_flat[blk])):
+            np.multiply(wy, wx, out=weights[k, :blk.stop - lo])
+            flats.append(flat)
+        for sub in _blocks(blk.stop - lo, _TAPS * c, dtype):
+            t = taps[:, :sub.stop - sub.start]
+            for k, flat in enumerate(flats):
+                # Every index is in range; unlike "raise", "wrap" lets take
+                # write straight into the tap buffer.
+                np.take(xp, flat[sub], axis=0, out=t[k], mode="wrap")
+            np.einsum("kp,kpc->pc", weights[:, sub], t, out=out[blk][sub])
 
     def bwd(g):
         g = np.ascontiguousarray(g, dtype=dtype).reshape(-1, c)

@@ -154,8 +154,11 @@ def test_sampler_bench_script_sweeps_and_restores_the_block(monkeypatch, capsys)
     lines = capsys.readouterr().out.splitlines()
     assert ops._BLOCK_BYTES == before
     assert len(lines) == 2
-    for line, kib in zip(lines, (1, 64)):
-        assert line.split()[0] == "tiny" and f"block {kib:5d} KiB" in line
+    # A forward block holds four taps per position, a backward block one
+    # output-gradient row: at c=3, f64, 1 KiB is 10 and 42 positions.
+    for line, kib, fwd_len, bwd_len in zip(lines, (1, 64), (10, 682), (42, 2730)):
+        assert line.split()[0] == "tiny"
+        assert f"block {kib:5d} KiB, {fwd_len} fwd / {bwd_len} bwd positions: " in line
         fwd, bwd = (float(part.split()[1]) for part in line.split(": ")[1].split(", "))
         assert fwd > 0 and bwd > 0
 
@@ -190,7 +193,7 @@ def test_train_step_script_prints_time_peak_and_faults(monkeypatch, capsys):
     monkeypatch.setattr(script, "WARMUP", 1)
     script.main()
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 4
     assert lines[0].startswith("train step, batch 1 x 8x8, width 4, layer simple S=2: median ")
     assert lines[0].endswith(" ms over 3 steps")
     assert float(lines[0].split("median ")[1].split()[0]) > 0
@@ -198,6 +201,8 @@ def test_train_step_script_prints_time_peak_and_faults(monkeypatch, capsys):
     assert float(lines[1].split(": ")[1].split()[0]) > 0
     assert lines[2].startswith("minor page faults per step: ")
     assert float(lines[2].split(": ")[1]) >= 0
+    assert lines[3].startswith("system CPU per step: ") and lines[3].endswith(" ms")
+    assert float(lines[3].split(": ")[1].split()[0]) >= 0
     assert not tracemalloc.is_tracing()
 
 

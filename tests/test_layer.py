@@ -557,6 +557,33 @@ class TestSparseQueryBlocks:
             assert forward(cfg, params, data, fit * row_bytes)[0] == -(-13 // fit)
             assert forward(cfg, params, data, fit * row_bytes - 1)[0] == -(-13 // (fit - 1))
 
+    @pytest.mark.parametrize("variant,maps", [("simple", 2), ("bottleneck", 1)])
+    def test_each_sampled_map_is_bordered_once_per_forward(self, monkeypatch, variant, maps):
+        # The simple layer samples phi and g, the bottleneck one reduced map
+        # for key and value.  Each map's bordered copy is built once, before
+        # the spans, however many spans sample it.
+        cfg = LayerConfig(c=6, cp=4, s=3, variant=variant)
+        params = init_layer_params(cfg, Rng(47))
+        x = Rng(48).tensor((2, 6, 13, 11))
+        built, sampled = [], []
+        pixel_major, bilinear = ops._pixel_major, ops.bilinear_node
+        monkeypatch.setattr(ops, "_pixel_major",
+                            lambda *a: built.append(a[0].shape) or pixel_major(*a))
+        monkeypatch.setattr(ops, "bilinear_node",
+                            lambda *a, **k: sampled.append(a[1].value.shape) or bilinear(*a, **k))
+        _, row_bytes, _, _ = layer._span_plan(cfg, 2, 13, 11, 8)
+        want = None
+        # 13 rows run in 1, 4 and 13 spans.
+        for block_bytes, spans in ((1 << 40, 1), (4 * row_bytes, 4), (1, 13)):
+            monkeypatch.setattr(layer, "_SPARSE_BLOCK_BYTES", block_bytes)
+            built.clear()
+            sampled.clear()
+            out = repgraph_forward(x, params, cfg).data
+            assert built == [(2, 4, 13, 11)] * maps
+            assert len(sampled) == spans * maps
+            want = out if want is None else want
+            assert out.tobytes() == want.tobytes()
+
     def test_forward_never_holds_every_querys_sampled_set(self):
         # At c=256 the bottleneck's tail holds 20 MiB of [C, N] maps, so the
         # input width is C'; the sets then set the peak.

@@ -381,14 +381,17 @@ class TestBilinearSample:
                 assert have.dtype == expect.dtype
                 assert have.tobytes() == expect.tobytes()
 
-    def test_f64_output_matches_reference_bit_for_bit(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_matches_reference_bit_for_bit(self, dtype):
         rng = Rng(12)
-        for n, c, h, w in ((3, 4, 5, 6), (2, 1, 1, 3), (1, 8, 7, 2)):
-            data = rng.uniform(-2, 2, (n, c, h, w))
+        for n, c, h, w in ((3, 4, 5, 6), (2, 1, 1, 3), (1, 8, 7, 2), (1, 64, 9, 5)):
+            data = rng.uniform(-2, 2, (n, c, h, w)).astype(dtype)
+            data[data > 1.5] = -0.0
             b, py, px = hard_positions(rng, n, h, w, 40)
+            py, px = py.astype(dtype), px.astype(dtype)
             want, _ = reference_bilinear(data, b, py, px)
             got, *_ = sampler_grads(data, b, py, px, np.ones_like(want))
-            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.dtype == want.dtype == dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
     def test_f64_gradients_match_reference(self):
@@ -416,16 +419,71 @@ class TestBilinearSample:
         rng = Rng(15)
         data = rng.uniform(-2, 2, (2, 3, 4, 5)).astype(np.float32)
         b, py, px = hard_positions(rng, 2, 4, 5, 10)
-        out, dmap, dpy, _ = sampler_grads(data, b, py.astype(np.float32),
-                                          px.astype(np.float32), np.ones((py.size, 3)))
+        py, px = py.astype(np.float32), px.astype(np.float32)
+        out, dmap, dpy, _ = sampler_grads(data, b, py, px, np.ones((py.size, 3)))
         assert out.dtype == dmap.dtype == dpy.dtype == np.float32
-        want, _ = reference_bilinear(data.astype(np.float64), b, py, px)
-        assert np.abs(out - want).max() < 1e-5
+        want, _ = reference_bilinear(data, b, py, px)
+        assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_position_of_one_channel_matches_reference_bit_for_bit(self, dtype):
+        # One position of one channel is the call whose four taps alone make
+        # the einsum's whole reduction; it must still add them in tap order.
+        rng = Rng(22)
+        for _ in range(200):
+            data = (rng.uniform(-1, 1, (1, 1, 3, 3))
+                    * 10.0 ** rng.integers(-6, 7, (1, 1, 3, 3))).astype(dtype)
+            pos = rng.uniform(0, 2, (1, 2)).astype(dtype)
+            b = np.zeros(1, dtype=np.int64)
+            want, _ = reference_bilinear(data, b, pos[:, 0], pos[:, 1])
+            got, *_ = sampler_grads(data, b, pos[:, 0], pos[:, 1], np.ones_like(want))
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_four_negative_zero_taps_sum_to_positive_zero(self, dtype):
+        # Channel 0 is -0.0 everywhere, so every weighted tap of it is -0.0.
+        # Channel 1 is -1.0 but for a -0.0 pixel at (1, 2): sampled at exactly
+        # (1, 2), that pixel gets weight 1 and the other three taps weight 0,
+        # so its four weighted taps are -0.0 too.  The taps add from +0.0, so
+        # each sum is +0.0; one that started from its first tap, or fused and
+        # reordered the adds, would read -0.0.
+        data = np.full((1, 2, 4, 4), -0.0, dtype=dtype)
+        data[0, 1] = -1.0
+        data[0, 1, 1, 2] = -0.0
+        py = np.array([1.0, 0.5, 2.25, 1.0], dtype=dtype)
+        px = np.array([2.0, 0.5, 1.75, 1.0], dtype=dtype)
+        tape = Tape(grad=False)
+        out = bilinear_node(tape.leaf(data), tape.leaf(py), tape.leaf(px),
+                            np.zeros(4, dtype=np.int64)).value
+        zeros = np.concatenate([out[:, 0], out[:1, 1]])
+        assert np.all(zeros == 0) and not np.signbit(zeros).any()
+        assert np.all(out[1:, 1] == -1)
 
     @staticmethod
     def _small_blocks(monkeypatch, rows, c, dtype):
-        """Make every sampler block ``rows`` positions long."""
-        monkeypatch.setattr(ops, "_BLOCK_BYTES", rows * c * np.dtype(dtype).itemsize)
+        """Make every forward gather block ``rows`` positions long, every
+        forward index block two gather blocks (``_INDEX_ROWS`` rounds down to
+        whole gather blocks), and every backward block ``ops._TAPS * rows``
+        positions: a gather block holds four taps per position, a backward
+        block one output-gradient row.
+
+        Returns a list that gets, per ``ops._blocks`` call, the row width it
+        was given and the lengths of the blocks it made: one call per index
+        block of a forward, one per backward.
+        """
+        monkeypatch.setattr(ops, "_BLOCK_BYTES",
+                            ops._TAPS * rows * c * np.dtype(dtype).itemsize)
+        monkeypatch.setattr(ops, "_INDEX_ROWS", 3 * rows - 1)
+        made = []
+        blocks = ops._blocks
+
+        def recorded(length, width, dtype):
+            out = blocks(length, width, dtype)
+            made.append((width, [blk.stop - blk.start for blk in out]))
+            return out
+
+        monkeypatch.setattr(ops, "_blocks", recorded)
+        return made
 
     @staticmethod
     def _batch_sorted_positions(rng, n, h, w, k):
@@ -440,14 +498,16 @@ class TestBilinearSample:
         n, c, h, w = 3, 4, 5, 6
         data = rng.uniform(-2, 2, (n, c, h, w))
         b, py, px = self._batch_sorted_positions(rng, n, h, w, 30)
-        rows = 7
-        assert py.size % rows and py.size > 3 * rows
-        assert np.any(b[1:] != b[:-1])
-        self._small_blocks(monkeypatch, rows, c, np.float64)
+        assert py.size == 72 and np.any(b[1:] != b[:-1])
+        made = self._small_blocks(monkeypatch, 7, c, np.float64)
         want, _ = reference_bilinear(data, b, py, px)
         got, *_ = sampler_grads(data, b, py, px, np.ones_like(want))
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+        # Ragged at every level: the forward's 72 positions are five index
+        # blocks of two gather blocks of 7 and one index block of 2; the
+        # backward's are blocks of 28, 28 and 16.
+        assert made == [(4 * c, [7, 7])] * 5 + [(4 * c, [2]), (c, [28, 28, 16])]
 
     def test_node_major_output_is_c_contiguous(self, monkeypatch):
         rng = Rng(18)
@@ -467,10 +527,12 @@ class TestBilinearSample:
         data = rng.uniform(-2, 2, (n, c, h, w))
         b, py, px = self._batch_sorted_positions(rng, n, h, w, 30)
         g = rng.uniform(-1, 1, (py.size, c))
-        self._small_blocks(monkeypatch, 7, c, np.float64)
+        made = self._small_blocks(monkeypatch, 7, c, np.float64)
         _, grads = reference_bilinear(data, b, py, px)
         first = sampler_grads(data, b, py, px, g)
         second = sampler_grads(data, b, py, px, g)
+        assert py.size == 72
+        assert made == 2 * ([(4 * c, [7, 7])] * 5 + [(4 * c, [2]), (c, [28, 28, 16])])
         for have, want in zip(first[1:], grads(g)):
             assert np.abs(have - want).max() <= 1e-12 * np.abs(want).max()
         for a, z in zip(first, second):
@@ -480,12 +542,42 @@ class TestBilinearSample:
         rng = Rng(20)
         data = rng.uniform(-2, 2, (2, 3, 4, 5)).astype(np.float32)
         b, py, px = self._batch_sorted_positions(rng, 2, 4, 5, 20)
-        self._small_blocks(monkeypatch, 5, 3, np.float32)
-        out, dmap, dpy, dpx = sampler_grads(data, b, py.astype(np.float32),
-                                            px.astype(np.float32), np.ones((py.size, 3)))
+        py, px = py.astype(np.float32), px.astype(np.float32)
+        made = self._small_blocks(monkeypatch, 5, 3, np.float32)
+        out, dmap, dpy, dpx = sampler_grads(data, b, py, px, np.ones((py.size, 3)))
         assert out.dtype == dmap.dtype == dpy.dtype == dpx.dtype == np.float32
-        want, _ = reference_bilinear(data.astype(np.float64), b, py, px)
-        assert np.abs(out - want).max() < 1e-5
+        assert made == [(12, [5, 5])] * 5 + [(12, [2]), (3, [20, 20, 12])]
+        want, _ = reference_bilinear(data, b, py, px)
+        assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_given_bordered_copy_gives_the_same_bytes(self, monkeypatch, dtype):
+        rng = Rng(23)
+        data = rng.uniform(-2, 2, (2, 5, 6, 7)).astype(dtype)
+        b, py, px = hard_positions(rng, 2, 6, 7, 30)
+        py, px = py.astype(dtype), px.astype(dtype)
+        g = rng.uniform(-1, 1, (py.size, 5))
+        want = sampler_grads(data, b, py, px, g)
+        bordered = ops._pixel_major(data, dtype)
+        built = []
+        monkeypatch.setattr(ops, "_pixel_major", lambda *a: built.append(a) or bordered)
+        tape = Tape()
+        x, ny, nx = tape.leaf(data), tape.leaf(py), tape.leaf(px)
+        out = bilinear_node(x, ny, nx, b, bordered=bordered)
+        backward(weighted_sum(out, g))
+        assert built == []
+        for have, expect in zip((out.value, x.grad, ny.grad, nx.grad), want):
+            assert have.tobytes() == expect.tobytes()
+
+    def test_a_bordered_copy_of_another_shape_or_dtype_is_a_shape_error(self):
+        data = Rng(24).uniform(-2, 2, (2, 3, 4, 5))
+        tape = Tape(grad=False)
+        x, py = tape.leaf(data), tape.leaf(np.zeros(6))
+        for bordered in (ops._pixel_major(data[:1], np.float64),
+                         ops._pixel_major(data[:, :2], np.float64),
+                         ops._pixel_major(data, np.float32)):
+            with pytest.raises(ShapeError, match="bordered copy"):
+                bilinear_node(x, py, py, np.zeros(6, dtype=np.int64), bordered=bordered)
 
     def test_rejects_malformed_positions(self):
         pos = np.zeros((4, 2))
