@@ -193,7 +193,9 @@ CASES = {
     "project_1x1_residual": _op_case(
         lambda rng: (_uniform(rng, -1, 1, x=(2, 3, 4, 5), w=(4, 3), b=4, r=(2, 4, 4, 5)),),
         lambda x, w, b, r: ops.project_node(x, w, b, residual=r)),
-    "softmax": _op_case(lambda rng: (_uniform(rng, -2, 2, x=(5, 7)),), ops.softmax_node),
+    # The op overwrites its input, so it gets a fresh node, not the probed leaf.
+    "softmax": _op_case(lambda rng: (_uniform(rng, -2, 2, x=(5, 7)),),
+                        lambda x: ops.softmax_node(ag.add_const(x, 0.0))),
     "relu": _op_case(_draw_relu, ops.relu_node),
     "bilinear_sample": _op_case(_draw_bilinear, ops.bilinear_node),
     "avg_pool_grid": _op_case(lambda rng: (_uniform(rng, -1, 1, x=(2, 3, 5, 7)),),

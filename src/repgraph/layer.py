@@ -315,9 +315,9 @@ _SPARSE_BLOCK_BYTES = 16 << 20
 
 # A no-grad dense block holds about this many bytes of logits per span, and at
 # least _DENSE_MIN_ROWS rows.  At c=256, C'=64, f32, 2 MiB ran fastest of
-# 0.25-40 MiB at 64x32 and kept the peak at 6 MiB; blocks under 64 rows ran
-# 1.2-1.7x slower at 128x64 and 256x128 (scripts/bench_dense_vs_sparse.py
-# geometry).
+# 0.25-40 MiB at 64x32, where the forward peaks at 4 MiB; blocks under 64
+# rows ran 1.2-1.7x slower at 128x64 and 256x128
+# (scripts/bench_dense_vs_sparse.py geometry).
 _DENSE_BLOCK_BYTES = 2 << 20
 _DENSE_MIN_ROWS = 64
 
@@ -449,9 +449,9 @@ def _dense_core(theta: Node, phi: Node, g: Node, cfg: LayerConfig,
     """Every query attends over all N positions; returns x_tilde as an [n, C', h, w] map.
 
     The queries run in :func:`_query_spans` of rows; each span forms its
-    [n, rows, N] logits, softmax and aggregate and frees them before the next
-    span starts, so a forward without gradients never holds the N x N
-    affinity.
+    [n, rows, N] logits, which the softmax overwrites, and its aggregate, and
+    frees them before the next span starts, so a forward without gradients
+    never holds the N x N affinity.
 
     ``collect`` receives the affinity as [n, N, 1, N] weights: one group whose
     N samples are the grid positions in row-major order.

@@ -169,7 +169,21 @@ def softmax_rows(a: np.ndarray) -> np.ndarray:
 
 
 def softmax_node(a: Node) -> Node:
-    s = softmax_rows(a.value)
+    """Row softmax of ``a``, written into ``a``'s own buffer.
+
+    ``a`` must be a fresh product that nothing else reads, as an ``einsum2``
+    output is: ``einsum2``'s backward reads only its inputs, and this op's
+    backward reads only its value.  An input whose dtype :func:`softmax_rows`
+    would promote is cast once and left as it was.  The bytes are
+    :func:`softmax_rows`' of a copy.
+    """
+    dtype = np.result_type(a.value, 1.0)
+    s = a.value if dtype == a.value.dtype else a.value.astype(dtype)
+    # For rows of one logit the max is a view of ``s``; numpy buffers the
+    # overlapping operand, so the subtraction still reads the old values.
+    s -= _row_max(s)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
 
     def bwd(g):
         inner = (g * s).sum(axis=-1, keepdims=True)

@@ -90,7 +90,7 @@ class TestMemoryEstimate:
     # 64x32, where 2 MiB runs 8 of 256.
     @pytest.mark.parametrize("block,h,w,rows,want", [
         ("srg", 128, 64, [13 * 64] * 9 + [11 * 64], 38_436_864),
-        ("nl", 64, 32, [128] * 16, 11_534_336),
+        ("nl", 64, 32, [128] * 16, 10_485_760),
     ], ids=["srg", "nl"])
     def test_estimate_is_sized_from_the_spans_the_cores_run(self, monkeypatch, block, h, w,
                                                             rows, want):

@@ -426,6 +426,36 @@ class TestForwardWithoutGradients:
         for a, b in zip(buffer_arrays(params[0]).values(), buffer_arrays(params[1]).values()):
             assert a.tobytes() == b.tobytes()
 
+    # A map the no-grad cores split into spans where a grad tape runs one: at
+    # 32x24 in f64 a dense span holds 2 MiB of logits, 256 of the 768 rows,
+    # and a 16 KiB budget splits the sparse cores into 5 to 16 spans.  A
+    # dense span's matmuls may round differently from the whole map's, so
+    # the dense bytes can differ; the sparse bytes may not.
+    @pytest.mark.parametrize("variant,fusion,gs,groups", _FORWARD_CASES)
+    def test_spans_match_a_grad_tape_forward(self, monkeypatch, variant, fusion, gs, groups):
+        monkeypatch.setattr(layer, "_SPARSE_BLOCK_BYTES", 16 << 10)
+        softmax = ops.softmax_node
+        spans = []
+        monkeypatch.setattr(ops, "softmax_node", lambda a: spans.append(a.shape) or softmax(a))
+        cfg = LayerConfig(c=6, cp=4, s=3, variant=variant, fusion=fusion, gs=gs,
+                          groups=groups)
+        x = Rng(24).tensor((1, 6, 32, 24))
+        params = init_layer_params(cfg, Rng(25))
+        collects = [{}, {}]
+        tape = Tape()
+        want = layer_forward_node(tape, tape.leaf(x.data), params, cfg,
+                                  collect=collects[0]).value
+        assert len(spans) == 1
+        got = repgraph_forward(x, params, cfg, collect=collects[1]).data
+        assert len(spans) >= 3
+        want_c, got_c = _collected(collects[0]), _collected(collects[1])
+        assert sorted(got_c) == sorted(want_c) and "weights" in got_c
+        for a, b in [(got, want)] + [(got_c[key], want_c[key]) for key in want_c]:
+            if variant == "nonlocal":
+                assert np.abs(a - b).max() < 1e-12
+            else:
+                assert a.tobytes() == b.tobytes()
+
     @staticmethod
     def _peaks(variant):
         """Grad-tape and no-grad forward peaks in MiB at c=64, C'=16, S=9 on 1x64x32x32 f64."""

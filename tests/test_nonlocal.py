@@ -186,4 +186,9 @@ class TestQueryBlocks:
         params = init_layer_params(cfg, rng=Rng(34), dtype=np.float32)
         x = Rng(35).tensor((1, 256, 64, 32), dtype=np.float32)
         affinity_mib = (64 * 32) ** 2 * 4 / 2**20
-        assert peak_mib(lambda: repgraph_forward(x, params, cfg)) < affinity_mib
+        peak = peak_mib(lambda: repgraph_forward(x, params, cfg))
+        assert peak < affinity_mib
+        # perfbench's dense_fwd geometry: θ, φ and g (1.5 MiB), one span's
+        # 2 MiB of logits, which the softmax overwrites, and the span outputs
+        # peak at 4.08 MiB.  A softmax copy of the logits peaks at 6.05.
+        assert peak <= 4.5

@@ -265,6 +265,47 @@ class TestSoftmaxRows:
         assert out.dtype == e.dtype and out.tobytes() == e.tobytes()
 
 
+class TestSoftmaxNode:
+    """``softmax_node`` normalizes into its input's buffer with ``softmax_rows``' bytes."""
+
+    @staticmethod
+    def logits(s, dtype):
+        a = Rng(17).uniform(-30, 30, (3, 40, s)).astype(dtype)
+        a[0, :4, 0] = [0.0, -0.0, 1e30, -1e30]
+        return a
+
+    # S = 1 rows take their max as a view of the buffer being overwritten.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("s", [1, 9, 1000])
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_value_is_softmax_rows_of_a_copy_in_the_inputs_buffer(self, grad, s, dtype):
+        a = self.logits(s, dtype)
+        want = softmax_rows(a.copy())
+        tape = Tape(grad=grad)
+        out = ops.softmax_node(tape.leaf(a)).value
+        assert np.shares_memory(out, a) and out.shape == a.shape
+        assert out.dtype == want.dtype == dtype and out.tobytes() == want.tobytes()
+
+    def test_a_promoted_input_is_cast_once_and_left_alone(self):
+        a = np.arange(12).reshape(3, 4)
+        tape = Tape()
+        out = ops.softmax_node(tape.leaf(a)).value
+        assert not np.shares_memory(out, a) and np.array_equal(a, np.arange(12).reshape(3, 4))
+        assert out.dtype == np.float64 and out.tobytes() == softmax_rows(a).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("s", [1, 9, 1000])
+    def test_gradient_matches_the_copying_formula(self, s, dtype):
+        a = self.logits(s, dtype)
+        probe = Rng(18).uniform(-1, 1, a.shape).astype(dtype)
+        tape = Tape()
+        x = tape.leaf(a.copy())
+        backward(weighted_sum(ops.softmax_node(ag.add_const(x, 0.0)), probe))
+        p = softmax_rows(a)
+        want = (probe - (probe * p).sum(axis=-1, keepdims=True)) * p
+        assert x.grad.dtype == want.dtype and x.grad.tobytes() == want.tobytes()
+
+
 class TestBilinearSample:
     grid = Tensor4(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))  # (1, 1, 2, 2)
 
