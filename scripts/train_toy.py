@@ -7,6 +7,7 @@ top-k CSVs of the learned attention distribution.
 """
 
 import pathlib
+from dataclasses import replace
 
 from repgraph import Rng, affinity_stats
 from repgraph.autograd import Tape
@@ -20,13 +21,13 @@ from repgraph.train import (
     toy_train,
 )
 
+CONFIG = TrainConfig(iters=500, seed=7)
+
 
 def main() -> None:
     out = pathlib.Path("toy_run")
     out.mkdir(exist_ok=True)
-    cfg = TrainConfig(iters=500, seed=7,
-                      log_path=str(out / "train.csv"),
-                      checkpoint_dir=str(out / "ckpt"))
+    cfg = replace(CONFIG, log_path=str(out / "train.csv"), checkpoint_dir=str(out / "ckpt"))
     full = toy_train(cfg)
     control = ablated_control(cfg)
     print(f"held-out pixel accuracy: {full.holdout_acc:.4f} "
@@ -36,7 +37,7 @@ def main() -> None:
     images, _ = make_batch(Rng(tcfg.seed + 10_000), 4, tcfg.task)
     collect = {}
     toy_model_logits(Tape(grad=False), model, images, collect=collect)
-    stats = affinity_stats(collect["weights"].data, source="trained toy layer")
+    stats = affinity_stats(collect["weights"], source="trained toy layer")
     paths = write_affinity_csv(stats, out / "attention")
     print(f"mean attention imbalance: {stats.mean_imbalance:.3f}")
     print(f"wrote {paths[0]} and {paths[1]}")

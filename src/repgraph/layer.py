@@ -154,14 +154,9 @@ class NonLocalParams:
 
 
 def _proj(rng: Rng, c_out: int, c_in: int, dtype, zero: bool = False) -> Projection1x1:
-    if zero:
-        return Projection1x1(
-            weight=np.zeros((c_out, c_in), dtype=dtype), bias=np.zeros(c_out, dtype=dtype)
-        )
-    return Projection1x1(
-        weight=rng.init_weight((c_out, c_in), fan_in=c_in, dtype=dtype),
-        bias=np.zeros(c_out, dtype=dtype),
-    )
+    weight = (np.zeros((c_out, c_in), dtype=dtype) if zero
+              else rng.init_weight((c_out, c_in), fan_in=c_in, dtype=dtype))
+    return Projection1x1(weight, bias=np.zeros(c_out, dtype=dtype))
 
 
 def init_layer_params(cfg: LayerConfig, rng: Rng, dtype=np.float64):
@@ -209,8 +204,7 @@ def param_arrays(params) -> dict[str, np.ndarray]:
             norms[f"{f.name}.beta"] = value.beta
         elif isinstance(value, Projection1x1):
             projs[f"{f.name}.w"] = value.weight
-            if value.bias is not None:
-                projs[f"{f.name}.b"] = value.bias
+            projs[f"{f.name}.b"] = value.bias
     return {**norms, **projs}
 
 
@@ -237,14 +231,14 @@ def _anchor_grid(h: int, w: int, stride: int, dtype) -> tuple[np.ndarray, np.nda
     return ay, ax
 
 
-def full_grid_offsets(n: int, h: int, w: int, dtype=np.float64) -> OffsetField:
+def full_grid_offsets(n: int, h: int, w: int) -> OffsetField:
     """Offsets that make every query sample the entire grid (S = N).
 
     Sample k of query (i, j) is displaced by (k // w - i, k % w - j), i.e. it
     lands exactly on grid node k; with these offsets the sparse layer
     reproduces the dense baseline.
     """
-    qy, qx = _anchor_grid(h, w, 1, dtype)
+    qy, qx = _anchor_grid(h, w, 1, np.float64)
     dy = qy[:, None] - qy[None, :]
     dx = qx[:, None] - qx[None, :]
     off = np.stack([dy, dx], axis=1).reshape(1, 2 * h * w, h, w)
@@ -480,7 +474,7 @@ def _bind_params(tape: Tape, params, prefix: str) -> dict[str, Node]:
 
 
 def _project(x: Node, p: dict[str, Node], name: str, residual: Optional[Node] = None) -> Node:
-    return ops.project_node(x, p[f"{name}.w"], p.get(f"{name}.b"), residual)
+    return ops.project_node(x, p[f"{name}.w"], p[f"{name}.b"], residual)
 
 
 def layer_forward_node(tape: Tape, x: Node, params, cfg: LayerConfig, *,

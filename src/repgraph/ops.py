@@ -9,7 +9,7 @@ references that compare against the layers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -20,10 +20,10 @@ from .tensor import Tensor4
 
 @dataclass
 class Projection1x1:
-    """Per-position linear map: weight [c_out, c_in], optional bias [c_out]."""
+    """Per-position linear map: weight [c_out, c_in], bias [c_out]."""
 
     weight: np.ndarray
-    bias: Optional[np.ndarray] = None
+    bias: np.ndarray
 
     @property
     def c_out(self) -> int:
@@ -40,32 +40,29 @@ class BatchNormParams:
 
     Training mode normalizes with batch statistics over (n, h, w) and updates
     the running estimates in place, so a params record must not be shared
-    across concurrent training steps.
+    across concurrent training steps.  ``eps`` and the running-statistics
+    ``momentum`` are the same for every record.
     """
+
+    eps: ClassVar[float] = 1e-5
+    momentum: ClassVar[float] = 0.1
 
     gamma: np.ndarray
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    eps: float = 1e-5
-    momentum: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.eps <= 0:
-            raise ContractError(f"batch norm eps must be positive, got {self.eps}")
         if np.any(self.running_var < 0):
             raise ContractError("running variance must be non-negative")
 
     @classmethod
-    def create(cls, channels: int, eps: float = 1e-5, momentum: float = 0.1,
-               dtype=np.float64) -> "BatchNormParams":
+    def create(cls, channels: int, dtype=np.float64) -> "BatchNormParams":
         return cls(
             gamma=np.ones(channels, dtype=dtype),
             beta=np.zeros(channels, dtype=dtype),
             running_mean=np.zeros(channels, dtype=dtype),
             running_var=np.ones(channels, dtype=dtype),
-            eps=eps,
-            momentum=momentum,
         )
 
 
@@ -77,11 +74,11 @@ class BatchNormParams:
 def project_1x1(x: Tensor4, proj: Projection1x1) -> Tensor4:
     """y[b, :, i, j] = W @ x[b, :, i, j] + bias, through :func:`project_node`."""
     tape = Tape(grad=False)
-    bias = None if proj.bias is None else tape.leaf(proj.bias)
-    return Tensor4(project_node(tape.leaf(x.data), tape.leaf(proj.weight), bias).value)
+    return Tensor4(project_node(tape.leaf(x.data), tape.leaf(proj.weight),
+                                tape.leaf(proj.bias)).value)
 
 
-def project_node(x: Node, weight: Node, bias: Optional[Node],
+def project_node(x: Node, weight: Node, bias: Node,
                  residual: Optional[Node] = None) -> Node:
     """W @ x per position, plus ``bias`` per channel, plus ``residual``.
 
@@ -94,10 +91,7 @@ def project_node(x: Node, weight: Node, bias: Optional[Node],
             f"projection expects {weight.value.shape[1]} input channels, "
             f"feature map has {x.value.shape[1]}"
         )
-    out = einsum2("oc,bchw->bohw", weight, x)
-    if bias is None and residual is None:
-        return out
-    return add_channel_bias(out, bias, residual)
+    return add_channel_bias(einsum2("oc,bchw->bohw", weight, x), bias, residual)
 
 
 def add_in_place(value: np.ndarray, *terms: np.ndarray) -> np.ndarray:
@@ -110,29 +104,26 @@ def add_in_place(value: np.ndarray, *terms: np.ndarray) -> np.ndarray:
     return value
 
 
-def add_channel_bias(x: Node, bias: Optional[Node],
-                     residual: Optional[Node] = None) -> Node:
-    """``x`` plus a per-channel ``bias`` and a same-shaped ``residual``, either optional.
+def add_channel_bias(x: Node, bias: Node, residual: Optional[Node] = None) -> Node:
+    """``x`` plus a per-channel ``bias`` and an optional same-shaped ``residual``.
 
     Both add into ``x``'s own buffer, so ``x`` must be a fresh product that
     nothing else reads, as :func:`project_node`'s GEMM output is; neither
     backward reads the value before the add.
     """
     shape = x.value.shape
-    if bias is not None and bias.value.shape != shape[1:2]:
+    if bias.value.shape != shape[1:2]:
         raise ShapeError(f"bias has shape {bias.value.shape}, the output has {shape[1]} channels")
     if residual is not None and residual.value.shape != shape:
         raise ShapeError(
             f"residual has shape {residual.value.shape}, the output has shape {shape}"
         )
-    terms = ([] if bias is None else [bias.value[:, None, None]]) + (
-        [] if residual is None else [residual.value])
+    terms = [bias.value[:, None, None]] + ([] if residual is None else [residual.value])
 
     def bwd(g):
-        return ([g] + ([] if bias is None else [g.sum(axis=(0, 2, 3))])
-                + ([] if residual is None else [g]))
+        return [g, g.sum(axis=(0, 2, 3))] + ([] if residual is None else [g])
 
-    parents = [node for node in (x, bias, residual) if node is not None]
+    parents = [x, bias] + ([] if residual is None else [residual])
     return x.tape.record(add_in_place(x.value, *terms), parents, bwd, op="channel_bias")
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .layer import AttentionWeights
 
 # Fixed log-spaced bins from 1e-8 to 1 so histograms from different runs are
 # comparable; weights below the range land in an underflow bin starting at 0.
@@ -33,14 +34,15 @@ class AffinityStats:
         return float(self.imbalance.mean()) if self.imbalance.size else 0.0
 
 
-def affinity_stats(a: np.ndarray, source: str = "") -> AffinityStats:
+def affinity_stats(a, source: str = "") -> AffinityStats:
     """Analyze rows of attention weights: an [N, N] affinity, or [..., S] sampled weights.
 
-    Every axis but the last indexes rows, so the layer's [n, N, G, S] weights
-    give n * N * G rows.  Every row must be a probability distribution; rows
-    with a non-finite weight or off by more than 1e-6 are rejected.
+    Every axis but the last indexes rows, so the layer's [n, N, G, S] weights,
+    as an array or as the :class:`AttentionWeights` a forward collects, give
+    n * N * G rows.  Every row must be a probability distribution; rows with
+    a non-finite weight or off by more than 1e-6 are rejected.
     """
-    rows = np.asarray(a, dtype=np.float64)
+    rows = np.asarray(a.data if isinstance(a, AttentionWeights) else a, dtype=np.float64)
     if rows.ndim > 2:
         rows = rows.reshape(-1, rows.shape[-1])
     if rows.ndim != 2 or rows.size == 0:

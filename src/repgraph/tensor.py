@@ -55,14 +55,6 @@ class Tensor4:
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
-    @classmethod
-    def zeros(cls, shape, dtype=np.float64) -> "Tensor4":
-        return cls(np.zeros(shape, dtype=dtype))
-
-    @classmethod
-    def full(cls, shape, value, dtype=np.float64) -> "Tensor4":
-        return cls(np.full(shape, value, dtype=dtype))
-
 
 @dataclass
 class Rng:
@@ -79,8 +71,8 @@ class Rng:
     def uniform(self, lo: float, hi: float, shape, dtype=np.float64) -> np.ndarray:
         return self._gen.uniform(lo, hi, size=shape).astype(dtype)
 
-    def normal(self, mean: float, std: float, shape, dtype=np.float64) -> np.ndarray:
-        return self._gen.normal(mean, std, size=shape).astype(dtype)
+    def normal(self, mean: float, std: float, shape) -> np.ndarray:
+        return self._gen.normal(mean, std, size=shape)
 
     def integers(self, lo: int, hi: int, shape=None) -> np.ndarray:
         return self._gen.integers(lo, hi, size=shape)
@@ -92,8 +84,9 @@ class Rng:
         bound = 1.0 / np.sqrt(fan_in)
         return self.uniform(-bound, bound, shape, dtype=dtype)
 
-    def tensor(self, shape, dtype=np.float64, lo: float = -1.0, hi: float = 1.0) -> Tensor4:
-        return Tensor4(self.uniform(lo, hi, shape, dtype=dtype))
+    def tensor(self, shape, dtype=np.float64) -> Tensor4:
+        """Uniform in [-1, 1)."""
+        return Tensor4(self.uniform(-1.0, 1.0, shape, dtype=dtype))
 
 
 def save_tensor(x: Tensor4, path) -> None:

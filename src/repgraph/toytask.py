@@ -10,6 +10,7 @@ the attention-equipped one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -28,32 +29,42 @@ CLASS_COLORS = np.array(
 
 @dataclass(frozen=True)
 class ToyTaskConfig:
+    """Image size, class count and rectangle sides; construction validates them."""
+
+    min_rects: ClassVar[int] = 3
+    max_rects: ClassVar[int] = 5
+    pixel_noise: ClassVar[float] = 0.45
+    background_wobble: ClassVar[float] = 0.08
+
     size: int = 32
     num_classes: int = 4
-    min_rects: int = 3
-    max_rects: int = 5
     min_side: int = 8
     max_side: int = 16
-    pixel_noise: float = 0.45
-    background_wobble: float = 0.08
     # Optional per-image color shift; local operators cannot undo one, so
     # raising it stresses long-range references.  Off by default: at 0 the
     # rng draw is still consumed, keeping data streams comparable.
     global_shift: float = 0.0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
-        if self.size < 4 or self.min_rects < 1 or self.max_rects < self.min_rects:
-            raise ContractError("invalid toy task geometry")
+        if self.size < 4:
+            raise ContractError(f"toy task size must be >= 4, got {self.size}")
+        if not 1 <= self.min_side <= self.max_side <= self.size:
+            raise ContractError(
+                f"rectangle sides need 1 <= min_side <= max_side <= size, got "
+                f"min_side={self.min_side}, max_side={self.max_side}, size={self.size}"
+            )
         if self.num_classes != CLASS_COLORS.shape[0]:
-            raise ContractError("num_classes must match the color table")
+            raise ContractError(f"num_classes must match the color table, got {self.num_classes}")
 
 
-def make_batch(rng: Rng, batch: int, cfg: ToyTaskConfig = ToyTaskConfig(),
-               dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (images [b, 3, s, s], labels [b, s, s] int64)."""
-    cfg.validate()
+def make_batch(rng: Rng, batch: int,
+               cfg: ToyTaskConfig = ToyTaskConfig()) -> tuple[np.ndarray, np.ndarray]:
+    """Returns (images [b, 3, s, s] f64, labels [b, s, s] int64)."""
     s = cfg.size
-    images = np.empty((batch, 3, s, s), dtype=dtype)
+    images = np.empty((batch, 3, s, s))
     labels = np.zeros((batch, s, s), dtype=np.int64)
     yy = np.arange(s)[:, None]
     xx = np.arange(s)[None, :]

@@ -16,7 +16,7 @@ import os
 import shutil
 import tempfile
 from dataclasses import InitVar, dataclass, field, replace
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -162,17 +162,18 @@ class ToyModel:
         return {f"layer.{k}": v for k, v in buffer_arrays(self.layer).items()}
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """``layer``, with ``c`` = ``width``, fills the attention slot; ``None`` ablates it."""
+
+    momentum: ClassVar[float] = 0.9
+    poly_power: ClassVar[float] = 0.9
+    holdout_batch: ClassVar[int] = 8
 
     iters: int = 500
     seed: int = 7
     lr: float = 0.3
-    momentum: float = 0.9
-    poly_power: float = 0.9
     batch: int = 4
-    holdout_batch: int = 8
     width: int = 16
     layer: Optional[LayerConfig] = LayerConfig(c=16, cp=8)
     task: ToyTaskConfig = field(default_factory=ToyTaskConfig)
@@ -182,11 +183,12 @@ class TrainConfig:
 
     def __post_init__(self, cp: Optional[int]) -> None:
         if cp is not None:
-            self.layer = replace(self.layer, c=self.width, cp=cp)
+            object.__setattr__(self, "layer", replace(self.layer, c=self.width, cp=cp))
+        self.validate()
 
     def validate(self) -> None:
-        if self.iters < 1 or self.batch < 1 or self.holdout_batch < 1:
-            raise ContractError("iters and batch sizes must be positive")
+        if self.iters < 1 or self.batch < 1:
+            raise ContractError("iters and batch must be positive")
         if self.lr <= 0:
             raise ContractError(f"learning rate must be positive, got {self.lr}")
         if self.width < 1:
@@ -206,19 +208,20 @@ class TrainResult:
     final_loss: float
 
 
-def init_toy_model(cfg: TrainConfig, dtype=np.float64) -> ToyModel:
+def init_toy_model(cfg: TrainConfig) -> ToyModel:
+    """A new f64 model drawn from ``Rng(cfg.seed)``."""
     rng = Rng(cfg.seed)
     c_in = 3
     k = cfg.task.num_classes
-    layer = None if cfg.layer is None else init_layer_params(cfg.layer, rng=rng, dtype=dtype)
+    layer = None if cfg.layer is None else init_layer_params(cfg.layer, rng=rng)
     return ToyModel(
-        conv1_w=rng.init_weight((cfg.width, c_in, 3, 3), fan_in=9 * c_in, dtype=dtype),
-        conv1_b=np.zeros(cfg.width, dtype=dtype),
-        conv2_w=rng.init_weight((cfg.width, cfg.width, 3, 3), fan_in=9 * cfg.width, dtype=dtype),
-        conv2_b=np.zeros(cfg.width, dtype=dtype),
+        conv1_w=rng.init_weight((cfg.width, c_in, 3, 3), fan_in=9 * c_in),
+        conv1_b=np.zeros(cfg.width),
+        conv2_w=rng.init_weight((cfg.width, cfg.width, 3, 3), fan_in=9 * cfg.width),
+        conv2_b=np.zeros(cfg.width),
         classifier=Projection1x1(
-            weight=rng.init_weight((k, cfg.width), fan_in=cfg.width, dtype=dtype),
-            bias=np.zeros(k, dtype=dtype),
+            weight=rng.init_weight((k, cfg.width), fan_in=cfg.width),
+            bias=np.zeros(k),
         ),
         layer_cfg=cfg.layer,
         layer=layer,
@@ -320,7 +323,6 @@ def load_checkpoint(ckpt_dir: str) -> tuple[ToyModel, TrainConfig]:
     try:
         cfg = TrainConfig(width=int(kv["width"]), seed=int(kv["seed"]), layer=layer,
                           task=ToyTaskConfig(num_classes=int(kv["num_classes"])))
-        cfg.validate()
     except KeyError as exc:
         raise CheckpointError(f"{config_path}: missing entry {exc}") from exc
     except ValueError as exc:
@@ -360,7 +362,6 @@ def toy_train(cfg: TrainConfig) -> TrainResult:
     The log at ``cfg.log_path`` is opened before the first step and gains one
     row per step, so an unwritable path fails before any training.
     """
-    cfg.validate()
     with open(cfg.log_path or os.devnull, "w", newline="") as log_file:
         log = csv.writer(log_file)
         log.writerow(["iter", "lr", "loss", "pix_acc"])

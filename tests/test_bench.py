@@ -219,3 +219,27 @@ def test_paper_geometry_script_prints_every_block_with_its_macs(monkeypatch, cap
         assert float(ms) > 0 and float(peak) >= 0 and float(rate) >= 0
         assert int(macs.replace(",", "")) == count_flops(block, **geometry).total_macs
     assert not tracemalloc.is_tracing()
+
+
+def test_train_toy_script_trains_compares_and_writes_the_attention_csvs(monkeypatch, tmp_path,
+                                                                         capsys):
+    from repgraph.toytask import ToyTaskConfig
+    from repgraph.train import TrainConfig
+
+    script = _load_script("train_toy")
+    monkeypatch.setattr(script, "CONFIG", TrainConfig(
+        iters=3, seed=7, width=4, layer=LayerConfig(c=4, cp=2, s=2), batch=1,
+        task=ToyTaskConfig(size=8, min_side=2, max_side=4)))
+    # The script writes into ./toy_run.
+    monkeypatch.chdir(tmp_path)
+    script.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    full, control = lines[0].removeprefix("held-out pixel accuracy: ").split(" (ablated control ")
+    assert 0 <= float(full) <= 1 and 0 <= float(control.removesuffix(")")) <= 1
+    assert 0 <= float(lines[1].removeprefix("mean attention imbalance: ")) <= 1
+    assert lines[2] == "wrote toy_run/attention_hist.csv and toy_run/attention_topk.csv"
+    run = tmp_path / "toy_run"
+    assert sorted(p.name for p in run.iterdir()) == [
+        "attention_hist.csv", "attention_topk.csv", "ckpt", "train.csv"]
+    assert len((run / "train.csv").read_text().splitlines()) == 4

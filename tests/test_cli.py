@@ -161,7 +161,7 @@ class TestTrainCommand:
         layer = LayerConfig(c=8, cp=4, s=3, variant="bottleneck", fusion="concat",
                             gs=2, groups=2)
         ckpt = tmp_path / "ckpt"
-        toy_train(TrainConfig(iters=3, batch=2, holdout_batch=2, width=8, layer=layer,
+        toy_train(TrainConfig(iters=3, batch=2, width=8, layer=layer,
                               checkpoint_dir=str(ckpt)))
         return ckpt
 
@@ -313,11 +313,22 @@ class TestFailures:
          "--cp", "4", "--nodes", "2"],
         ["bench", "--block", ""],
         ["bench", "--block", " , "],
+        # A checkpoint of a task with a class count the task cannot draw.
+        ["affinity", "--ckpt", "{three_classes}", "--out", "{tmp}/a"],
     ], ids=["flops-out", "bench-out", "oracle-out", "affinity-out", "train-out", "oracle-n0",
             "affinity-n0", "affinity-cp", "bench-h", "flops-groups", "bench-gs",
-            "bench-no-block", "bench-blank-blocks"])
+            "bench-no-block", "bench-blank-blocks", "affinity-three-classes"])
     def test_bad_input_is_one_line_validation_failure(self, argv, tmp_path, capsys):
-        paths = {"missing": tmp_path / "missing" / "x.csv", "tmp": tmp_path}
+        paths = {"missing": tmp_path / "missing" / "x.csv", "tmp": tmp_path,
+                 "three_classes": tmp_path / "ck"}
+        if "{three_classes}" in argv:
+            from repgraph import LayerConfig
+            from repgraph.train import TrainConfig, init_toy_model, save_checkpoint
+
+            cfg = TrainConfig(width=8, layer=LayerConfig(c=8, cp=4, s=2))
+            save_checkpoint(init_toy_model(cfg), cfg, str(tmp_path / "ck"))
+            config = tmp_path / "ck" / "config.txt"
+            config.write_text(config.read_text().replace("num_classes=4", "num_classes=3"))
         assert main([arg.format(**paths) for arg in argv]) == 1
         self._one_line_error(capsys)
 

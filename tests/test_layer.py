@@ -137,7 +137,8 @@ class TestRegressOffsets:
 
     def test_odd_channel_count_rejected(self):
         with pytest.raises(ContractError):
-            regress_offsets(Rng(0).tensor((1, 3, 2, 2)), Projection1x1(np.zeros((3, 3))))
+            regress_offsets(Rng(0).tensor((1, 3, 2, 2)),
+                            Projection1x1(np.zeros((3, 3)), np.zeros(3)))
 
 
 class TestSampleRepresentative:

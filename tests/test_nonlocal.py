@@ -116,8 +116,8 @@ class TestNonLocalForward:
             repgraph_forward(Rng(0).tensor((1, 5, 2, 2)), params, cfg)
 
     def test_params_validate_shared_width(self):
-        p = Projection1x1(np.zeros((3, 6)))
-        q = Projection1x1(np.zeros((4, 6)))
+        p = Projection1x1(np.zeros((3, 6)), np.zeros(3))
+        q = Projection1x1(np.zeros((4, 6)), np.zeros(4))
         with pytest.raises(ShapeError):
             NonLocalParams(theta=p, phi=p, g=q, w_out=p)
 

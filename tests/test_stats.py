@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from repgraph import (
+    AttentionWeights,
     LayerConfig,
     Rng,
     ValidationError,
@@ -10,6 +11,8 @@ from repgraph import (
     repgraph_forward,
     softmax_rows,
 )
+from repgraph.autograd import Tape
+from repgraph.layer import layer_forward_node
 from repgraph.stats import write_affinity_csv
 
 
@@ -62,6 +65,20 @@ class TestTopKCurves:
         stats = affinity_stats(collect["weights"].data)
         assert stats.n_rows == 2 * 12 * 2
         assert stats.row_len == 5
+
+    def test_collected_weights_pass_straight_in(self):
+        cfg = LayerConfig(c=4, cp=6, s=5, groups=2)
+        tape = Tape(grad=False)
+        collect = {}
+        layer_forward_node(tape, tape.leaf(Rng(3).tensor((2, 4, 3, 4)).data),
+                           init_layer_params(cfg, Rng(4)), cfg, collect=collect)
+        weights = collect["weights"]
+        assert isinstance(weights, AttentionWeights)
+        got, want = affinity_stats(weights, "x"), affinity_stats(weights.data, "x")
+        assert got.histogram == want.histogram
+        assert got.topk_mass.tobytes() == want.topk_mass.tobytes()
+        assert got.imbalance.tobytes() == want.imbalance.tobytes()
+        assert (got.n_rows, got.row_len, got.source) == (want.n_rows, want.row_len, "x")
 
 
 class TestValidation:

@@ -76,7 +76,7 @@ class TestTensor4:
             Tensor4(np.zeros((2, 3)))
 
     def test_data_is_read_only(self):
-        x = Tensor4.zeros((1, 1, 2, 2))
+        x = Tensor4(np.zeros((1, 1, 2, 2)))
         with pytest.raises(ValueError):
             x.data[0, 0, 0, 0] = 1.0
 

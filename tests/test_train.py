@@ -1,7 +1,7 @@
 import os
 import tracemalloc
 import warnings
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -243,11 +243,48 @@ class TestToyTask:
         assert labels.max() <= 3
         assert (labels > 0).mean() > 0.1
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_global_shift_moves_each_image_by_one_color(self, seed):
+        images, labels = make_batch(Rng(seed), 3, ToyTaskConfig())
+        shifted, shifted_labels = make_batch(Rng(seed), 3, ToyTaskConfig(global_shift=0.6))
+        assert shifted_labels.tobytes() == labels.tobytes()
+        delta = shifted - images
+        per_channel = delta[:, :, :1, :1]
+        assert np.abs(delta - per_channel).max() < 1e-12
+        assert np.abs(per_channel).max() <= 0.6
+        assert np.abs(per_channel).min() > 0
+
+    # Sides the rectangles cannot take: longer than the image, or an empty range.
+    @pytest.mark.parametrize("size,min_side,max_side", [(8, 2, 12), (32, 9, 4), (32, 0, 4)])
+    def test_impossible_rectangle_sides_are_refused(self, size, min_side, max_side):
+        message = (rf"1 <= min_side <= max_side <= size, got min_side={min_side}, "
+                   rf"max_side={max_side}, size={size}")
+        with pytest.raises(ContractError, match=message):
+            ToyTaskConfig(size=size, min_side=min_side, max_side=max_side)
+
+    @pytest.mark.parametrize("size,min_side,max_side", [(32, 8, 16), (8, 2, 4), (16, 4, 8),
+                                                        (4, 1, 4), (8, 8, 8)])
+    def test_possible_rectangle_sides_draw_a_batch(self, size, min_side, max_side):
+        cfg = ToyTaskConfig(size=size, min_side=min_side, max_side=max_side)
+        images, labels = make_batch(Rng(0), 2, cfg)
+        assert images.shape == (2, 3, size, size) and labels.shape == (2, size, size)
+
+    def test_configs_are_checked_where_they_are_built(self):
+        with pytest.raises(ContractError, match="num_classes"):
+            ToyTaskConfig(num_classes=3)
+        with pytest.raises(ContractError, match="iters and batch must be positive"):
+            TrainConfig(iters=0)
+        with pytest.raises(ContractError, match="C=8 is not the model width 16"):
+            TrainConfig(layer=SMALL)
+        # Frozen, so no field can change after the check.
+        with pytest.raises(FrozenInstanceError):
+            TrainConfig().iters = 0
+
 
 class TestTrainingLoop:
     def test_loss_decreases_and_offsets_move(self):
-        result = toy_train(TrainConfig(iters=40, batch=2, holdout_batch=2,
-                                       width=8, layer=LayerConfig(c=8, cp=4, s=3)))
+        result = toy_train(TrainConfig(iters=40, batch=2, width=8,
+                                       layer=LayerConfig(c=8, cp=4, s=3)))
         first = np.mean([r[2] for r in result.rows[:5]])
         last = np.mean([r[2] for r in result.rows[-5:]])
         assert last < first
@@ -255,7 +292,7 @@ class TestTrainingLoop:
 
     def test_log_csv_schema(self, tmp_path):
         path = tmp_path / "log.csv"
-        cfg = TrainConfig(iters=4, batch=2, holdout_batch=2, width=8, layer=SMALL,
+        cfg = TrainConfig(iters=4, batch=2, width=8, layer=SMALL,
                           log_path=str(path))
         toy_train(cfg)
         lines = path.read_text().strip().splitlines()
@@ -265,7 +302,7 @@ class TestTrainingLoop:
 
     def test_divergence_aborts_with_checkpoint(self, tmp_path):
         ckpt = tmp_path / "ckpt"
-        cfg = TrainConfig(iters=50, batch=2, holdout_batch=2, width=8, layer=SMALL,
+        cfg = TrainConfig(iters=50, batch=2, width=8, layer=SMALL,
                           lr=1e9, checkpoint_dir=str(ckpt))
         with pytest.raises(DivergenceError):
             toy_train(cfg)
@@ -284,7 +321,7 @@ class TestTrainingLoop:
 
     def test_bottleneck_variant_trains_and_checkpoints(self, tmp_path):
         ckpt = tmp_path / "ck"
-        cfg = TrainConfig(iters=12, batch=2, holdout_batch=2, width=8,
+        cfg = TrainConfig(iters=12, batch=2, width=8,
                           layer=replace(SMALL, variant="bottleneck"), checkpoint_dir=str(ckpt))
         result = toy_train(cfg)
         assert result.rows[-1][2] < result.rows[0][2]
@@ -431,12 +468,16 @@ class TestCheckpoint:
             load_checkpoint(str(tmp_path / "ck"))
 
     def test_num_classes_comes_from_the_config(self, tmp_path):
-        cfg = TrainConfig(width=8, layer=SMALL, task=ToyTaskConfig(num_classes=3))
-        model = init_toy_model(cfg)
-        save_checkpoint(model, cfg, str(tmp_path / "ck"))
-        loaded, loaded_cfg = load_checkpoint(str(tmp_path / "ck"))
-        assert loaded_cfg.task.num_classes == 3
-        assert np.array_equal(loaded.classifier.weight, model.classifier.weight)
+        # The task draws labels for the 4-color table only, so a checkpoint
+        # whose config names another class count describes an untrainable task.
+        cfg = TrainConfig(width=8, layer=SMALL)
+        save_checkpoint(init_toy_model(cfg), cfg, str(tmp_path / "ck"))
+        assert load_checkpoint(str(tmp_path / "ck"))[1].task.num_classes == 4
+        path = tmp_path / "ck" / "config.txt"
+        path.write_text(path.read_text().replace("num_classes=4", "num_classes=3"))
+        message = r"config\.txt: num_classes must match the color table, got 3"
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(str(tmp_path / "ck"))
 
     def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
         from repgraph import train
