@@ -22,7 +22,8 @@ import tracemalloc
 import numpy as np
 
 from repgraph import LayerConfig, count_flops
-from repgraph.bench import _block_config, _make_forward
+from repgraph.bench import _make_forward
+from repgraph.flops import block_config
 
 BLOCKS = ("nl", "srg", "brg")
 GEOMETRY = dict(h=256, w=128, c=2048, cp=256, s=9)
@@ -31,7 +32,7 @@ DTYPE = np.float32
 
 def measure(block: str, h: int, w: int, c: int, cp: int, s: int) -> tuple[float, float, int]:
     """(ms, peak MiB, MACs) of one no-grad forward of ``block`` on a 1 x c x h x w map."""
-    cfg = _block_config(block, LayerConfig(c=c, cp=cp, s=s))
+    cfg = block_config(block, LayerConfig(c=c, cp=cp, s=s))
     forward = _make_forward(cfg, h, w, DTYPE, 0)
     tracemalloc.start()
     try:

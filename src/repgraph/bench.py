@@ -11,21 +11,19 @@ import csv
 import sys
 import time
 import tracemalloc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import ops
 from .errors import ContractError
-from .flops import BLOCKS
+from .flops import BLOCKS, block_config
 from .layer import LayerConfig, _query_spans, _span_plan, init_layer_params, repgraph_forward
 from .tensor import Rng
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
 # Sizes whose estimated working set exceeds this are skipped, not run.
 _MEM_BUDGET_BYTES = 8 << 30
-_BLOCK_VARIANTS = {"nl": "nonlocal", "srg": "simple", "brg": "bottleneck",
-                   "grid": "bottleneck", "group": "bottleneck"}
 
 
 @dataclass
@@ -51,13 +49,6 @@ class BenchSkip:
     reason: str
 
 
-def _block_config(block: str, layer: LayerConfig) -> LayerConfig:
-    """The layer ``block`` runs: its variant, ``gs`` only for grid, ``groups`` only for group."""
-    return replace(layer, variant=_BLOCK_VARIANTS[block],
-                   gs=layer.gs if block == "grid" else 1,
-                   groups=layer.groups if block == "group" else 1)
-
-
 def _estimate_bytes(cfg: LayerConfig, h: int, w: int, itemsize: int) -> int:
     """Upper bound on the peak of one forward: four [N, C] maps, two sampler blocks
     of slack, and the working set of the longest query span the core runs: its
@@ -81,9 +72,9 @@ def run_benchmark(blocks, sizes, layer: LayerConfig, repeats: int = 5, warmup: i
     """Time forward passes of ``layer`` per block and (h, w) size.
 
     Every block at one size sees the identical input, drawn from
-    ``Rng(seed)`` before the block's parameters.  The block name decides the
-    variant; ``layer.gs`` reaches only ``grid`` and ``layer.groups`` only
-    ``group``.  After timing, one more call measures the block's peak memory.
+    ``Rng(seed)`` before the block's parameters.  Each block runs its
+    :func:`~repgraph.flops.block_config` of ``layer``, which refuses an
+    unknown name.  After timing, one more call measures the block's peak memory.
     Sizes whose estimated working set exceeds ``_MEM_BUDGET_BYTES`` are
     skipped with the reason recorded.
     """
@@ -102,9 +93,7 @@ def run_benchmark(blocks, sizes, layer: LayerConfig, repeats: int = 5, warmup: i
         if min(h, w) < 1:
             raise ContractError(f"map size must be positive, got {h}x{w}")
         for block in blocks:
-            if block not in BLOCKS:
-                raise ContractError(f"unknown block {block!r}; expected one of {BLOCKS}")
-            cfg = _block_config(block, layer)
+            cfg = block_config(block, layer)
             need = _estimate_bytes(cfg, h, w, np.dtype(np_dtype).itemsize)
             if need > _MEM_BUDGET_BYTES:
                 reason = f"estimated {need / 2**30:.2f} GiB exceeds budget"

@@ -114,11 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_flops(args) -> int:
     layer = _layer(args)
-    report = flops_mod.count_flops(
-        args.block, args.h, args.w, layer.c, layer.cp, s=layer.s,
-        gs=layer.gs, groups=layer.groups, fusion=layer.fusion,
-        offset_source=layer.offset_source,
-    )
+    report = flops_mod.count_flops(args.block, args.h, args.w, layer.c, layer.cp, s=layer.s,
+                                   gs=layer.gs, groups=layer.groups, fusion=layer.fusion)
     print(report)
     if args.out:
         flops_mod.write_flops_csv(report, args.out)

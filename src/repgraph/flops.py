@@ -9,15 +9,19 @@ alternative composition can be summed from the parts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ContractError
+from .layer import LayerConfig
 
 MAC_CONVENTION = "1 MAC = 1 FLOP; bias adds, softmax and pooling excluded"
 
-BLOCKS = ("nl", "srg", "brg", "grid", "group")
+# The variant each block name runs; grid and group are bottleneck modes.
+_BLOCK_VARIANTS = {"nl": "nonlocal", "srg": "simple", "brg": "bottleneck",
+                   "grid": "bottleneck", "group": "bottleneck"}
+BLOCKS = tuple(_BLOCK_VARIANTS)
 
 _ATTENTION_PARTS = ("attn_logits", "attn_aggregate")
 
@@ -48,37 +52,43 @@ class FlopsReport:
         return "\n".join(lines)
 
 
+def block_config(block: str, layer: LayerConfig) -> LayerConfig:
+    """The layer ``block`` runs: its variant, ``gs`` only for grid, ``groups`` only for group."""
+    if block not in _BLOCK_VARIANTS:
+        raise ContractError(f"unknown block {block!r}; expected one of {BLOCKS}")
+    return replace(layer, variant=_BLOCK_VARIANTS[block],
+                   gs=layer.gs if block == "grid" else 1,
+                   groups=layer.groups if block == "group" else 1)
+
+
 def count_flops(block: str, h: int, w: int, c: int, cp: int, s: int = 9,
                 gs: int = 1, groups: int = 1, fusion: str = "sum",
-                n: int = 1, offset_source: str = "input") -> FlopsReport:
-    """Exact MAC counts per suboperation for one forward pass.
+                n: int = 1) -> FlopsReport:
+    """Exact MAC counts per suboperation for one forward pass of the
+    :func:`block_config` layer; the layer fields are validated as a
+    :class:`LayerConfig` is.
 
     Projections cost n*h*w*c_in*c_out; dense attention 2*N^2*C'; sparse
-    attention 2*N*S*C'; offset regression N*C_src*2S, where the simple
-    layer's C_src is C, or C' when ``offset_source`` is ``"theta"``; bilinear
-    sampling 4 MACs per sampled value channel.  ``grid`` and ``group`` count
-    the bottleneck-based variants.
+    attention 2*N*S*C'; offset regression N*C_src*2S, where C_src is the
+    simple layer's C or the bottleneck's C'; bilinear sampling 4 MACs per
+    sampled value channel.
     """
-    if min(h, w, c, cp, s, gs, groups, n) < 1:
+    if min(h, w, n) < 1:
         raise ContractError("geometry fields must be positive")
-    if fusion not in ("sum", "concat"):
-        raise ContractError(f"unknown fusion {fusion!r}")
-    if offset_source not in ("input", "theta"):
-        raise ContractError(f"unknown offset_source {offset_source!r}")
     block = block.lower()
+    cfg = block_config(block, LayerConfig(c, cp, s, fusion=fusion, gs=gs, groups=groups))
     N = h * w
-    geometry = dict(h=h, w=w, c=c, cp=cp, s=s, gs=gs, groups=groups,
-                    fusion=fusion, n=n, offset_source=offset_source)
+    geometry = dict(h=h, w=w, c=c, cp=cp, s=s, gs=gs, groups=groups, fusion=fusion, n=n)
 
-    if block in ("nl", "srg"):
+    if cfg.variant != "bottleneck":
         # The dense block is the simple layer with every query attending over
         # all k = N positions, so it regresses and samples nothing.
-        k = N if block == "nl" else s
+        k = N if cfg.variant == "nonlocal" else s
         fuse_in = cp if fusion == "sum" else c + cp
         parts = [(f"{name}_proj", n * N * c * cp) for name in ("theta", "phi", "g")]
-        if block == "srg":
+        if cfg.variant == "simple":
             parts += [
-                ("offset_conv", n * N * (c if offset_source == "input" else cp) * 2 * s),
+                ("offset_conv", n * N * c * 2 * s),
                 ("sample_key", 4 * n * N * s * cp),
                 ("sample_value", 4 * n * N * s * cp),
             ]
@@ -87,10 +97,10 @@ def count_flops(block: str, h: int, w: int, c: int, cp: int, s: int = 9,
             ("attn_aggregate", n * N * k * cp),
             ("fusion_out", n * N * fuse_in * c),
         ]
-    elif block in ("brg", "grid", "group"):
+    else:
         # The bottleneck reuses its reduced map as query, key and value, so
         # one shared sampled set is interpolated per offset site.
-        G = math.ceil(h / gs) * math.ceil(w / gs) if block == "grid" else N
+        G = math.ceil(h / cfg.gs) * math.ceil(w / cfg.gs)
         expand_in = cp if fusion == "sum" else 2 * cp
         parts = [
             ("reduce_proj", n * N * c * cp),
@@ -100,8 +110,6 @@ def count_flops(block: str, h: int, w: int, c: int, cp: int, s: int = 9,
             ("attn_aggregate", n * N * s * cp),
             ("expand_proj", n * N * expand_in * c),
         ]
-    else:
-        raise ContractError(f"unknown block {block!r}; expected one of {BLOCKS}")
 
     return FlopsReport(block=block, geometry=geometry, parts=parts)
 

@@ -221,7 +221,6 @@ CASES = {
     "bottleneck_layer_grid_group": _layer_case(variant="bottleneck", gs=2, groups=2),
     "simple_layer_concat": _layer_case(variant="simple", fusion="concat"),
     "bottleneck_layer_concat": _layer_case(variant="bottleneck", fusion="concat"),
-    "simple_layer_theta_offsets": _layer_case(variant="simple", offset_source="theta"),
     # Insertion mode changes the simple layer's initial values only, which the
     # case draws afresh; in the bottleneck it also drops the final ReLU.
     "bottleneck_layer_insert": _layer_case(variant="bottleneck",

@@ -27,7 +27,6 @@ from .tensor import Rng, Tensor4
 _VARIANTS = ("simple", "bottleneck", "nonlocal")
 _FUSIONS = ("sum", "concat")
 _INIT_MODES = ("fresh", "pretrained_insert")
-_OFFSET_SOURCES = ("input", "theta")
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,7 @@ class LayerConfig:
     ``gs`` > 1 is grid mode: one sampled node set per gs x gs spatial group.
     ``groups`` > 1 is group mode: the C' channels attend in G independent groups.
     ``variant="nonlocal"`` is the dense baseline: it samples nothing, so it
-    reads neither ``s`` nor ``offset_source`` and takes neither mode.
+    reads no ``s`` and takes neither mode.
     """
 
     c: int
@@ -46,7 +45,6 @@ class LayerConfig:
     variant: str = "simple"
     fusion: str = "sum"
     init_mode: str = "fresh"
-    offset_source: str = "input"
     gs: int = 1
     groups: int = 1
 
@@ -64,8 +62,6 @@ class LayerConfig:
             raise ContractError(f"unknown fusion {self.fusion!r}")
         if self.init_mode not in _INIT_MODES:
             raise ContractError(f"unknown init_mode {self.init_mode!r}")
-        if self.offset_source not in _OFFSET_SOURCES:
-            raise ContractError(f"unknown offset_source {self.offset_source!r}")
         if self.init_mode == "pretrained_insert" and self.fusion != "sum":
             raise ContractError("pretrained_insert requires sum fusion")
         if self.gs < 1:
@@ -168,10 +164,9 @@ def init_layer_params(cfg: LayerConfig, rng: Rng, dtype=np.float64):
         if cfg.variant == "nonlocal":
             return NonLocalParams(theta, phi, g,
                                   w_out=_proj(rng, cfg.c, c_fuse_in, dtype, zero=zero_out))
-        c_src = cfg.c if cfg.offset_source == "input" else cfg.cp
         return SimpleRepGraphParams(
             theta, phi, g,
-            w_off=_proj(rng, 2 * cfg.s, c_src, dtype),
+            w_off=_proj(rng, 2 * cfg.s, cfg.c, dtype),
             w_out=_proj(rng, cfg.c, c_fuse_in, dtype, zero=zero_out),
         )
     c_expand_in = cfg.cp if cfg.fusion == "sum" else 2 * cfg.cp
@@ -501,8 +496,7 @@ def layer_forward_node(tape: Tape, x: Node, params, cfg: LayerConfig, *,
         if cfg.variant == "nonlocal":
             x_tilde = _dense_core(theta, phi, g, cfg, collect)
         else:
-            offset_src = x if cfg.offset_source == "input" else theta
-            x_tilde = _repgraph_core(offset_src, theta, phi, g, p, cfg, offsets, collect)
+            x_tilde = _repgraph_core(x, theta, phi, g, p, cfg, offsets, collect)
         if cfg.fusion == "sum":
             # The residual adds into the output projection's product, so the
             # tail holds one full-width array.
@@ -528,17 +522,17 @@ def layer_forward_node(tape: Tape, x: Node, params, cfg: LayerConfig, *,
     return out
 
 
-def repgraph_forward(x: Tensor4, params, cfg: LayerConfig, *, training: bool = False,
+def repgraph_forward(x: Tensor4, params, cfg: LayerConfig, *,
                      offsets: Optional[OffsetField] = None,
                      collect: Optional[dict] = None) -> Tensor4:
-    """The layer on a plain feature map; see :func:`layer_forward_node`.
+    """The layer in eval mode on a plain feature map; see :func:`layer_forward_node`.
 
     The forward runs on a tape without gradients, so no backward graph keeps
     its intermediates alive; ``tape`` stays referenced until the call returns.
     """
     tape = Tape(grad=False)
-    y = layer_forward_node(tape, tape.leaf(x.data), params, cfg, training=training,
-                           offsets=offsets, collect=collect)
+    y = layer_forward_node(tape, tape.leaf(x.data), params, cfg, offsets=offsets,
+                           collect=collect)
     return Tensor4(y.value)
 
 

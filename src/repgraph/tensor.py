@@ -71,8 +71,9 @@ class Rng:
     def uniform(self, lo: float, hi: float, shape, dtype=np.float64) -> np.ndarray:
         return self._gen.uniform(lo, hi, size=shape).astype(dtype)
 
-    def normal(self, mean: float, std: float, shape) -> np.ndarray:
-        return self._gen.normal(mean, std, size=shape)
+    def normal(self, std: float, shape) -> np.ndarray:
+        """Zero-mean normal draws."""
+        return self._gen.normal(0.0, std, size=shape)
 
     def integers(self, lo: int, hi: int, shape=None) -> np.ndarray:
         return self._gen.integers(lo, hi, size=shape)

@@ -84,7 +84,7 @@ def make_batch(rng: Rng, batch: int,
             klass = int(rng.integers(1, cfg.num_classes))
             label[y0 : y0 + rh, x0 : x0 + rw] = klass
             img[:, y0 : y0 + rh, x0 : x0 + rw] = CLASS_COLORS[klass][:, None, None]
-        img = img + rng.normal(0.0, cfg.pixel_noise, (3, s, s))
+        img = img + rng.normal(cfg.pixel_noise, (3, s, s))
         img = img + rng.uniform(-cfg.global_shift, cfg.global_shift, 3)[:, None, None]
         images[b] = img
         labels[b] = label

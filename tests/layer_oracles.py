@@ -40,7 +40,7 @@ def layer_maps(x, params, cfg):
                                               params.bn_reduce), 0.0)
         return reduced, reduced, reduced, reduced
     theta, phi, g = (_project(x.data, p) for p in (params.theta, params.phi, params.g))
-    return theta, phi, g, x.data if cfg.offset_source == "input" else theta
+    return theta, phi, g, x.data
 
 
 def fuse(x, params, cfg, x_tilde, theta):

@@ -135,9 +135,7 @@ def test_criterion_7_variant_reductions():
         h, w = int(rng.integers(2, 6)), int(rng.integers(2, 6))
         variant = "simple" if seed % 2 == 0 else "bottleneck"
         fusion = "sum" if seed % 3 else "concat"
-        offset_source = "theta" if seed % 4 == 2 else "input"
-        cfg = LayerConfig(c=c, cp=cp, s=s, variant=variant, fusion=fusion,
-                          offset_source=offset_source)
+        cfg = LayerConfig(c=c, cp=cp, s=s, variant=variant, fusion=fusion)
         params = init_layer_params(cfg, rng)
         x = rng.tensor((1, c, h, w))
         grid = repgraph_forward(x, params, replace(cfg, gs=1)).data

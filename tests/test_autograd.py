@@ -64,6 +64,7 @@ class TestBackward:
 
     def test_dropped_graphs_are_freed_without_the_cycle_collector(self):
         from repgraph import LayerConfig, init_layer_params, repgraph_forward
+        from repgraph.layer import layer_forward_node
         from repgraph.toytask import make_batch
         from repgraph.train import (
             TrainConfig,
@@ -74,8 +75,11 @@ class TestBackward:
 
         def forward():
             cfg = LayerConfig(c=4, cp=2, s=2, variant="bottleneck", gs=2, groups=2)
-            repgraph_forward(Rng(0).tensor((1, 4, 4, 4)), init_layer_params(cfg, Rng(0)), cfg,
-                             training=True)
+            x, params = Rng(0).tensor((1, 4, 4, 4)), init_layer_params(cfg, Rng(0))
+            repgraph_forward(x, params, cfg)
+            # Batch statistics, on a tape without gradients.
+            tape = Tape(grad=False)
+            layer_forward_node(tape, tape.leaf(x.data), params, cfg, training=True)
 
         def eval_pass():
             # The tape lives only as an argument, as in the held-out pass.

@@ -7,7 +7,6 @@ import pytest
 
 from repgraph import ContractError, LayerConfig, bench, count_flops, layer, ops
 from repgraph.bench import (
-    _block_config,
     _estimate_bytes,
     _make_forward,
     peak_mib,
@@ -15,7 +14,7 @@ from repgraph.bench import (
     time_callable,
     write_bench_csv,
 )
-from repgraph.flops import BLOCKS
+from repgraph.flops import BLOCKS, block_config
 
 TINY = [(8, 8)]
 LAYER = LayerConfig(c=8, cp=4)
@@ -65,7 +64,7 @@ class TestMemoryEstimate:
     LAYER = LayerConfig(c=256, cp=64, s=9, gs=2, groups=2)
 
     def test_block_config_takes_the_variant_and_only_its_own_mode(self):
-        cfgs = {block: _block_config(block, self.LAYER) for block in BLOCKS}
+        cfgs = {block: block_config(block, self.LAYER) for block in BLOCKS}
         assert {b: c.variant for b, c in cfgs.items()} == {
             "nl": "nonlocal", "srg": "simple", "brg": "bottleneck",
             "grid": "bottleneck", "group": "bottleneck"}
@@ -77,7 +76,7 @@ class TestMemoryEstimate:
         # The estimate decides skips, so it must never read below the peak.
         # At 128x64 the sparse blocks run their queries in more than one block.
         for block in BLOCKS:
-            cfg = _block_config(block, self.LAYER)
+            cfg = block_config(block, self.LAYER)
             forward = _make_forward(cfg, h, w, np.float32, 0)
             forward()
             peak = peak_mib(forward) * 2**20
@@ -100,13 +99,13 @@ class TestMemoryEstimate:
         queries = []
         monkeypatch.setattr(ops, "softmax_node",
                             lambda a: queries.append(a.shape[1]) or softmax(a))
-        cfg = _block_config(block, self.LAYER)
+        cfg = block_config(block, self.LAYER)
         _make_forward(cfg, h, w, np.float32, 0)()
         assert queries == rows
         assert _estimate_bytes(cfg, h, w, 4) == want
 
     def test_dense_block_at_256x128_fits_the_default_budget(self):
-        assert (_estimate_bytes(_block_config("nl", self.LAYER), 256, 128, 4)
+        assert (_estimate_bytes(block_config("nl", self.LAYER), 256, 128, 4)
                 <= bench._MEM_BUDGET_BYTES)
 
 

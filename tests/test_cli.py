@@ -46,16 +46,6 @@ class TestFlopsCommand:
         out = capsys.readouterr().out
         assert "offset_conv" in out
 
-    @pytest.mark.parametrize("offset_source,macs", [("input", "1,536"), ("theta", "768")])
-    def test_config_file_sets_the_offset_source(self, tmp_path, capsys, offset_source, macs):
-        # The simple layer's w_off maps C=16 (input) or C'=8 (theta) to 2S=6.
-        cfg = tmp_path / "layer.cfg"
-        cfg.write_text(f"c=16\ncp=8\ns=3\noffset_source={offset_source}\n")
-        assert main(["flops", "--block", "srg", "--h", "4", "--w", "4",
-                     "--config", str(cfg)]) == 0
-        line, = (ln for ln in capsys.readouterr().out.splitlines() if "offset_conv" in ln)
-        assert line.split() == ["offset_conv", macs]
-
 
 class TestOracleCommand:
     def test_passes_and_writes_csv(self, tmp_path, capsys):
@@ -259,14 +249,13 @@ class TestBenchCommand:
         monkeypatch.setattr(bench, "init_layer_params", spy)
         monkeypatch.setattr(bench, "run_benchmark", run_spy)
         path = tmp_path / "layer.cfg"
-        path.write_text("c=8\ncp=4\ns=2\nvariant=bottleneck\ninit_mode=pretrained_insert\n"
-                        "offset_source=theta\n")
+        path.write_text("c=8\ncp=4\ns=2\nvariant=bottleneck\ninit_mode=pretrained_insert\n")
         assert main(["bench", "--block", "srg,brg", "--h", "4", "--w", "4",
                      "--config", str(path), "--seed", "5"]) == 0
         srg, brg = cfgs
         assert (srg.variant, brg.variant) == ("simple", "bottleneck")
         for cfg in cfgs:
-            assert (cfg.init_mode, cfg.offset_source) == ("pretrained_insert", "theta")
+            assert (cfg.c, cfg.cp, cfg.s, cfg.init_mode) == (8, 4, 2, "pretrained_insert")
         assert seeds == [5]
 
     @pytest.mark.parametrize("layer", [[], ["--config", "{cfg}"]], ids=["flags", "config"])
@@ -355,10 +344,12 @@ class TestFailures:
                      "--config", str(path)]) == 1
         assert "line 3: duplicate key 'cp'" in self._one_line_error(capsys)
 
-    # A layer carries no seed, so a file written when it did fails on that line.
+    # A layer carries no seed and no offset source, so a file written when it
+    # did fails on that line.
     @pytest.mark.parametrize("text", ["c=8\ncp=0\n", "c=8\ncp=4\nfoo=1\n",
-                                      "c=8\ncp=4\nseed=0\n"],
-                             ids=["bad-value", "unknown-key", "seed"])
+                                      "c=8\ncp=4\nseed=0\n",
+                                      "c=16\ncp=8\ns=3\noffset_source=input\n"],
+                             ids=["bad-value", "unknown-key", "seed", "offset-source"])
     def test_config_file_error_names_the_file(self, text, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text(text)

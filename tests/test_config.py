@@ -11,7 +11,7 @@ from repgraph.config import (
 class TestRoundTrip:
     def test_basic_round_trip(self):
         cfg = LayerConfig(c=64, cp=16, s=9, variant="bottleneck", fusion="concat",
-                          init_mode="fresh", offset_source="input")
+                          init_mode="fresh")
         text = layer_config_to_text(cfg)
         back = layer_config_from_text(text)
         assert back == cfg

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from repgraph import ContractError, LayerConfig, Rng, count_flops, fit_scaling_exponent
+from repgraph.flops import BLOCKS
 from repgraph.layer import init_layer_params
 
 TABLE_GEOMETRY = dict(h=256, w=128, c=2048, cp=256, s=9)
@@ -106,17 +107,11 @@ class TestReportShape:
         assert b.total_macs == 3 * a.total_macs
 
     @pytest.mark.parametrize("block,variant", [("srg", "simple"), ("brg", "bottleneck")])
-    @pytest.mark.parametrize("offset_source", ["input", "theta"])
-    def test_offset_conv_is_the_layers_offset_projection(self, block, variant, offset_source):
-        cfg = LayerConfig(c=16, cp=8, s=3, variant=variant, offset_source=offset_source)
+    def test_offset_conv_is_the_layers_offset_projection(self, block, variant):
+        cfg = LayerConfig(c=16, cp=8, s=3, variant=variant)
         params = init_layer_params(cfg, Rng(0))
-        report = count_flops(block, 4, 4, cfg.c, cfg.cp, s=cfg.s,
-                             offset_source=cfg.offset_source)
+        report = count_flops(block, 4, 4, cfg.c, cfg.cp, s=cfg.s)
         assert dict(report.parts)["offset_conv"] == 4 * 4 * params.w_off.weight.size
-
-    def test_unknown_offset_source_rejected(self):
-        with pytest.raises(ContractError, match="unknown offset_source"):
-            count_flops("srg", 8, 8, 16, 4, offset_source="phi")
 
     def test_unknown_block_rejected(self):
         with pytest.raises(ContractError, match="unknown block"):
@@ -136,6 +131,61 @@ class TestReportShape:
         assert lines[0] == "block,suboperation,macs"
         assert len(lines) == 1 + len(report.parts)
         assert lines[1].startswith("brg,reduce_proj,")
+
+
+def _refuses(fn) -> bool:
+    try:
+        fn()
+    except ContractError:
+        return True
+    return False
+
+
+# Layer fields and whether LayerConfig refuses them.  The non-local block
+# drops gs and G as block_config does, so it too accepts the first case.
+_LAYER_FIELDS = {
+    "grid-and-groups": (dict(c=16, cp=8, s=3, gs=2, groups=2), False),
+    "concat": (dict(c=16, cp=8, s=3, fusion="concat"), False),
+    "groups-not-dividing-cp": (dict(c=16, cp=6, s=3, groups=4), True),
+    "unknown-fusion": (dict(c=16, cp=8, s=3, fusion="mean"), True),
+    "s0": (dict(c=16, cp=8, s=0), True),
+    "gs0": (dict(c=16, cp=8, s=3, gs=0), True),
+}
+
+
+@pytest.mark.parametrize("fields,refused", _LAYER_FIELDS.values(), ids=_LAYER_FIELDS)
+@pytest.mark.parametrize("block", BLOCKS)
+def test_count_flops_refuses_exactly_what_layer_config_refuses(block, fields, refused):
+    assert _refuses(lambda: LayerConfig(**fields)) == refused
+    assert _refuses(lambda: count_flops(block, 4, 4, **fields)) == refused
+
+
+def test_parts_at_the_perfbench_geometries():
+    # dense_fwd's nl at 64x32 and sparse_fwd's blocks at 128x64, c=256,
+    # C'=64, S=9, gs = G = 2.
+    proj, dense_attn = 33_554_432, 268_435_456
+    want = {
+        "nl": [("theta_proj", proj), ("phi_proj", proj), ("g_proj", proj),
+               ("attn_logits", dense_attn), ("attn_aggregate", dense_attn),
+               ("fusion_out", proj)],
+    }
+    proj, attn = 134_217_728, 4_718_592
+    want["srg"] = [("theta_proj", proj), ("phi_proj", proj), ("g_proj", proj),
+                   ("offset_conv", 37_748_736), ("sample_key", 18_874_368),
+                   ("sample_value", 18_874_368), ("attn_logits", attn),
+                   ("attn_aggregate", attn), ("fusion_out", proj)]
+    # Grid mode regresses and samples one set per 2x2 group, a quarter of N.
+    for block, offsets, shared in (("brg", 9_437_184, 18_874_368),
+                                   ("grid", 2_359_296, 4_718_592),
+                                   ("group", 9_437_184, 18_874_368)):
+        want[block] = [("reduce_proj", proj), ("offset_conv", offsets),
+                       ("sample_shared", shared), ("attn_logits", attn),
+                       ("attn_aggregate", attn), ("expand_proj", proj)]
+    got = {"nl": count_flops("nl", 64, 32, 256, 64)}
+    got.update((block, count_flops(block, 128, 64, 256, 64, s=9, gs=2, groups=2))
+               for block in BLOCKS[1:])
+    assert {block: report.parts for block, report in got.items()} == want
+    assert got["nl"].total_macs == 671_088_640
 
 
 def test_flops_table_script_prints_the_totals_its_docstring_claims(capsys):

@@ -318,14 +318,6 @@ class TestSimpleLayer:
         assert y.shape == x.shape
         assert params.w_out.c_in == 5 + 3
 
-    def test_offsets_from_theta_source(self):
-        rng = Rng(11)
-        cfg = LayerConfig(c=5, cp=3, s=2, offset_source="theta")
-        params = init_layer_params(cfg, rng)
-        assert params.w_off.c_in == 3
-        x = rng.tensor((1, 5, 3, 3))
-        assert repgraph_forward(x, params, cfg).shape == x.shape
-
 
 class TestBottleneckLayer:
     def test_pretrained_insert_is_exact_identity(self):
@@ -343,7 +335,7 @@ class TestBottleneckLayer:
         cfg = LayerConfig(c=2, cp=1, s=1, variant="bottleneck")
         params = init_layer_params(cfg, Rng(13))
         x = Tensor4(np.array([[[[1.5]], [[-0.5]]]]))
-        y = repgraph_forward(x, params, cfg, training=False)
+        y = repgraph_forward(x, params, cfg)
 
         v = x.data[0, :, 0, 0]
         eps = params.bn_reduce.eps
@@ -416,7 +408,14 @@ class TestForwardWithoutGradients:
         tape = Tape()
         want = layer_forward_node(tape, tape.leaf(x.data), params[0], cfg,
                                   training=training, collect=collects[0]).value
-        got = repgraph_forward(x, params[1], cfg, training=training, collect=collects[1]).data
+        if training:
+            # repgraph_forward runs eval mode only; training mode runs on a
+            # tape without gradients directly.
+            nograd = Tape(grad=False)
+            got = layer_forward_node(nograd, nograd.leaf(x.data), params[1], cfg,
+                                     training=True, collect=collects[1]).value
+        else:
+            got = repgraph_forward(x, params[1], cfg, collect=collects[1]).data
         assert got.dtype == want.dtype == dtype
         assert got.tobytes() == want.tobytes()
         want_c, got_c = _collected(collects[0]), _collected(collects[1])
