@@ -21,8 +21,7 @@ import tracemalloc
 
 import numpy as np
 
-from repgraph import LayerConfig, count_flops
-from repgraph.bench import _make_forward
+from repgraph import LayerConfig, Rng, count_flops, init_layer_params, repgraph_forward
 from repgraph.flops import block_config
 
 BLOCKS = ("nl", "srg", "brg")
@@ -33,11 +32,13 @@ DTYPE = np.float32
 def measure(block: str, h: int, w: int, c: int, cp: int, s: int) -> tuple[float, float, int]:
     """(ms, peak MiB, MACs) of one no-grad forward of ``block`` on a 1 x c x h x w map."""
     cfg = block_config(block, LayerConfig(c=c, cp=cp, s=s))
-    forward = _make_forward(cfg, h, w, DTYPE, 0)
+    rng = Rng(0)
+    x = rng.tensor((1, c, h, w), dtype=DTYPE)
+    params = init_layer_params(cfg, rng=rng, dtype=DTYPE)
     tracemalloc.start()
     try:
         t0 = time.perf_counter()
-        forward()
+        repgraph_forward(x, params, cfg)
         ms = (time.perf_counter() - t0) * 1e3
         peak = tracemalloc.get_traced_memory()[1] / 2**20
     finally:

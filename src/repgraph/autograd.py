@@ -6,7 +6,9 @@ refers to any more is freed by reference counting, with its closures and
 intermediates.  A :class:`Tape` only numbers the nodes it records and owns
 its named parameters, so that ``backward`` can give untouched ones zero
 gradients.  ``backward`` visits the nodes the loss depends on in decreasing
-id order, so gradient accumulation order is fixed and runs are bit-stable.
+id order, so gradient accumulation order is fixed and runs are bit-stable,
+and it consumes the graph as it goes: each node drops its parents and its
+rule once the rule has run, so a second backward through it raises.
 One tape per training context; independent tapes may run concurrently.
 
 A tape built with ``grad=False`` records no graph: its nodes keep their value
@@ -36,7 +38,8 @@ class Node:
         # The tape owns its named parameters, so every leaf refers to it
         # weakly; every other node keeps its tape alive.  Nothing forms a
         # reference cycle.  Every node of a tape without gradients has no
-        # parents, so it too refers to its tape weakly.
+        # parents, so it too refers to its tape weakly, as does every node
+        # that ``backward`` has consumed.
         self._tape = tape if parents else weakref.ref(tape)
         self.value = value
         self.parents = parents
@@ -48,7 +51,7 @@ class Node:
     def tape(self) -> "Tape":
         tape = self._tape if self.parents else self._tape()
         if tape is None:
-            raise ContractError("the tape this leaf was recorded on no longer exists")
+            raise ContractError("the tape this node was recorded on no longer exists")
         return tape
 
     @property
@@ -91,52 +94,71 @@ class Tape:
 
 
 def backward(loss: Node) -> dict[int, np.ndarray]:
-    """Accumulate d(loss)/d(node) for every node ``loss`` depends on.
+    """Accumulate d(loss)/d(node) for every node ``loss`` depends on, consuming the graph.
 
-    Returns {node id -> gradient array} and stores the same arrays on
-    ``node.grad``.  Named parameters of the loss's tape that the loss never
-    touched get zero gradients; any other untouched leaf keeps ``grad = None``.
+    Each node's finished gradient is stored on ``node.grad`` before its rule
+    runs.  Once the rule has run, the node drops its parents and its rule, and
+    refers to its tape weakly, so a node nobody else holds is freed, with its
+    value, closure and gradient, before the traversal reaches its parents.  A
+    second backward that reaches a consumed node, from the same loss or from
+    a new one built on it, raises :class:`ContractError`.
+
+    Returns {leaf id -> gradient array}, the same arrays as ``leaf.grad``.
+    Named parameters of the loss's tape that the loss never touched get zero
+    gradients; any other untouched leaf keeps ``grad = None``.
     """
     if loss.value.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.value.shape}")
     tape = loss.tape
     if not tape.grad:
         raise ContractError(f"op {loss.op!r} was recorded on a tape without gradients")
-    seen = {loss.id: loss}
+    pending = {loss.id: loss}
     stack = [loss]
     while stack:
-        for parent in stack.pop().parents:
-            if parent.id not in seen:
-                seen[parent.id] = parent
+        node = stack.pop()
+        if not node.parents and node.op != "leaf":
+            # An op without parents on a grad tape is one an earlier backward
+            # consumed; one recorded on a tape without gradients is a constant.
+            owner = node._tape()
+            if owner is not None and owner.grad:
+                raise ContractError(f"op {node.op!r} was consumed by an earlier backward")
+        for parent in node.parents:
+            if parent.id not in pending:
+                pending[parent.id] = parent
                 stack.append(parent)
-    # A node's id is larger than its parents', so this order visits every
-    # node before the nodes it depends on.
-    nodes = [seen[i] for i in sorted(seen, reverse=True)]
+    tape_ref = weakref.ref(tape)
     grads: dict[int, np.ndarray] = {loss.id: np.ones_like(loss.value)}
-    for node in nodes:
-        g = grads.get(node.id)
-        if g is None or not node.parents:
+    leaf_grads: dict[int, np.ndarray] = {}
+    # A node's id is larger than its parents', so this order visits every
+    # node before the nodes it depends on.  Each node is popped, so the
+    # traversal holds it only while its rule runs.
+    for nid in sorted(pending, reverse=True):
+        node = pending.pop(nid)
+        g = grads.pop(nid, None)
+        if not node.parents:
+            if g is not None:
+                node.grad = leaf_grads[nid] = g
             continue
-        if node.backward_fn is None:
-            raise UnsupportedOpError(f"op {node.op!r} has no backward rule")
-        parent_grads = node.backward_fn(g)
-        for parent, pg in zip(node.parents, parent_grads):
-            if pg is None:
-                continue
-            # A backward rule may hand out ``g`` itself or a read-only view
-            # of it, and ``add`` hands the same array to both parents, so a
-            # gradient is kept as it arrives and never added to in place.
-            if parent.id in grads:
-                grads[parent.id] = grads[parent.id] + pg
-            else:
-                grads[parent.id] = pg
-    for node in nodes:
-        if node.id in grads:
-            node.grad = grads[node.id]
+        if g is not None:
+            node.grad = g
+            if node.backward_fn is None:
+                raise UnsupportedOpError(f"op {node.op!r} has no backward rule")
+            for parent, pg in zip(node.parents, node.backward_fn(g)):
+                if pg is None:
+                    continue
+                # A backward rule may hand out ``g`` itself or a read-only
+                # view of it, and ``add`` hands the same array to both
+                # parents, so a gradient is kept as it arrives and never
+                # added to in place.
+                if parent.id in grads:
+                    grads[parent.id] = grads[parent.id] + pg
+                else:
+                    grads[parent.id] = pg
+        node.parents, node.backward_fn, node._tape = (), None, tape_ref
     for param in tape.params.values():
-        if param.id not in grads:
-            param.grad = grads[param.id] = np.zeros_like(param.value)
-    return grads
+        if param.id not in leaf_grads:
+            param.grad = leaf_grads[param.id] = np.zeros_like(param.value)
+    return leaf_grads
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ _ATTENTION_PARTS = ("attn_logits", "attn_aggregate")
 @dataclass
 class FlopsReport:
     block: str
-    geometry: dict
     parts: list = field(default_factory=list)
     convention: str = MAC_CONVENTION
 
@@ -78,7 +77,6 @@ def count_flops(block: str, h: int, w: int, c: int, cp: int, s: int = 9,
     block = block.lower()
     cfg = block_config(block, LayerConfig(c, cp, s, fusion=fusion, gs=gs, groups=groups))
     N = h * w
-    geometry = dict(h=h, w=w, c=c, cp=cp, s=s, gs=gs, groups=groups, fusion=fusion, n=n)
 
     if cfg.variant != "bottleneck":
         # The dense block is the simple layer with every query attending over
@@ -111,7 +109,7 @@ def count_flops(block: str, h: int, w: int, c: int, cp: int, s: int = 9,
             ("expand_proj", n * N * expand_in * c),
         ]
 
-    return FlopsReport(block=block, geometry=geometry, parts=parts)
+    return FlopsReport(block=block, parts=parts)
 
 
 def fit_scaling_exponent(block: str, n_values, c: int, cp: int, s: int = 9) -> float:

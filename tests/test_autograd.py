@@ -1,4 +1,5 @@
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -61,6 +62,60 @@ class TestBackward:
         unused = tape.leaf(np.ones(5))
         grads = backward(sum_of(x))
         assert unused.grad is None and unused.id not in grads
+
+    def test_second_backward_on_the_same_loss_raises(self):
+        tape = Tape()
+        x = tape.leaf(Rng(5).uniform(-1, 1, (3, 3)), "x")
+        loss = sum_of(ag.einsum2("ij,jk->ik", x, x))
+        backward(loss)
+        first = x.grad
+        with pytest.raises(ContractError, match=r"^op 'weighted_sum' was consumed by an earlier"):
+            backward(loss)
+        assert x.grad is first
+
+    def test_second_loss_on_a_consumed_graph_raises(self):
+        tape = Tape()
+        x = tape.leaf(Rng(6).uniform(-1, 1, (3, 3)))
+        y = ag.einsum2("ij,jk->ik", x, x)
+        backward(sum_of(ag.add_const(y, 1.0)))
+        with pytest.raises(ContractError, match=r"^op 'einsum\[ij,jk->ik\]' was consumed"):
+            backward(sum_of(ag.add(y, x)))
+
+    def test_an_op_from_a_tape_without_gradients_is_a_constant(self):
+        tape, plain = Tape(), Tape(grad=False)
+        x = tape.leaf(np.ones((2, 2)))
+        c = ag.add_const(plain.leaf(np.full((2, 2), 2.0)), 1.0)
+        backward(sum_of(ag.einsum2("ij,jk->ik", x, c)))
+        assert np.array_equal(x.grad, np.full((2, 2), 6.0))
+
+    def test_an_unheld_intermediate_is_freed_before_its_parents_rule_runs(self):
+        tape = Tape()
+        x = tape.leaf(np.ones((4, 4)))
+        alive = []
+
+        def double_bwd(g):
+            alive.append(ref() is not None)
+            return (2 * g,)
+
+        y = tape.record(2 * x.value, (x,), double_bwd, op="double")
+        z = ag.add_const(y, 1.0)
+        ref = weakref.ref(z.value)
+        loss = sum_of(z)
+        del z
+        backward(loss)
+        assert alive == [False]
+        assert np.array_equal(x.grad, np.full((4, 4), 2.0)) and y.grad is not None
+
+    def test_returned_gradients_are_the_leaves_only(self):
+        tape = Tape()
+        x = tape.leaf(np.ones((2, 2)))
+        w = tape.leaf(np.full((2, 2), 3.0), "w")
+        unused = tape.leaf(np.ones(3), "unused")
+        loss = sum_of(ag.add(ag.einsum2("ij,jk->ik", x, w), x))
+        grads = backward(loss)
+        assert sorted(grads) == sorted([x.id, w.id, unused.id])
+        assert all(grads[n.id] is n.grad for n in (x, w, unused))
+        assert loss.grad is not None and loss.id not in grads
 
     def test_dropped_graphs_are_freed_without_the_cycle_collector(self):
         from repgraph import LayerConfig, init_layer_params, repgraph_forward

@@ -205,6 +205,24 @@ def test_train_step_script_prints_time_peak_and_faults(monkeypatch, capsys):
     assert not tracemalloc.is_tracing()
 
 
+def test_grad_step_script_prints_every_block_at_every_size(monkeypatch, capsys):
+    script = _load_script("bench_grad_step")
+    monkeypatch.setattr(script, "LAYER", LayerConfig(c=8, cp=4, s=3, gs=2, groups=2))
+    monkeypatch.setattr(script, "REPEATS", 2)
+    script.main(["6x4", "4X8"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("C=8, C'=4, S=3, gs=2, G=2, float32, "
+                        "one forward plus backward per block")
+    assert [line.split()[:2] for line in lines[1:]] == [
+        [block, f"{size}:"] for size in ("6x4", "4x8") for block in BLOCKS]
+    for line in lines[1:]:
+        ms, peak = (float(part.split()[1]) for part in line.split(": ")[1].split(", "))
+        assert ms > 0 and peak > 0
+    assert not tracemalloc.is_tracing()
+    with pytest.raises(SystemExit):
+        script.main(["6"])
+
+
 def test_paper_geometry_script_prints_every_block_with_its_macs(monkeypatch, capsys):
     script = _load_script("bench_paper_geometry")
     geometry = dict(h=8, w=6, c=8, cp=4, s=3)

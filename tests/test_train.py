@@ -9,6 +9,7 @@ import pytest
 from repgraph import CheckpointError, ContractError, DivergenceError, LayerConfig, Rng, ShapeError
 from repgraph import layer as layer_module
 from repgraph.autograd import Tape, backward, weighted_sum
+from repgraph.bench import peak_mib
 from repgraph.toytask import ToyTaskConfig, make_batch
 from repgraph.train import (
     TrainConfig,
@@ -309,6 +310,23 @@ class TestTrainingLoop:
         model, _ = load_checkpoint(str(ckpt))
         for arr in model.parameter_arrays().values():
             assert np.all(np.isfinite(arr))
+
+    def test_default_step_peak_stays_under_its_bound(self):
+        # One default step holds its logits through backward, as toy_train
+        # does.  It peaks at about 18 MiB, in the first sampler backward; a
+        # backward that kept every node and gradient until it returned would
+        # peak at 21.35 MiB, at its end.
+        cfg = TrainConfig()
+        model = init_toy_model(cfg)
+        images, labels = make_batch(Rng(cfg.seed + 1), cfg.batch, cfg.task)
+
+        def step():
+            tape = Tape()
+            logits = toy_model_logits(tape, model, images, training=True)
+            backward(softmax_xent_node(logits, labels))
+            return logits, tape.params["layer.w_off.w"].grad
+
+        assert peak_mib(step) < 19.5
 
     def test_layer_width_must_be_the_model_width(self):
         with pytest.raises(ContractError, match="C=8 is not the model width 16"):
