@@ -9,13 +9,13 @@ top-k CSVs of the learned attention distribution.
 import pathlib
 from dataclasses import replace
 
-from repgraph import Rng, affinity_stats
+from repgraph import affinity_stats
 from repgraph.autograd import Tape
 from repgraph.stats import write_affinity_csv
-from repgraph.toytask import make_batch
 from repgraph.train import (
     TrainConfig,
     ablated_control,
+    holdout_batch,
     load_checkpoint,
     toy_model_logits,
     toy_train,
@@ -34,7 +34,7 @@ def main() -> None:
           f"(ablated control {control.holdout_acc:.4f})")
 
     model, tcfg = load_checkpoint(cfg.checkpoint_dir)
-    images, _ = make_batch(Rng(tcfg.seed + 10_000), 4, tcfg.task)
+    images, _ = holdout_batch(tcfg.seed, 4, tcfg.task)
     collect = {}
     toy_model_logits(Tape(grad=False), model, images, collect=collect)
     stats = affinity_stats(collect["weights"], source="trained toy layer")

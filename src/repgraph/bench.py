@@ -53,10 +53,9 @@ def _estimate_bytes(cfg: LayerConfig, h: int, w: int, itemsize: int) -> int:
     """Upper bound on the peak of one forward: four [N, C] maps, two sampler blocks
     of slack, and the working set of the longest query span the core runs: its
     logits, which the softmax overwrites (dense), or its sampled sets (sparse)."""
-    units, unit_bytes, budget, min_units = _span_plan(cfg, 1, h, w, itemsize)
-    # The first span, (0, rows), is the longest.
-    _, rows = _query_spans(False, units, unit_bytes, budget, min_units)[0]
-    return rows * unit_bytes + 4 * h * w * max(cfg.c, cfg.cp) * itemsize + 2 * ops._BLOCK_BYTES
+    plan = _span_plan(cfg, 1, h, w, itemsize)  # (units, unit_bytes, budget, min_units)
+    _, rows = _query_spans(*plan)[0]  # the first span, (0, rows), is the longest
+    return rows * plan[1] + 4 * h * w * max(cfg.c, cfg.cp) * itemsize + 2 * ops._BLOCK_BYTES
 
 
 def _make_forward(cfg: LayerConfig, h: int, w: int, dtype, seed: int):

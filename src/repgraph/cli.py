@@ -26,7 +26,6 @@ from .errors import ContractError, RepGraphError
 from .layer import LayerConfig
 from .oracle import dense_equivalence_diff
 from .tensor import Rng
-from .toytask import make_batch
 
 ORACLE_TOL = 1e-6
 
@@ -36,10 +35,10 @@ def _add_geometry_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--w", type=int, default=32)
     p.add_argument("--c", type=int, default=256)
     p.add_argument("--cp", type=int, default=64)
-    p.add_argument("--nodes", type=int, default=9, help="sample count S")
-    p.add_argument("--gs", type=int, default=1, help="spatial group edge")
-    p.add_argument("--groups", type=int, default=1, help="channel group count")
-    p.add_argument("--fusion", choices=["sum", "concat"], default="sum")
+    p.add_argument("--nodes", type=int, default=LayerConfig.s, help="sample count S")
+    p.add_argument("--gs", type=int, default=LayerConfig.gs, help="spatial group edge")
+    p.add_argument("--groups", type=int, default=LayerConfig.groups, help="channel group count")
+    p.add_argument("--fusion", choices=["sum", "concat"], default=LayerConfig.fusion)
     p.add_argument("--config", default=None, help="key=value layer config file")
 
 
@@ -98,12 +97,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_affinity)
 
     p = sub.add_parser("train", help="toy end-to-end training run")
-    p.add_argument("--iters", type=int, default=500)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--nodes", type=int, default=9)
-    p.add_argument("--lr", type=float, default=0.3)
+    p.add_argument("--iters", type=int, default=train_mod.TrainConfig.iters)
+    p.add_argument("--seed", type=int, default=train_mod.TrainConfig.seed)
+    p.add_argument("--nodes", type=int, default=train_mod.TrainConfig.layer.s)
+    p.add_argument("--lr", type=float, default=train_mod.TrainConfig.lr)
     p.add_argument("--variant", choices=["simple", "bottleneck", "nonlocal"],
-                   default="simple")
+                   default=train_mod.TrainConfig.layer.variant)
     p.add_argument("--ablate", action="store_true")
     p.add_argument("--out", default=None, help="training log CSV")
     p.add_argument("--ckpt-dir", default=None)
@@ -172,14 +171,12 @@ def cmd_affinity(args) -> int:
     if min(args.n, args.cp) < 1:
         raise ContractError(f"--n and --cp must be >= 1, got {args.n} and {args.cp}")
     if args.ckpt:
-        if args.seed < 0:  # before the offset that draws the images
-            raise ContractError(f"seed must be non-negative, got {args.seed}")
         model, tcfg = train_mod.load_checkpoint(args.ckpt)
         if model.layer is None:
             raise ContractError(
                 f"checkpoint {args.ckpt} is an ablated run without an attention layer"
             )
-        images, _ = make_batch(Rng(args.seed + 10_000), 4, tcfg.task)
+        images, _ = train_mod.holdout_batch(args.seed, 4, tcfg.task)
         collect: dict = {}
         train_mod.toy_model_logits(Tape(grad=False), model, images, collect=collect)
         weights = collect["weights"].data

@@ -69,9 +69,7 @@ class LayerConfig:
         if self.groups < 1:
             raise ContractError(f"group count must be >= 1, got {self.groups}")
         if self.cp % self.groups != 0:
-            raise ContractError(
-                f"channel width C'={self.cp} is not divisible by G={self.groups}"
-            )
+            raise ContractError(f"channel width C'={self.cp} is not divisible by G={self.groups}")
         if self.variant == "nonlocal" and (self.gs, self.groups) != (1, 1):
             raise ContractError(
                 f"the non-local block takes no grid or channel groups, "
@@ -295,32 +293,31 @@ def _positions_node(off: Node, anchor_y: np.ndarray, anchor_x: np.ndarray) -> tu
     return ag.add_const(dy, anchor_y[None, :, None]), ag.add_const(dx, anchor_x[None, :, None])
 
 
-# A no-grad sparse core holds at most this many bytes of sampled sets per span
-# (:func:`_span_plan`).  At 128x64, c=256, C'=64, S=9, f32 (18 MiB per full
-# set), 4-16 MiB all kept the simple layer's forward peak at 24 MiB and the
-# bottleneck's at 20 MiB, where 24 MiB blocks let it rise to 29 and 24; 16 MiB
-# runs the fewest blocks (3 and 2).
+# A sparse core holds at most this many bytes of sampled sets per span, on
+# every tape (:func:`_span_plan`).  At 128x64, c=256, C'=64, S=9, f32 (18 MiB
+# per full set), 4-16 MiB all kept the simple layer's forward peak at 24 MiB
+# and the bottleneck's at 20 MiB, where 24 MiB blocks let it rise to 29 and
+# 24; 16 MiB runs the fewest blocks (3 and 2).
 _SPARSE_BLOCK_BYTES = 16 << 20
 
-# A no-grad dense block holds about this many bytes of logits per span, and at
-# least _DENSE_MIN_ROWS rows.  At c=256, C'=64, f32, 2 MiB ran fastest of
-# 0.25-40 MiB at 64x32, where the forward peaks at 4 MiB; blocks under 64
-# rows ran 1.2-1.7x slower at 128x64 and 256x128
+# A dense block holds about this many bytes of logits per span, and at least
+# _DENSE_MIN_ROWS rows, on every tape.  At c=256, C'=64, f32, 2 MiB ran
+# fastest of 0.25-40 MiB at 64x32, where the forward peaks at 4 MiB; blocks
+# under 64 rows ran 1.2-1.7x slower at 128x64 and 256x128
 # (scripts/bench_dense_vs_sparse.py geometry).
 _DENSE_BLOCK_BYTES = 2 << 20
 _DENSE_MIN_ROWS = 64
 
 
-def _query_spans(grad: bool, units: int, unit_bytes: int, budget: int,
+def _query_spans(units: int, unit_bytes: int, budget: int,
                  min_units: int = 1) -> list[tuple[int, int]]:
     """The (lo, hi) spans an attention core runs its ``units`` query units in.
 
-    A tape with gradients keeps every span's working set for the backward
-    anyway, so it gets one span.  Otherwise the spans are the fewest of at
-    most ``budget`` bytes at ``unit_bytes`` per unit, as even as that many
-    allow, and none but the last is shorter than ``min_units``.
+    The fewest spans of at most ``budget`` bytes at ``unit_bytes`` per unit, as
+    even as that many allow, none but the last shorter than ``min_units``; a
+    tape with gradients runs the same spans as one without.
     """
-    fit = units if grad else max(1, budget // max(1, unit_bytes))
+    fit = max(1, budget // max(1, unit_bytes))
     count = -(-units // fit)
     size = max(min_units, -(-units // count))
     return [(lo, min(units, lo + size)) for lo in range(0, units, size)]
@@ -368,9 +365,9 @@ def _repgraph_core(
     source, one sampled set is anchored at each group's left-top pixel, and
     every position in a group shares that set while keeping its own query row.
 
-    The queries run in :func:`_query_spans` of group rows; each span samples
-    its own sets and frees them before the next span samples, so a forward
-    without gradients never holds every query's sets.
+    The queries run in :func:`_query_spans` of group rows.  A forward without
+    gradients frees each span's sampled sets before the next span samples; a
+    backward frees them and their gradients before it reaches the next span.
     """
     n, _, h, w = theta_map.value.shape
     dtype = theta_map.value.dtype
@@ -406,7 +403,7 @@ def _repgraph_core(
                 for m in ((phi_map,) if shared else (phi_map, g_map))]
     weights = None if collect is None else np.empty((n, h * w, cfg.groups, cfg.s), dtype)
     outs = []
-    for r0, r1 in _query_spans(theta_map.tape.grad, *_span_plan(cfg, n, h, w, dtype.itemsize)):
+    for r0, r1 in _query_spans(*_span_plan(cfg, n, h, w, dtype.itemsize)):
         y0, y1 = r0 * gs, min(h, r1 * gs)
         py_b, px_b = _rows(py, r0 * wg, r1 * wg), _rows(px, r0 * wg, r1 * wg)
         key_feats = ops.bilinear_node(phi_map, py_b, px_b, batch, bordered=bordered[0])
@@ -437,10 +434,10 @@ def _dense_core(theta: Node, phi: Node, g: Node, cfg: LayerConfig,
                 collect: Optional[dict]) -> Node:
     """Every query attends over all N positions; returns x_tilde as an [n, C', h, w] map.
 
-    The queries run in :func:`_query_spans` of rows; each span forms its
-    [n, rows, N] logits, which the softmax overwrites, and its aggregate, and
-    frees them before the next span starts, so a forward without gradients
-    never holds the N x N affinity.
+    The queries run in :func:`_query_spans` of rows.  Each span forms its
+    [n, rows, N] logits, which the softmax overwrites, and its aggregate; a
+    forward without gradients frees them before the next span, and a backward
+    frees each span's logit gradients before it reaches the next span.
 
     ``collect`` receives the affinity as [n, N, 1, N] weights: one group whose
     N samples are the grid positions in row-major order.
@@ -450,8 +447,7 @@ def _dense_core(theta: Node, phi: Node, g: Node, cfg: LayerConfig,
     queries, keys, vals = _flatten_map(theta), _flatten_map(phi), _flatten_map(g)
     weights = None if collect is None else np.empty((n, n_nodes, 1, n_nodes), theta.value.dtype)
     outs = []
-    for lo, hi in _query_spans(theta.tape.grad,
-                               *_span_plan(cfg, n, h, w, theta.value.itemsize)):
+    for lo, hi in _query_spans(*_span_plan(cfg, n, h, w, theta.value.itemsize)):
         q = _rows(queries, lo, hi)
         affinity = ops.softmax_node(ag.einsum2("bnc,bmc->bnm", q, keys))
         if weights is not None:

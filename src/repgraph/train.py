@@ -247,6 +247,13 @@ def pixel_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float((logits.argmax(axis=1) == labels).mean())
 
 
+def holdout_batch(seed: int, batch: int, task: ToyTaskConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``seed``'s held-out batch, from ``seed + 10_000``; a negative seed is refused."""
+    if seed < 0:
+        raise ContractError(f"seed must be non-negative, got {seed}")
+    return make_batch(Rng(seed + 10_000), batch, task)
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
@@ -370,7 +377,7 @@ def toy_train(cfg: TrainConfig) -> TrainResult:
         state = {**params, **model.buffer_arrays()}
         velocity = {name: np.zeros_like(arr) for name, arr in params.items()}
         data_rng = Rng(cfg.seed + 1)
-        holdout = make_batch(Rng(cfg.seed + 10_000), cfg.holdout_batch, cfg.task)
+        holdout = holdout_batch(cfg.seed, cfg.holdout_batch, cfg.task)
 
         rows = []
         offset_grad_norm = 0.0

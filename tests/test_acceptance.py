@@ -192,11 +192,10 @@ def test_criterion_10_affinity_statistics(trained, tmp_path):
 
     _, _, _, ckpt = trained
     from repgraph.autograd import Tape
-    from repgraph.toytask import make_batch
-    from repgraph.train import load_checkpoint, toy_model_logits
+    from repgraph.train import holdout_batch, load_checkpoint, toy_model_logits
 
     model, tcfg = load_checkpoint(str(ckpt))
-    images, _ = make_batch(Rng(tcfg.seed + 10_000), 4, tcfg.task)
+    images, _ = holdout_batch(tcfg.seed, 4, tcfg.task)
     collect = {}
     toy_model_logits(Tape(), model, images, collect=collect)
     stats = affinity_stats(collect["weights"].data, source="toy-trained layer")

@@ -223,6 +223,17 @@ def test_grad_step_script_prints_every_block_at_every_size(monkeypatch, capsys):
         script.main(["6"])
 
 
+# The script's step at two cells of its grad-step table.  Both cores span on
+# a grad tape, and the consuming backward frees each span's working set in
+# turn: nl at 64x32 peaks at 27.6 MiB and srg at 128x64 at 84.6.  A grad tape
+# that ran each core as one span would peak at 54.1 and 104.3.
+@pytest.mark.parametrize("block,h,w,bound", [("nl", 64, 32, 35), ("srg", 128, 64, 95)])
+def test_grad_step_peak_stays_under_its_bound(block, h, w, bound):
+    script = _load_script("bench_grad_step")
+    step = script.make_step(block_config(block, script.LAYER), h, w)
+    assert peak_mib(step) < bound
+
+
 def test_paper_geometry_script_prints_every_block_with_its_macs(monkeypatch, capsys):
     script = _load_script("bench_paper_geometry")
     geometry = dict(h=8, w=6, c=8, cp=4, s=3)

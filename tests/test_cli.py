@@ -122,6 +122,21 @@ class TestTrainCommand:
         assert len(rows) == 4
         assert (ckpt / "manifest.txt").exists()
 
+    def test_defaults_are_the_train_config_defaults(self, monkeypatch):
+        from repgraph import train
+        from repgraph.train import TrainConfig, TrainResult
+
+        cfgs = []
+
+        def spy(cfg):
+            cfgs.append(cfg)
+            return TrainResult(rows=[], holdout_acc=0.5, offset_grad_norm_iter1=0.0,
+                               checkpoint_dir=None, final_loss=1.0)
+
+        monkeypatch.setattr(train, "toy_train", spy)
+        assert main(["train"]) == 0
+        assert cfgs == [TrainConfig()]
+
     def test_unwritable_log_fails_before_any_training(self, tmp_path, monkeypatch, capsys):
         from repgraph import train
 
@@ -190,6 +205,15 @@ class TestBenchCommand:
         assert {r[0] for r in rows[1:]} == {"srg", "brg"}
         assert all(", peak " in line and " MiB at 8x8" in line
                    for line in capsys.readouterr().out.splitlines())
+
+    def test_default_layer_is_the_config_default(self, monkeypatch):
+        from repgraph import LayerConfig, bench
+
+        layers = []
+        monkeypatch.setattr(bench, "run_benchmark",
+                            lambda blocks, sizes, layer, **kw: layers.append(layer) or ([], []))
+        assert main(["bench"]) == 0
+        assert layers == [LayerConfig(c=256, cp=64)]
 
     def test_concat_fusion_builds_concat_width_params(self, monkeypatch, capsys):
         from repgraph import bench

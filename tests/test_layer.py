@@ -20,7 +20,7 @@ from repgraph import (
     project_1x1,
     repgraph_forward,
 )
-from repgraph import layer, ops
+from repgraph import gradcheck, layer, ops
 from repgraph.autograd import Tape, backward, weighted_sum
 from repgraph.bench import peak_mib
 from repgraph.layer import (
@@ -426,11 +426,10 @@ class TestForwardWithoutGradients:
         for a, b in zip(buffer_arrays(params[0]).values(), buffer_arrays(params[1]).values()):
             assert a.tobytes() == b.tobytes()
 
-    # A map the no-grad cores split into spans where a grad tape runs one: at
-    # 32x24 in f64 a dense span holds 2 MiB of logits, 256 of the 768 rows,
-    # and a 16 KiB budget splits the sparse cores into 5 to 16 spans.  A
-    # dense span's matmuls may round differently from the whole map's, so
-    # the dense bytes can differ; the sparse bytes may not.
+    # A map both cores split into spans on every tape: at 32x24 in f64 a
+    # dense span holds 2 MiB of logits, 256 of the 768 rows, and a 16 KiB
+    # budget splits the sparse cores into 5 to 16 spans.  Both tapes run the
+    # same spans, so every byte agrees, the dense block's included.
     @pytest.mark.parametrize("variant,fusion,gs,groups", _FORWARD_CASES)
     def test_spans_match_a_grad_tape_forward(self, monkeypatch, variant, fusion, gs, groups):
         monkeypatch.setattr(layer, "_SPARSE_BLOCK_BYTES", 16 << 10)
@@ -445,16 +444,24 @@ class TestForwardWithoutGradients:
         tape = Tape()
         want = layer_forward_node(tape, tape.leaf(x.data), params, cfg,
                                   collect=collects[0]).value
-        assert len(spans) == 1
+        grad_spans = spans[:]
+        spans.clear()
         got = repgraph_forward(x, params, cfg, collect=collects[1]).data
-        assert len(spans) >= 3
+        assert len(spans) >= 3 and grad_spans == spans
         want_c, got_c = _collected(collects[0]), _collected(collects[1])
         assert sorted(got_c) == sorted(want_c) and "weights" in got_c
         for a, b in [(got, want)] + [(got_c[key], want_c[key]) for key in want_c]:
-            if variant == "nonlocal":
-                assert np.abs(a - b).max() < 1e-12
-            else:
-                assert a.tobytes() == b.tobytes()
+            assert a.tobytes() == b.tobytes()
+
+    def test_a_grad_tape_dense_forward_equals_the_no_grad_one(self):
+        # The toy trainer's dense arm, whose no-grad forward runs 16 spans:
+        # its training steps and its held-out pass see the same bytes.
+        cfg = LayerConfig(c=16, cp=8, variant="nonlocal")
+        x = Rng(26).tensor((4, 16, 32, 32))
+        params = init_layer_params(cfg, Rng(27))
+        tape = Tape()
+        want = layer_forward_node(tape, tape.leaf(x.data), params, cfg).value
+        assert repgraph_forward(x, params, cfg).data.tobytes() == want.tobytes()
 
     @staticmethod
     def _peaks(variant):
@@ -497,26 +504,100 @@ class TestQuerySpans:
         want = [(lo, min(13, lo + size)) for lo in range(0, 13, size)]
         assert len(want) == -(-13 // fit)
         for budget in (fit * 10, fit * 10 + 9):
-            assert _query_spans(False, 13, 10, budget) == want
+            assert _query_spans(13, 10, budget) == want
 
     def test_a_span_takes_one_unit_at_least(self):
-        assert _query_spans(False, 13, 10, 1) == [(i, i + 1) for i in range(13)]
-        assert _query_spans(False, 13, 10, 0) == [(i, i + 1) for i in range(13)]
+        assert _query_spans(13, 10, 1) == [(i, i + 1) for i in range(13)]
+        assert _query_spans(13, 10, 0) == [(i, i + 1) for i in range(13)]
 
     def test_min_units_floor_keeps_a_short_last_span(self):
         # The dense block's floor: below 64 rows a span takes 64, and so does
         # the first of 65 rows that two spans would otherwise split evenly.
-        assert _query_spans(False, 208, 10, 1, 64) == [(0, 64), (64, 128), (128, 192),
-                                                        (192, 208)]
-        assert _query_spans(False, 65, 10, 640, 64) == [(0, 64), (64, 65)]
-        assert _query_spans(False, 208, 10, 1000, 64) == [(0, 70), (70, 140), (140, 208)]
-        assert _query_spans(False, 13, 10, 1, 64) == [(0, 13)]
+        assert _query_spans(208, 10, 1, 64) == [(0, 64), (64, 128), (128, 192), (192, 208)]
+        assert _query_spans(65, 10, 640, 64) == [(0, 64), (64, 65)]
+        assert _query_spans(208, 10, 1000, 64) == [(0, 70), (70, 140), (140, 208)]
+        assert _query_spans(13, 10, 1, 64) == [(0, 13)]
 
-    @pytest.mark.parametrize("min_units", [1, 64])
-    def test_a_grad_tape_gets_one_span(self, min_units):
-        # Its backward keeps every span's working set anyway.
-        assert _query_spans(True, 208, 10, 1, min_units) == [(0, 208)]
-        assert _query_spans(True, 13, 1 << 40, 1, min_units) == [(0, 13)]
+
+# Every _FORWARD_CASES config, and the bottleneck in insertion mode.
+_SPANNED_CONFIGS = [
+    LayerConfig(c=6, cp=4, s=3, variant=variant, fusion=fusion, gs=gs, groups=groups)
+    for variant, fusion, gs, groups in _FORWARD_CASES
+] + [LayerConfig(c=6, cp=4, s=3, variant="bottleneck", init_mode="pretrained_insert")]
+
+
+class TestSpannedBackward:
+    """Grad tapes whose cores run one query unit per span: the narrows,
+    concats and per-span sampler and softmax nodes inside a core."""
+
+    @pytest.fixture
+    def softmax_rows(self, monkeypatch):
+        """The query rows of each ``softmax_node`` call, one per span."""
+        softmax = ops.softmax_node
+        rows = []
+        monkeypatch.setattr(ops, "softmax_node", lambda a: rows.append(a.shape[1]) or softmax(a))
+        return rows
+
+    @staticmethod
+    def _budgets(monkeypatch, block_bytes):
+        monkeypatch.setattr(layer, "_SPARSE_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(layer, "_DENSE_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(layer, "_DENSE_MIN_ROWS", 1)
+
+    @staticmethod
+    def _step(cfg, params, x, probe):
+        """Value, collected arrays and leaf gradients of one grad-tape step."""
+        tape, collect = Tape(), {}
+        leaf = tape.leaf(x.data)
+        y = layer_forward_node(tape, leaf, params, cfg, collect=collect)
+        value = y.value
+        backward(weighted_sum(y, probe))
+        grads = {"x": leaf.grad, **{name: node.grad for name, node in tape.params.items()}}
+        return value, _collected(collect), grads
+
+    @pytest.mark.parametrize("cfg", _SPANNED_CONFIGS, ids=str)
+    def test_spans_give_the_forward_bytes_and_one_span_gradients(self, monkeypatch,
+                                                                 softmax_rows, cfg):
+        x = Rng(50).tensor((2, 6, 13, 11))
+        params = init_layer_params(cfg, Rng(51))
+        probe = Rng(52).uniform(-1, 1, x.shape)
+        self._budgets(monkeypatch, 1 << 40)
+        _, _, want_grads = self._step(cfg, params, x, probe)
+        assert len(softmax_rows) == 1
+        self._budgets(monkeypatch, 1)
+        softmax_rows.clear()
+        value, collected, grads = self._step(cfg, params, x, probe)
+        # One unit per span: a dense row, or a sparse row of gs x gs groups.
+        unit = 1 if cfg.variant == "nonlocal" else cfg.gs * 11
+        assert max(softmax_rows) == unit
+        collect = {}
+        want = repgraph_forward(x, params, cfg, collect=collect).data
+        assert value.tobytes() == want.tobytes()
+        want_c = _collected(collect)
+        assert sorted(collected) == sorted(want_c)
+        for key in want_c:
+            assert collected[key].tobytes() == want_c[key].tobytes(), key
+        # Each gradient agrees relative to its own largest entry.  The dense
+        # block's phi bias has a zero gradient up to rounding (it shifts each
+        # row of logits by one constant, which the softmax cancels), so it is
+        # held relative to the step's largest gradient entry.
+        assert sorted(grads) == sorted(want_grads) and len(grads) > 1
+        scale = max(np.abs(ref).max() for ref in want_grads.values())
+        for name, grad in grads.items():
+            ref = want_grads[name]
+            cancelled = cfg.variant == "nonlocal" and name == "phi.b"
+            assert np.abs(grad - ref).max() <= 1e-12 * (scale if cancelled
+                                                         else np.abs(ref).max()), name
+
+    # The gradcheck layers on 4x4 maps, whose cores then run 2 to 16 spans.
+    @pytest.mark.parametrize("overrides", [dict(variant="simple", gs=2, groups=2),
+                                           dict(variant="bottleneck", fusion="concat"),
+                                           dict(variant="nonlocal")], ids=str)
+    def test_finite_differences_pass(self, monkeypatch, softmax_rows, overrides):
+        self._budgets(monkeypatch, 1)
+        reports = gradcheck._layer_case(**overrides)(0)
+        assert reports and all(r.passed for r in reports)
+        assert max(softmax_rows) < 16
 
 
 class TestSparseQueryBlocks:
@@ -567,10 +648,9 @@ class TestSparseQueryBlocks:
             assert sorted(collected) == ["offsets", "positions", "weights"]
             for key in want_collected:
                 assert collected[key].tobytes() == want_collected[key].tobytes(), key
-            # A grad tape keeps every block's sets for the backward anyway, so
-            # it runs one block, whose bytes are the blocked forward's.
+            # A grad tape runs the blocked forward's blocks and gives its bytes.
             blocks, grad_out, grad_collected = forward(cfg, params, data, 1, grad=True)
-            assert blocks == 1
+            assert blocks == group_rows
             assert grad_out.tobytes() == out.tobytes()
             for key in collected:
                 assert grad_collected[key].tobytes() == collected[key].tobytes(), key
