@@ -9,12 +9,15 @@ Each block (nl, srg, brg, grid, group) is ``flops.block_config`` of
 a 1 x C x H x W f32 input, its parameters and a random probe of the
 output's shape from ``Rng(0)``.  A step records ``layer_forward_node`` in
 training mode on a tape with gradients and runs ``backward`` of the probe's
-weighted sum, as a training step of the layer would.  After ``WARMUP`` untimed steps, ``REPEATS`` steps are timed with
-``repgraph.bench.time_callable``; then one more step runs under
-``tracemalloc`` (``repgraph.bench.peak_mib``), which does not count the
-input, the parameters or the probe.
+weighted sum, as a training step of the layer would.  After ``WARMUP``
+untimed steps, ``REPEATS`` steps are timed with
+``repgraph.bench.time_callable`` (both counts are ``repgraph bench``'s
+floors); then one more step runs under ``tracemalloc``
+(``repgraph.bench.peak_mib``), which does not count the input, the
+parameters or the probe.
 
-Prints one line per size and block: the median ms and the peak in MiB.
+Prints one line per size and block: the median ms with its interquartile
+range, as ``repgraph bench`` prints them, and the peak in MiB.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from repgraph.layer import layer_forward_node
 
 LAYER = LayerConfig(c=256, cp=64, s=9, gs=2, groups=2)
 DTYPE = np.float32
-REPEATS = 3
-WARMUP = 1
+REPEATS = 5
+WARMUP = 2
 
 
 def make_step(cfg: LayerConfig, h: int, w: int):
@@ -70,9 +73,9 @@ def main(argv=None) -> None:
     for h, w in args.sizes:
         for block in BLOCKS:
             step = make_step(block_config(block, layer), h, w)
-            median_ms, _ = time_callable(step, REPEATS, WARMUP)
-            print(f"{block:>5} {h}x{w}: median {median_ms:9.2f} ms over {REPEATS}, "
-                  f"peak {peak_mib(step):7.2f} MiB")
+            median_ms, iqr_ms = time_callable(step, REPEATS, WARMUP)
+            print(f"{block:>5} {h}x{w}: median {median_ms:9.2f} ms (iqr {iqr_ms:.2f}) "
+                  f"over {REPEATS}, peak {peak_mib(step):7.2f} MiB")
 
 
 if __name__ == "__main__":

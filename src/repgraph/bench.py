@@ -7,7 +7,6 @@ are expressed as ratios between blocks.
 
 from __future__ import annotations
 
-import csv
 import sys
 import time
 import tracemalloc
@@ -16,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
+from .config import write_csv
 from .errors import ContractError
 from .flops import BLOCKS, block_config
 from .layer import LayerConfig, _query_spans, _span_plan, init_layer_params, repgraph_forward
@@ -134,11 +134,7 @@ def peak_mib(fn) -> float:
 
 
 def write_bench_csv(results, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["block", "h", "w", "c", "cp", "s", "dtype",
-                         "median_ms", "iqr_ms", "peak_mib", "repeats"])
-        for r in results:
-            writer.writerow([r.block, r.h, r.w, r.c, r.cp, r.s, r.dtype,
-                             f"{r.median_ms:.4f}", f"{r.iqr_ms:.4f}", f"{r.peak_mib:.2f}",
-                             r.repeats])
+    write_csv(path, ["block", "h", "w", "c", "cp", "s", "dtype",
+                     "median_ms", "iqr_ms", "peak_mib", "repeats"],
+              ([r.block, r.h, r.w, r.c, r.cp, r.s, r.dtype, f"{r.median_ms:.4f}",
+                f"{r.iqr_ms:.4f}", f"{r.peak_mib:.2f}", r.repeats] for r in results))

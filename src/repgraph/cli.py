@@ -8,7 +8,6 @@ CSV to --out where applicable.  Exit codes: 0 success, 1 validation failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 
@@ -21,9 +20,9 @@ from . import ops
 from . import stats as stats_mod
 from . import train as train_mod
 from .autograd import Tape
-from .config import load_config_file
+from .config import load_config_file, write_csv
 from .errors import ContractError, RepGraphError
-from .layer import LayerConfig
+from .layer import _FUSIONS, _VARIANTS, LayerConfig
 from .oracle import dense_equivalence_diff
 from .tensor import Rng
 
@@ -38,7 +37,7 @@ def _add_geometry_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nodes", type=int, default=LayerConfig.s, help="sample count S")
     p.add_argument("--gs", type=int, default=LayerConfig.gs, help="spatial group edge")
     p.add_argument("--groups", type=int, default=LayerConfig.groups, help="channel group count")
-    p.add_argument("--fusion", choices=["sum", "concat"], default=LayerConfig.fusion)
+    p.add_argument("--fusion", choices=_FUSIONS, default=LayerConfig.fusion)
     p.add_argument("--config", default=None, help="key=value layer config file")
 
 
@@ -72,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--warmup", type=int, default=2)
-    p.add_argument("--dtype", choices=["f32", "f64"], default="f32")
+    p.add_argument("--dtype", choices=bench_mod._DTYPES, default="f32")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)
 
@@ -93,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--demo", choices=["uniform", "onehot"], default=None)
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--cp", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="held-out draw with --ckpt (default: the checkpoint's seed), else 0")
     p.set_defaults(func=cmd_affinity)
 
     p = sub.add_parser("train", help="toy end-to-end training run")
@@ -101,8 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=train_mod.TrainConfig.seed)
     p.add_argument("--nodes", type=int, default=train_mod.TrainConfig.layer.s)
     p.add_argument("--lr", type=float, default=train_mod.TrainConfig.lr)
-    p.add_argument("--variant", choices=["simple", "bottleneck", "nonlocal"],
-                   default=train_mod.TrainConfig.layer.variant)
+    p.add_argument("--variant", choices=_VARIANTS, default=train_mod.TrainConfig.layer.variant)
     p.add_argument("--ablate", action="store_true")
     p.add_argument("--out", default=None, help="training log CSV")
     p.add_argument("--ckpt-dir", default=None)
@@ -142,10 +141,8 @@ def cmd_oracle(args) -> int:
     print(f"dense-equivalence max abs diff: {diff:.3e} "
           f"({'pass' if ok else 'FAIL'} at {ORACLE_TOL:g})")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "seed", "max_abs_diff", "tolerance", "passed"])
-            writer.writerow([args.n, args.seed, f"{diff:.6e}", ORACLE_TOL, int(ok)])
+        write_csv(args.out, ["n", "seed", "max_abs_diff", "tolerance", "passed"],
+                  [[args.n, args.seed, f"{diff:.6e}", ORACLE_TOL, int(ok)]])
     return 0 if ok else 1
 
 
@@ -160,10 +157,7 @@ def cmd_gradcheck(args) -> int:
         worst = max(r.max_rel_err for r in res.reports)
         print(f"{status}  {res.case} (seed {res.seed}): worst rel err {worst:.3e}")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["case", "seed", "target", "max_rel_err", "eps", "passed"])
-            writer.writerows(rows)
+        write_csv(args.out, ["case", "seed", "target", "max_rel_err", "eps", "passed"], rows)
     return 0 if gradcheck_mod.all_passed(results) else 1
 
 
@@ -176,7 +170,8 @@ def cmd_affinity(args) -> int:
             raise ContractError(
                 f"checkpoint {args.ckpt} is an ablated run without an attention layer"
             )
-        images, _ = train_mod.holdout_batch(args.seed, 4, tcfg.task)
+        seed = tcfg.seed if args.seed is None else args.seed
+        images, _ = train_mod.holdout_batch(seed, 4, tcfg.task)
         collect: dict = {}
         train_mod.toy_model_logits(Tape(grad=False), model, images, collect=collect)
         weights = collect["weights"].data
@@ -188,7 +183,7 @@ def cmd_affinity(args) -> int:
         weights = np.eye(args.n)
         source = "one-hot demo"
     else:
-        rng = Rng(args.seed)
+        rng = Rng(args.seed or 0)
         theta = rng.uniform(-1, 1, (args.n, args.cp))
         phi = rng.uniform(-1, 1, (args.n, args.cp))
         weights = ops.softmax_rows(theta @ phi.T)
@@ -207,7 +202,7 @@ def cmd_train(args) -> int:
     cfg = train_mod.TrainConfig(iters=args.iters, seed=args.seed, lr=args.lr, layer=layer,
                                 log_path=args.out, checkpoint_dir=args.ckpt_dir)
     result = train_mod.toy_train(cfg)
-    print(f"final loss {result.final_loss:.4f}, "
+    print(f"final loss {result.rows[-1][2]:.4f}, "
           f"held-out pixel accuracy {result.holdout_acc:.4f}")
     return 0
 

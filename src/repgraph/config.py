@@ -1,12 +1,15 @@
-"""Flat key=value text files: one `key=value` per line, `#` comments.
+"""The package's text formats: flat key=value files and CSV tables.
 
-Layer-config files (keys: the fields of :class:`LayerConfig`) and the toy
-trainer's checkpoint ``config.txt``, ``layer.txt`` (a layer-config file) and
-``manifest.txt`` share one reader.
+A key=value file has one `key=value` per line and `#` comments.  Layer-config
+files (keys: the fields of :class:`LayerConfig`) and the toy trainer's
+checkpoint ``config.txt``, ``layer.txt`` (a layer-config file) and
+``manifest.txt`` share one writer and one reader.  Every CSV table the
+package writes in one go comes from :func:`write_csv`.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import fields
 
 from .errors import ContractError
@@ -44,8 +47,18 @@ def read_entries(path, error: type[Exception] = ContractError, parse=parse_entri
         raise error(f"{path}: {exc}") from exc
 
 
-def layer_config_to_text(cfg: LayerConfig) -> str:
-    return "".join(f"{f.name}={getattr(cfg, f.name)}\n" for f in fields(cfg))
+def write_entries(path, entries: dict) -> None:
+    """Write one ``key=value`` line per entry of ``entries``, in order."""
+    with open(path, "w") as fh:
+        fh.writelines(f"{key}={val}\n" for key, val in entries.items())
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then each of ``rows`` to ``path`` as CSV rows ending in CRLF."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def layer_config_from_text(text: str) -> LayerConfig:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import write_csv
 from .errors import ContractError
 from .layer import LayerConfig
 
@@ -128,10 +129,5 @@ def fit_scaling_exponent(block: str, n_values, c: int, cp: int, s: int = 9) -> f
 
 
 def write_flops_csv(report: FlopsReport, path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["block", "suboperation", "macs"])
-        for label, macs in report.parts:
-            writer.writerow([report.block, label, macs])
+    write_csv(path, ["block", "suboperation", "macs"],
+              ([report.block, label, macs] for label, macs in report.parts))

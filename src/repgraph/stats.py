@@ -7,11 +7,11 @@ top-k mass curves show how few positions carry most of the weight.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import write_csv
 from .errors import ValidationError
 from .layer import AttentionWeights
 
@@ -91,15 +91,9 @@ def write_affinity_csv(stats: AffinityStats, base_path) -> tuple[str, str]:
     base = str(base_path)
     hist_path = f"{base}_hist.csv"
     topk_path = f"{base}_topk.csv"
-    with open(hist_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_lo", "bin_hi", "count"])
-        for lo, hi, count in stats.histogram:
-            writer.writerow([f"{lo:.12g}", f"{hi:.12g}", count])
-    with open(topk_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "k", "mass"])
-        for row in range(stats.n_rows):
-            for kk in range(stats.row_len):
-                writer.writerow([row, kk + 1, f"{stats.topk_mass[row, kk]:.12g}"])
+    write_csv(hist_path, ["bin_lo", "bin_hi", "count"],
+              ([f"{lo:.12g}", f"{hi:.12g}", count] for lo, hi, count in stats.histogram))
+    write_csv(topk_path, ["row", "k", "mass"],
+              ([row, kk + 1, f"{stats.topk_mass[row, kk]:.12g}"]
+               for row in range(stats.n_rows) for kk in range(stats.row_len)))
     return hist_path, topk_path

@@ -29,15 +29,18 @@ CLASS_COLORS = np.array(
 
 @dataclass(frozen=True)
 class ToyTaskConfig:
-    """Image size, class count and rectangle sides; construction validates them."""
+    """Image size and rectangle sides; construction validates them.
 
+    The class count is the color table's, background included.
+    """
+
+    num_classes: ClassVar[int] = CLASS_COLORS.shape[0]
     min_rects: ClassVar[int] = 3
     max_rects: ClassVar[int] = 5
     pixel_noise: ClassVar[float] = 0.45
     background_wobble: ClassVar[float] = 0.08
 
     size: int = 32
-    num_classes: int = 4
     min_side: int = 8
     max_side: int = 16
     # Optional per-image color shift; local operators cannot undo one, so
@@ -56,8 +59,6 @@ class ToyTaskConfig:
                 f"rectangle sides need 1 <= min_side <= max_side <= size, got "
                 f"min_side={self.min_side}, max_side={self.max_side}, size={self.size}"
             )
-        if self.num_classes != CLASS_COLORS.shape[0]:
-            raise ContractError(f"num_classes must match the color table, got {self.num_classes}")
 
 
 def make_batch(rng: Rng, batch: int,

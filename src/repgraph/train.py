@@ -15,14 +15,14 @@ import csv
 import os
 import shutil
 import tempfile
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import InitVar, asdict, dataclass, field, replace
 from typing import ClassVar, Optional
 
 import numpy as np
 
 from . import ops
 from .autograd import Node, Tape, backward, matmul
-from .config import layer_config_to_text, load_config_file, read_entries
+from .config import load_config_file, read_entries, write_entries
 from .errors import CheckpointError, ContractError, DivergenceError, ShapeError
 from .layer import (
     LayerConfig,
@@ -31,7 +31,6 @@ from .layer import (
     layer_forward_node,
     param_arrays,
 )
-from .ops import Projection1x1
 from .tensor import Rng, Tensor4, load_tensor, save_tensor
 from .toytask import ToyTaskConfig, make_batch
 
@@ -133,24 +132,16 @@ def poly_lr(base_lr: float, iteration: int, max_iter: int, power: float) -> floa
 
 @dataclass
 class ToyModel:
-    conv1_w: np.ndarray
-    conv1_b: np.ndarray
-    conv2_w: np.ndarray
-    conv2_b: np.ndarray
-    classifier: Projection1x1
+    """``backbone`` holds the convs' and the classifier's arrays, keyed by
+    their tape leaf names; ``layer`` holds the attention slot's."""
+
+    backbone: dict[str, np.ndarray]
     layer_cfg: Optional[LayerConfig]
     layer: object = None  # a record of init_layer_params, or None when ablated
 
     def parameter_arrays(self) -> dict[str, np.ndarray]:
         """Trainable arrays, keyed by their tape leaf names."""
-        params = {
-            "conv1.w": self.conv1_w,
-            "conv1.b": self.conv1_b,
-            "conv2.w": self.conv2_w,
-            "conv2.b": self.conv2_b,
-            "cls.w": self.classifier.weight,
-            "cls.b": self.classifier.bias,
-        }
+        params = dict(self.backbone)
         if self.layer is not None:
             params.update({f"layer.{k}": v for k, v in param_arrays(self.layer).items()})
         return params
@@ -204,43 +195,34 @@ class TrainResult:
     rows: list  # (iter, lr, loss, pix_acc)
     holdout_acc: float
     offset_grad_norm_iter1: float
-    checkpoint_dir: Optional[str]
-    final_loss: float
 
 
 def init_toy_model(cfg: TrainConfig) -> ToyModel:
     """A new f64 model drawn from ``Rng(cfg.seed)``."""
     rng = Rng(cfg.seed)
-    c_in = 3
-    k = cfg.task.num_classes
+    w, k = cfg.width, cfg.task.num_classes
     layer = None if cfg.layer is None else init_layer_params(cfg.layer, rng=rng)
-    return ToyModel(
-        conv1_w=rng.init_weight((cfg.width, c_in, 3, 3), fan_in=9 * c_in),
-        conv1_b=np.zeros(cfg.width),
-        conv2_w=rng.init_weight((cfg.width, cfg.width, 3, 3), fan_in=9 * cfg.width),
-        conv2_b=np.zeros(cfg.width),
-        classifier=Projection1x1(
-            weight=rng.init_weight((k, cfg.width), fan_in=cfg.width),
-            bias=np.zeros(k),
-        ),
-        layer_cfg=cfg.layer,
-        layer=layer,
-    )
+    backbone = {
+        "conv1.w": rng.init_weight((w, 3, 3, 3), fan_in=9 * 3),
+        "conv1.b": np.zeros(w),
+        "conv2.w": rng.init_weight((w, w, 3, 3), fan_in=9 * w),
+        "conv2.b": np.zeros(w),
+        "cls.w": rng.init_weight((k, w), fan_in=w),
+        "cls.b": np.zeros(k),
+    }
+    return ToyModel(backbone=backbone, layer_cfg=cfg.layer, layer=layer)
 
 
 def toy_model_logits(tape: Tape, model: ToyModel, images: np.ndarray,
                      training: bool = False, collect: Optional[dict] = None) -> Node:
-    x = tape.leaf(images)
-    h = ops.relu_node(conv3x3_node(x, tape.leaf(model.conv1_w, "conv1.w"),
-                                   tape.leaf(model.conv1_b, "conv1.b")))
-    h = ops.relu_node(conv3x3_node(h, tape.leaf(model.conv2_w, "conv2.w"),
-                                   tape.leaf(model.conv2_b, "conv2.b")))
+    h = tape.leaf(images)
+    p = {name: tape.leaf(arr, name) for name, arr in model.backbone.items()}
+    for conv in ("conv1", "conv2"):
+        h = ops.relu_node(conv3x3_node(h, p[f"{conv}.w"], p[f"{conv}.b"]))
     if model.layer is not None:
         h = layer_forward_node(tape, h, model.layer, model.layer_cfg,
                                training=training, collect=collect, prefix="layer.")
-    cls_w = tape.leaf(model.classifier.weight, "cls.w")
-    cls_b = tape.leaf(model.classifier.bias, "cls.b")
-    return ops.project_node(h, cls_w, cls_b)
+    return ops.project_node(h, p["cls.w"], p["cls.b"])
 
 
 def pixel_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -293,20 +275,17 @@ def save_checkpoint(model: ToyModel, cfg: TrainConfig, out_dir: str) -> None:
 
 
 def _write_checkpoint(model: ToyModel, cfg: TrainConfig, out_dir: str) -> None:
-    lines = [f"width={cfg.width}", f"seed={cfg.seed}", f"num_classes={cfg.task.num_classes}"]
-    manifest = []
-    state = {**model.parameter_arrays(), **model.buffer_arrays()}
-    for name, arr in state.items():
+    manifest = {}
+    for name, arr in {**model.parameter_arrays(), **model.buffer_arrays()}.items():
         fname = name.replace(".", "_") + ".rgt4"
         arr4 = arr.reshape((1,) * (4 - arr.ndim) + arr.shape)
         save_tensor(Tensor4(arr4), os.path.join(out_dir, fname))
-        manifest.append(f"{name}={fname}:{','.join(map(str, arr.shape))}")
-    files = {"config.txt": "\n".join(lines) + "\n", "manifest.txt": "\n".join(manifest) + "\n"}
+        manifest[name] = f"{fname}:{','.join(map(str, arr.shape))}"
+    write_entries(os.path.join(out_dir, "config.txt"),
+                  {"width": cfg.width, "seed": cfg.seed, "num_classes": cfg.task.num_classes})
+    write_entries(os.path.join(out_dir, "manifest.txt"), manifest)
     if cfg.layer is not None:
-        files["layer.txt"] = layer_config_to_text(cfg.layer)
-    for name, text in files.items():
-        with open(os.path.join(out_dir, name), "w") as fh:
-            fh.write(text)
+        write_entries(os.path.join(out_dir, "layer.txt"), asdict(cfg.layer))
 
 
 def load_checkpoint(ckpt_dir: str) -> tuple[ToyModel, TrainConfig]:
@@ -328,8 +307,10 @@ def load_checkpoint(ckpt_dir: str) -> tuple[ToyModel, TrainConfig]:
     layer_path = os.path.join(ckpt_dir, "layer.txt")
     layer = load_config_file(layer_path, CheckpointError) if os.path.exists(layer_path) else None
     try:
-        cfg = TrainConfig(width=int(kv["width"]), seed=int(kv["seed"]), layer=layer,
-                          task=ToyTaskConfig(num_classes=int(kv["num_classes"])))
+        width, seed, classes = int(kv["width"]), int(kv["seed"]), int(kv["num_classes"])
+        if classes != ToyTaskConfig.num_classes:
+            raise ContractError(f"num_classes must match the color table, got {classes}")
+        cfg = TrainConfig(width=width, seed=seed, layer=layer)
     except KeyError as exc:
         raise CheckpointError(f"{config_path}: missing entry {exc}") from exc
     except ValueError as exc:
@@ -416,13 +397,8 @@ def toy_train(cfg: TrainConfig) -> TrainResult:
 
         if cfg.checkpoint_dir:
             save_checkpoint(model, cfg, cfg.checkpoint_dir)
-        return TrainResult(
-            rows=rows,
-            holdout_acc=holdout_acc,
-            offset_grad_norm_iter1=offset_grad_norm,
-            checkpoint_dir=cfg.checkpoint_dir,
-            final_loss=rows[-1][2],
-        )
+        return TrainResult(rows=rows, holdout_acc=holdout_acc,
+                           offset_grad_norm_iter1=offset_grad_norm)
 
 
 def ablated_control(cfg: TrainConfig) -> TrainResult:

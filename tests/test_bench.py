@@ -1,5 +1,6 @@
 import importlib.util
 import pathlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -216,8 +217,10 @@ def test_grad_step_script_prints_every_block_at_every_size(monkeypatch, capsys):
     assert [line.split()[:2] for line in lines[1:]] == [
         [block, f"{size}:"] for size in ("6x4", "4x8") for block in BLOCKS]
     for line in lines[1:]:
-        ms, peak = (float(part.split()[1]) for part in line.split(": ")[1].split(", "))
-        assert ms > 0 and peak > 0
+        fields = re.fullmatch(r"median +(\S+) ms \(iqr (\S+)\) over 2, peak +(\S+) MiB",
+                              line.split(": ")[1])
+        ms, iqr, peak = (float(field) for field in fields.groups())
+        assert ms > 0 and iqr >= 0 and peak > 0
     assert not tracemalloc.is_tracing()
     with pytest.raises(SystemExit):
         script.main(["6"])

@@ -108,6 +108,36 @@ class TestAffinityCommand:
         err = capsys.readouterr().err
         assert err == f"error: seed must be non-negative, got {seed}\n"
 
+    def test_checkpoint_reads_its_own_held_out_draw(self, tmp_path, capsys):
+        # Without --seed the CLI reads the batch that toy_train held out, as
+        # scripts/train_toy.py and acceptance criterion 10 do, so it writes
+        # their CSVs byte for byte; an explicit --seed draws another batch.
+        from repgraph import LayerConfig, affinity_stats
+        from repgraph.autograd import Tape
+        from repgraph.stats import write_affinity_csv
+        from repgraph.train import (
+            TrainConfig,
+            holdout_batch,
+            load_checkpoint,
+            toy_model_logits,
+            toy_train,
+        )
+
+        ckpt = str(tmp_path / "ck")
+        toy_train(TrainConfig(iters=2, batch=1, width=8, layer=LayerConfig(c=8, cp=4, s=2),
+                              checkpoint_dir=ckpt))
+        model, tcfg = load_checkpoint(ckpt)
+        assert tcfg.seed == TrainConfig.seed
+        images, _ = holdout_batch(tcfg.seed, 4, tcfg.task)
+        collect = {}
+        toy_model_logits(Tape(), model, images, collect=collect)
+        paths = write_affinity_csv(affinity_stats(collect["weights"].data), tmp_path / "ref")
+        expected = [open(path, "rb").read() for path in paths]
+        for out, extra in (("default", []), ("seed0", ["--seed", "0"])):
+            assert main(["affinity", "--ckpt", ckpt, "--out", str(tmp_path / out)] + extra) == 0
+            written = [(tmp_path / f"{out}_{kind}.csv").read_bytes() for kind in ("hist", "topk")]
+            assert (written == expected) == (out == "default")
+
 
 class TestTrainCommand:
     def test_smoke_run_writes_log_and_checkpoint(self, tmp_path, capsys):
@@ -130,8 +160,8 @@ class TestTrainCommand:
 
         def spy(cfg):
             cfgs.append(cfg)
-            return TrainResult(rows=[], holdout_acc=0.5, offset_grad_norm_iter1=0.0,
-                               checkpoint_dir=None, final_loss=1.0)
+            return TrainResult(rows=[(0, 0.3, 1.0, 0.5)], holdout_acc=0.5,
+                               offset_grad_norm_iter1=0.0)
 
         monkeypatch.setattr(train, "toy_train", spy)
         assert main(["train"]) == 0

@@ -1,26 +1,28 @@
+from dataclasses import asdict
+
 import pytest
 
 from repgraph import ContractError, LayerConfig
 from repgraph.config import (
     layer_config_from_text,
-    layer_config_to_text,
     load_config_file,
+    write_entries,
 )
 
 
 class TestRoundTrip:
-    def test_basic_round_trip(self):
+    def test_basic_round_trip(self, tmp_path):
         cfg = LayerConfig(c=64, cp=16, s=9, variant="bottleneck", fusion="concat",
                           init_mode="fresh")
-        text = layer_config_to_text(cfg)
-        back = layer_config_from_text(text)
+        write_entries(tmp_path / "layer.txt", asdict(cfg))
+        back = load_config_file(tmp_path / "layer.txt")
         assert back == cfg
         assert back.gs == 1 and back.groups == 1
 
-    def test_round_trip_with_variant_extensions(self):
+    def test_round_trip_with_variant_extensions(self, tmp_path):
         cfg = LayerConfig(c=32, cp=8, s=5, gs=4, groups=2)
-        text = layer_config_to_text(cfg)
-        back = layer_config_from_text(text)
+        write_entries(tmp_path / "layer.txt", asdict(cfg))
+        back = load_config_file(tmp_path / "layer.txt")
         assert back == cfg
         assert back.gs == 4
         assert back.groups == 2

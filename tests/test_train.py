@@ -271,7 +271,8 @@ class TestToyTask:
         assert images.shape == (2, 3, size, size) and labels.shape == (2, size, size)
 
     def test_configs_are_checked_where_they_are_built(self):
-        with pytest.raises(ContractError, match="num_classes"):
+        # The class count is the color table's, not a field.
+        with pytest.raises(TypeError, match="num_classes"):
             ToyTaskConfig(num_classes=3)
         with pytest.raises(ContractError, match="iters and batch must be positive"):
             TrainConfig(iters=0)
